@@ -20,7 +20,8 @@ from . import io as io_mod
 from . import knapsack as knapsack_mod
 from . import profile as profile_mod
 from . import reference, sdwc, weighted
-from .errors import DomainError, ParseError
+from .capacity import MAX_ABS_MAGNITUDE, MAX_ITEMS
+from .errors import CapacityError, DomainError, ParseError
 from .weighted import ProbThreshold
 
 EXIT_OK = 0
@@ -71,6 +72,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from None
 
 
 def _read_string(path: str) -> str:
@@ -152,7 +156,7 @@ def _run_consensus(cfg: RunConfig, k: int | None, out) -> int:
 def _run_gwpm(cfg: RunConfig, k: int | None, out) -> int:
     p = io_mod.parse_pwm(_read(cfg.paths["pattern"]))
     t = io_mod.parse_pwm(_read(cfg.paths["text"]))
-    algo = {"auto": "auto", "sdwc": "auto", "naive": "naive", "mim": "mim", "k": "mim"}[cfg.algo]
+    algo = "mim" if cfg.algo == "k" else cfg.algo
     result = consensus_mod.gwpm(p, t, cfg.z, algo=algo, k=k)
     witness_of = (lambda pos: consensus_mod.gwpm_witness(result, pos)) if cfg.witness else None
     _emit_positions(result.occurrences, cfg.fmt, out, witness_of)
@@ -179,32 +183,54 @@ def _run_knapsack(cfg: RunConfig, k: int | None, out) -> int:
     return EXIT_OK if choice is not None else EXIT_NONE
 
 
+def _gen_count(opts: dict, name: str, lo: int, hi: float = math.inf) -> int:
+    value = opts[name]
+    if not (lo <= value < hi):
+        raise DomainError(f"--{name} {value} out of range [{lo}, {hi})")
+    return value
+
+
+def _gen_range(opts: dict, name: str) -> tuple[int, int]:
+    lo, hi = opts[name]
+    if lo > hi:
+        raise DomainError(f"--{name.replace('_', '-')}: low end {lo} above high end {hi}")
+    return lo, hi
+
+
 def _gen(cfg: RunConfig) -> str:
+    """One seeded instance, refusing options whose output `um` would reject."""
     rng = random.Random(cfg.seed)
     opts = cfg.gen_options
     kind = opts["kind"]
     alphabet = opts["alphabet"]
+    if not alphabet or len(set(alphabet)) != len(alphabet) or \
+            any(c.isspace() or c in "#\x00\x01" for c in alphabet):
+        raise DomainError(f"--alphabet {alphabet!r}: need distinct, non-blank, "
+                          "non-reserved letters")
     if kind == "text":
-        n = opts["length"]
+        n = _gen_count(opts, "length", 0)
         return "".join(rng.choice(alphabet) for _ in range(n)) + "\n"
     if kind == "profile":
-        lo, hi = opts["score_range"]
-        rows = tuple(
-            tuple(rng.randint(lo, hi) for _ in alphabet) for _ in range(opts["length"])
-        )
+        m = _gen_count(opts, "length", 1, MAX_ITEMS)
+        lo, hi = _gen_range(opts, "score_range")
+        rows = tuple(tuple(rng.randint(lo, hi) for _ in alphabet) for _ in range(m))
         return io_mod.serialize_profile(profile_mod.ScoringMatrix(alphabet, rows))
     if kind == "pwm":
         rows = []
         grid = 10 ** 6
-        for _ in range(opts["length"]):
+        for _ in range(_gen_count(opts, "length", 1, MAX_ITEMS)):
             raw = [rng.expovariate(1.0) for _ in alphabet]
             total = sum(raw)
             # floor on a fixed grid keeps the row sum at most 1
             rows.append([math.floor(x / total * grid) / grid for x in raw])
         return io_mod.serialize_pwm(weighted.from_probabilities(alphabet, rows))
     if kind == "mck":
-        n, lam = opts["classes"], opts["lam"]
-        lo, hi = opts["value_range"]
+        n = _gen_count(opts, "classes", 1, MAX_ITEMS)
+        # the parser takes fewer than MAX_ITEMS items in all
+        lam = _gen_count(opts, "lam", 1, -(-MAX_ITEMS // n))
+        lo, hi = _gen_range(opts, "value_range")
+        if max(-lo, hi) >= MAX_ABS_MAGNITUDE:
+            raise DomainError("--value-range: item magnitude must stay below 2^40")
         classes = [
             [(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(rng.randint(1, lam))]
             for _ in range(n)
@@ -331,7 +357,7 @@ def main(argv=None) -> int:
     try:
         cfg, k = _config_from_args(args)
         return run(cfg, k)
-    except (ParseError, DomainError) as exc:
+    except (ParseError, DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

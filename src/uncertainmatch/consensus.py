@@ -12,9 +12,12 @@ few positions where the heavy strings mismatch.
 
 from __future__ import annotations
 
+import itertools
 import math
 import string as _string
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import knapsack, neglog
 from .errors import DomainError
@@ -182,6 +185,9 @@ class GwpmResult:
     _records: dict[int, _Occurrence]
 
 
+GWPM_ALGOS = ("auto", "mim", "sdwc", "naive")
+
+
 def gwpm(
     P: WeightedSequence,
     T: WeightedSequence,
@@ -191,11 +197,22 @@ def gwpm(
 ) -> GwpmResult:
     """Positions p where some string matches both P and T[p..p+m-1].
 
-    Window scan over the heavy strings: lcp queries collect the few
-    positions where they mismatch; windows with more than
-    2 floor(log2 z) mismatches cannot match, the rest reduce to a
-    consensus instance restricted to the mismatch set.
+    An exact vectorized prefilter (`_window_prefilter`) first drops
+    windows that no string can match.  On the rest, a window scan over
+    the heavy strings collects with lcp queries the few positions where
+    they mismatch; windows with more than 2 floor(log2 z) mismatches
+    cannot match, the others reduce to a consensus instance restricted
+    to the mismatch set, solved by `algo`:
+
+    - ``auto`` or ``mim``: meet-in-the-middle knapsack (`knapsack.solve`,
+      or `knapsack.solve_k` when `k` is given).  ``auto`` takes it by
+      measurement: it beat SDWC at every (z, m) tried, lengths at SDWC's
+      2 floor(log2 z) bound included.
+    - ``sdwc``: the Short Dissimilar Weighted Consensus solver.
+    - ``naive``: the brute-force oracle.
     """
+    if algo not in GWPM_ALGOS:
+        raise DomainError(f"unknown gwpm algorithm {algo!r}")
     P = prune(P, z)
     T = prune(T, z)
     m, n = P.n, T.n
@@ -204,17 +221,19 @@ def gwpm(
     heavy_t, units_t = _heavy_with_filler(T)
     if m > n or any(not row for row in P.sorted_rows):
         return GwpmResult((), m, heavy_t, {})
+    budget = 2 * z.log2_floor
+    z_units = z.units
+    starts = _window_prefilter(P, T, z_units)
+    if not len(starts):
+        return GwpmResult((), m, heavy_t, {})
     heavy_p = "".join(row[0][0] for row in P.sorted_rows)
     units_p = [row[0][1] for row in P.sorted_rows]
     beta = sum(units_p)
-    budget = 2 * z.log2_floor
-    z_units = z.units
-    idx = build_cross_index(heavy_p, heavy_t)
-    cross_lcp = idx.cross_lcp
-    alpha = sum(units_t[:m])
+    alpha_at = list(itertools.accumulate(units_t, initial=0))
+    cross_lcp = build_cross_index(heavy_p, heavy_t).cross_lcp
     occ = []
     records: dict[int, _Occurrence] = {}
-    for p in range(1, n - m + 2):
+    for p in (starts + 1).tolist():
         d: list[int] = []
         i, j = 1, p
         while i <= m:
@@ -228,6 +247,7 @@ def gwpm(
             j += 1
             if len(d) > budget:
                 break
+        alpha = alpha_at[p + m - 1] - alpha_at[p - 1]
         if len(d) > budget:
             pass
         elif not d:
@@ -241,13 +261,76 @@ def gwpm(
             if witness is not None:
                 occ.append(p)
                 records[p] = _Occurrence(tuple(d), witness, alpha_rest, beta_rest)
-        if p <= n - m:
-            alpha += units_t[p + m - 1] - units_t[p - 1]
     return GwpmResult(tuple(occ), m, heavy_t, records)
 
 
+def _units_matrix(x: WeightedSequence, letters: list[str], cap: int) -> np.ndarray:
+    """Dense n x len(letters) units of x; absent letters read `cap`."""
+    rows = [[row.get(c, cap) for c in letters] for row in x.rows]
+    return np.minimum(np.array(rows, dtype=np.int64), cap)
+
+
+def _window_prefilter(P: WeightedSequence, T: WeightedSequence, z_units: int) -> np.ndarray:
+    """0-based starts of the windows that pass the exact min-sum test.
+
+    A string matching both pruned P and window p takes at each offset i
+    a letter alive in both P[i] and T[p+i-1].  Its units in P are then
+    at least the sum over i of the cheapest such letter's units in P,
+    and likewise in T, so a window where either sum exceeds z has no
+    consensus.  Every entry is clamped at z + 1, as in `wpm`: a clamped
+    term alone sinks its window, and the sums stay inside int64.
+    """
+    letters = [c for c in P.alphabet if c in T.alphabet]
+    if not letters:
+        return np.empty(0, dtype=np.int64)
+    cap = z_units + 1
+    pu = _units_matrix(P, letters, cap)
+    tu = _units_matrix(T, letters, cap)
+    w = T.n - P.n + 1
+    min_p = np.zeros(w, dtype=np.int64)
+    min_t = np.zeros(w, dtype=np.int64)
+    for i in range(P.n):
+        tw = tu[i: i + w]
+        min_p += np.where(tw < cap, pu[i], cap).min(axis=1)
+        min_t += np.where(pu[i] < cap, tw, cap).min(axis=1)
+        np.minimum(min_p, cap, out=min_p)
+        np.minimum(min_t, cap, out=min_t)
+    return np.nonzero((min_p < cap) & (min_t < cap))[0]
+
+
 def _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k):
-    """Consensus over the mismatch positions, reweighted by the rest."""
+    """Consensus over the mismatch set d of window p, or None.
+
+    The rows of P at d and of T at p+d-1 stand for the whole window:
+    the heavy units outside d, beta_rest of the pattern and alpha_rest
+    of the window, are added to the first row, and letters above z are
+    dropped.  For ``auto`` and ``mim`` the knapsack classes are read
+    straight off the pruned rows, in the (units in P, alphabet order)
+    item order of `wc_to_knapsack`; ``naive`` and ``sdwc`` build the two
+    reweighted sequences.
+    """
+    z_units = z.units
+    if algo in ("auto", "mim"):
+        classes = []
+        letters: list[list[str]] = []
+        add_x, add_y = beta_rest, alpha_rest
+        for i in d:
+            row_y = T.rows[p + i - 2]
+            cls = []
+            cls_letters = []
+            for s, u in P.sorted_rows[i - 1]:
+                w = row_y.get(s)
+                if w is not None and u + add_x <= z_units and w + add_y <= z_units:
+                    cls.append((u + add_x, w + add_y))
+                    cls_letters.append(s)
+            if not cls:
+                return None
+            classes.append(cls)
+            letters.append(cls_letters)
+            add_x = add_y = 0
+        inst = make_instance(classes, z_units, z_units)
+        choice = knapsack.solve(inst) if k is None else knapsack.solve_k(inst, k)
+        return None if choice is None else _decode(choice, letters)
     rows_x = [dict(P.rows[i - 1]) for i in d]
     rows_y = [dict(T.rows[p + i - 2]) for i in d]
     for s in rows_x[0]:
@@ -262,8 +345,6 @@ def _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k):
         from .reference import naive_consensus
 
         return naive_consensus(X, Y, z)
-    if algo == "mim":
-        return weighted_consensus(X, Y, z, k=k)
     # heavy letters differ at every mismatch position, and reweighting
     # shifts whole rows, so the dissimilarity invariant holds
     from . import sdwc

@@ -1,11 +1,14 @@
 import math
+import random
 
 import pytest
 
 from uncertainmatch import knapsack as K
 from uncertainmatch import neglog
 from uncertainmatch.consensus import (
+    GWPM_ALGOS,
     WcInstance,
+    _window_prefilter,
     gwpm,
     gwpm_witness,
     knapsack_to_wc,
@@ -18,10 +21,12 @@ from uncertainmatch.weighted import (
     ProbThreshold,
     WeightedSequence,
     from_probabilities,
+    heavy_string,
     match_neglog,
+    prune,
 )
 
-from conftest import random_knapsack, random_weighted
+from conftest import random_knapsack, random_rows, random_weighted
 
 
 def fig_sequence():
@@ -153,6 +158,100 @@ def test_gwpm_algo_variants_agree(rng):
         assert gwpm(p_seq, t_seq, z, algo="naive").occurrences == base
         assert gwpm(p_seq, t_seq, z, algo="mim").occurrences == base
         assert gwpm(p_seq, t_seq, z, algo="mim", k=1).occurrences == base
+        assert gwpm(p_seq, t_seq, z, algo="sdwc").occurrences == base
+
+
+def peaked_rows(rng, n, sigma="acgt"):
+    """Rows whose heavy letter holds 0.85-0.95 of the mass."""
+    rows = []
+    for _ in range(n):
+        top, *rest = rng.sample(sigma, len(sigma))
+        heavy = rng.uniform(0.85, 0.95)
+        rows.append({top: heavy, **{s: (1 - heavy) / len(rest) for s in rest}})
+    return rows
+
+
+def near_copy(rng, rows, sigma="acgt"):
+    """The rows, with a near tie that moves the heavy letter at some positions."""
+    out = [dict(r) for r in rows]
+    for i in rng.sample(range(len(rows)), rng.randint(1, 2)):
+        top = max(out[i], key=out[i].get)
+        other = rng.choice([s for s in sigma if s != top])
+        out[i] = {s: 0.05 / (len(sigma) - 2) for s in sigma}
+        out[i].update({top: 0.45, other: 0.5})
+    return out
+
+
+def test_gwpm_at_sdwc_length_bound():
+    rng = random.Random(20160404)
+    solved = 0
+    for log2z in (3, 4):
+        z = ProbThreshold.from_z(2 ** log2z)
+        m = 2 * z.log2_floor
+        for _ in range(6):
+            pat_rows = peaked_rows(rng, m)
+            rows = random_rows(rng, 3 * m, "acgt")
+            for start in (1, 2 * m - 1):
+                rows[start: start + m] = near_copy(rng, pat_rows)
+            p_seq = from_probabilities("acgt", pat_rows)
+            t_seq = from_probabilities("acgt", rows)
+            res = gwpm(p_seq, t_seq, z)
+            for algo in ("mim", "sdwc", "naive"):
+                assert gwpm(p_seq, t_seq, z, algo=algo).occurrences == res.occurrences
+            for p in res.occurrences:
+                w = gwpm_witness(res, p)
+                win = window(t_seq, p, m)
+                assert match_neglog(w, p_seq) <= z.units
+                assert match_neglog(w, win) <= z.units
+                solved += w != heavy_string(win)
+    # some occurrences came from the solver, not from a heavy-string match
+    assert solved > 0
+
+
+def test_gwpm_window_reweighting():
+    # heavy letters differ at positions 1 and 2 only; the heavy "c" at
+    # position 3 costs 0.515 bits in x, which only "gac" can afford, and
+    # "gac" costs 2.74 bits in y, against log2 z = 2
+    x = from_probabilities("acgt", [{"g": 0.9, "c": 0.1},
+                                    {"a": 0.5, "c": 0.3, "t": 0.2},
+                                    {"c": 0.7, "t": 0.3}])
+    y = from_probabilities("acgt", [{"c": 0.5, "g": 0.5}, {"c": 0.7, "a": 0.3}, {"c": 1.0}])
+    z = ProbThreshold.from_z(4)
+    assert naive_consensus(x, y, z) is None
+    for algo in GWPM_ALGOS:
+        assert gwpm(x, y, z, algo=algo).occurrences == ()
+        assert gwpm(y, x, z, algo=algo).occurrences == ()
+
+
+def prefilter_rows(rng, n, z, sigma="acgt"):
+    """Random rows; some hold only letters below 1/z, so pruning empties them."""
+    rows = random_rows(rng, n, sigma, allow_empty=True)
+    for i in range(n):
+        if rng.random() < 0.1:
+            letters = rng.sample(sigma, rng.randint(1, len(sigma)))
+            rows[i] = {s: rng.uniform(0.1, 0.95) / max(z.display, len(letters))
+                       for s in letters}
+    return from_probabilities(sigma, rows)
+
+
+def test_gwpm_prefilter_is_exact():
+    rng = random.Random(1974)
+    rejected = 0
+    for _ in range(240):
+        z = ProbThreshold.from_z(2 ** rng.randint(1, 6))
+        n = rng.randint(1, 14)
+        m = rng.randint(1, min(5, n))
+        p_seq = prefilter_rows(rng, m, z)
+        t_seq = prefilter_rows(rng, n, z)
+        expect = [
+            p for p in range(1, n - m + 2)
+            if naive_consensus(p_seq, window(t_seq, p, m), z) is not None
+        ]
+        assert list(gwpm(p_seq, t_seq, z).occurrences) == expect
+        kept = set((_window_prefilter(prune(p_seq, z), prune(t_seq, z), z.units) + 1).tolist())
+        assert set(expect) <= kept
+        rejected += n - m + 1 - len(kept)
+    assert rejected > 0
 
 
 def test_gwpm_edge_cases():

@@ -167,3 +167,45 @@ def test_cli_bad_input(tmp_path, capsys):
     assert cli.main(["wpm", "--pattern", str(pat), "--text", str(broken),
                      "--z", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def assert_input_error(capsys, argv):
+    """Exit status 2 with a one-line `error:` message and no traceback."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_gen_reversed_score_range(tmp_path, capsys):
+    out = tmp_path / "p.prof"
+    assert_input_error(capsys, ["gen", "--kind", "profile", "--seed", "1",
+                                "--score-range", "10", "-10", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_cli_non_utf8_input(tmp_path, capsys):
+    bad = tmp_path / "bad.pwm"
+    bad.write_bytes(b"PWM 1 ab\n\xff\xfe 0.5\n")
+    assert_input_error(capsys, ["consensus", "--x", str(bad), "--y", str(bad), "--z", "4"])
+
+
+def test_cli_consensus_naive_enumeration_guard(tmp_path, capsys):
+    x = tmp_path / "x.pwm"
+    x.write_text(FIG_PWM)
+    assert_input_error(capsys, ["consensus", "--algo", "naive", "--x", str(x),
+                                "--y", str(x), "--z", "1e308"])
+
+
+def test_cli_gen_refuses_empty_pwm(tmp_path, capsys):
+    out = tmp_path / "t.pwm"
+    assert_input_error(capsys, ["gen", "--kind", "pwm", "--seed", "1", "--length", "0",
+                                "--out", str(out)])
+    assert not out.exists()
+
+
+def test_cli_gen_refuses_empty_mck(tmp_path, capsys):
+    out = tmp_path / "i.mck"
+    assert_input_error(capsys, ["gen", "--kind", "mck", "--seed", "1", "--classes", "0",
+                                "--out", str(out)])
+    assert not out.exists()
