@@ -219,15 +219,16 @@ def gwpm(
     if m == 0:
         raise DomainError("empty pattern")
     heavy_t, units_t = _heavy_with_filler(T)
-    if m > n or any(not row for row in P.sorted_rows):
+    heavy_p, units_p = _heavy_with_filler(P)
+    if m > n or (units_p >= neglog.INF).any():
         return GwpmResult((), m, heavy_t, {})
     budget = 2 * z.log2_floor
     z_units = z.units
     starts = _window_prefilter(P, T, z_units)
     if not len(starts):
         return GwpmResult((), m, heavy_t, {})
-    heavy_p = "".join(row[0][0] for row in P.sorted_rows)
-    units_p = [row[0][1] for row in P.sorted_rows]
+    units_t = units_t.tolist()
+    units_p = units_p.tolist()
     beta = sum(units_p)
     alpha_at = list(itertools.accumulate(units_t, initial=0))
     cross_lcp = build_cross_index(heavy_p, heavy_t).cross_lcp
@@ -264,12 +265,6 @@ def gwpm(
     return GwpmResult(tuple(occ), m, heavy_t, records)
 
 
-def _units_matrix(x: WeightedSequence, letters: list[str], cap: int) -> np.ndarray:
-    """Dense n x len(letters) units of x; absent letters read `cap`."""
-    rows = [[row.get(c, cap) for c in letters] for row in x.rows]
-    return np.minimum(np.array(rows, dtype=np.int64), cap)
-
-
 def _window_prefilter(P: WeightedSequence, T: WeightedSequence, z_units: int) -> np.ndarray:
     """0-based starts of the windows that pass the exact min-sum test.
 
@@ -284,8 +279,8 @@ def _window_prefilter(P: WeightedSequence, T: WeightedSequence, z_units: int) ->
     if not letters:
         return np.empty(0, dtype=np.int64)
     cap = z_units + 1
-    pu = _units_matrix(P, letters, cap)
-    tu = _units_matrix(T, letters, cap)
+    pu = np.minimum(P.units[:, [P.alphabet.index(c) for c in letters]], cap)
+    tu = np.minimum(T.units[:, [T.alphabet.index(c) for c in letters]], cap)
     w = T.n - P.n + 1
     min_p = np.zeros(w, dtype=np.int64)
     min_t = np.zeros(w, dtype=np.int64)
@@ -315,12 +310,13 @@ def _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k):
         letters: list[list[str]] = []
         add_x, add_y = beta_rest, alpha_rest
         for i in d:
-            row_y = T.rows[p + i - 2]
+            row_y = T.units[p + i - 2].tolist()
             cls = []
             cls_letters = []
             for s, u in P.sorted_rows[i - 1]:
-                w = row_y.get(s)
-                if w is not None and u + add_x <= z_units and w + add_y <= z_units:
+                c = T.alphabet.find(s)
+                w = row_y[c] if c >= 0 else neglog.INF
+                if w < neglog.INF and u + add_x <= z_units and w + add_y <= z_units:
                     cls.append((u + add_x, w + add_y))
                     cls_letters.append(s)
             if not cls:
@@ -331,15 +327,13 @@ def _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k):
         inst = make_instance(classes, z_units, z_units)
         choice = knapsack.solve(inst) if k is None else knapsack.solve_k(inst, k)
         return None if choice is None else _decode(choice, letters)
-    rows_x = [dict(P.rows[i - 1]) for i in d]
-    rows_y = [dict(T.rows[p + i - 2]) for i in d]
-    for s in rows_x[0]:
-        rows_x[0][s] += beta_rest
-    for s in rows_y[0]:
-        rows_y[0][s] += alpha_rest
-    X = prune(WeightedSequence(P.alphabet, rows_x), z)
-    Y = prune(WeightedSequence(T.alphabet, rows_y), z)
-    if any(not row for row in X.rows) or any(not row for row in Y.rows):
+    rows_x = P.units[[i - 1 for i in d]]
+    rows_y = T.units[[p + i - 2 for i in d]]
+    rows_x[0] = np.where(rows_x[0] < neglog.INF, rows_x[0] + beta_rest, neglog.INF)
+    rows_y[0] = np.where(rows_y[0] < neglog.INF, rows_y[0] + alpha_rest, neglog.INF)
+    X = prune(WeightedSequence.from_units(P.alphabet, rows_x), z)
+    Y = prune(WeightedSequence.from_units(T.alphabet, rows_y), z)
+    if (X.units.min(axis=1) >= neglog.INF).any() or (Y.units.min(axis=1) >= neglog.INF).any():
         return None
     if algo == "naive":
         from .reference import naive_consensus

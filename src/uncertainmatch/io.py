@@ -8,18 +8,23 @@ Three whitespace-separated, line-oriented formats:
                            class size and one `<v> <w>` line per item
 
 Lines starting with `#` and blank lines are ignored.  Errors carry
-1-based line numbers of the original file.  Serialization is the
-exact inverse on files produced by the generator: parse then
-serialize is byte-identical.
+1-based line numbers of the original file (none when the input holds
+no content at all).  A PWM's rows are read into one float matrix and
+converted to NegLog units in one call.  Serialization is the exact
+inverse on files produced by the generator: parse then serialize is
+byte-identical.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from . import neglog
 from .capacity import MAX_ABS_MAGNITUDE, MAX_ITEMS
 from .errors import ParseError
 from .knapsack import KnapsackInstance, make_instance
 from .profile import ScoringMatrix
-from .weighted import WeightedSequence, from_probabilities
+from .weighted import WeightedSequence, first_invalid_row, from_probabilities
 
 
 def _logical_lines(text: str):
@@ -40,7 +45,9 @@ class _Lines:
             self.last, line = next(self._it)
             return line
         except StopIteration:
-            raise ParseError(f"unexpected end of file, expected {what}", self.last) from None
+            # an input with no content has no line to point at
+            raise ParseError(f"unexpected end of file, expected {what}",
+                             self.last or None) from None
 
     def expect_end(self) -> None:
         try:
@@ -113,36 +120,41 @@ def parse_pwm(text: str) -> WeightedSequence:
     _check_alphabet(alphabet, lines)
     if not (1 <= n < MAX_ITEMS):
         raise ParseError(f"sequence length {n} out of range [1, {MAX_ITEMS})", lines.last)
-    rows = []
-    for _ in range(n):
-        tokens = lines.next("a probability row").split()
-        if len(tokens) != len(alphabet):
-            raise ParseError(
-                f"expected {len(alphabet)} probabilities, got {len(tokens)}", lines.last
-            )
-        row = []
-        for t in tokens:
-            p = _float(t, lines, "probability")
-            if not (0.0 <= p <= 1.0):
-                raise ParseError(f"probability {p} outside [0, 1]", lines.last)
-            row.append(p)
-        rows.append(row)
-    lines.expect_end()
+    sigma = len(alphabet)
+    values: list[float] = []  # row-major, sigma per row
+    line_of: list[int] = []  # file line of each row, for error reports
+
+    def matrix():
+        # the rows read so far; ParseError at the first that is not a sub-distribution
+        probs = np.array(values[: len(line_of) * sigma], dtype=np.float64).reshape(-1, sigma)
+        bad = first_invalid_row(probs)
+        if bad is not None:
+            raise ParseError(bad[1], line_of[bad[0]])
+        return probs
+
     try:
-        return from_probabilities(alphabet, rows)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        for _ in range(n):
+            tokens = lines.next("a probability row").split()
+            if len(tokens) != sigma:
+                raise ParseError(f"expected {sigma} probabilities, got {len(tokens)}", lines.last)
+            try:
+                values.extend(map(float, tokens))
+            except ValueError:
+                for t in tokens:
+                    _float(t, lines, "probability")
+            line_of.append(lines.last)
+        lines.expect_end()
+    except ParseError:
+        matrix()  # an earlier line's error comes first
+        raise
+    return from_probabilities(alphabet, matrix())
 
 
 def serialize_pwm(x: WeightedSequence) -> str:
-    from . import neglog
-
-    prob_rows = getattr(x, "prob_rows", None)
-    if prob_rows is None:
-        prob_rows = [
-            [neglog.to_probability(row.get(c, neglog.INF)) for c in x.alphabet]
-            for row in x.rows
-        ]
+    if x.probs is not None:
+        prob_rows = x.probs.tolist()
+    else:
+        prob_rows = [[neglog.to_probability(u) for u in row] for row in x.units.tolist()]
     out = [f"PWM {x.n} {x.alphabet}"]
     out.extend(" ".join(repr(p) for p in row) for row in prob_rows)
     return "\n".join(out) + "\n"

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 FRACTION_BITS = 32
 SCALE = 1 << FRACTION_BITS
 
@@ -26,20 +28,26 @@ INF = 1 << 62
 _INF_FLOOR = 1 << 61
 
 
-def from_probability(p: float) -> int:
-    """Convert a probability in [0, 1] to NegLog units.
+def from_probabilities(p) -> np.ndarray:
+    """Convert an array of probabilities in [0, 1] to NegLog units.
 
-    Uses round-half-even, so dyadic probabilities (1, 1/2, 3/4, ...)
-    convert without any rounding error.
+    The package's one conversion: -log2(p) * 2**32 rounded half to
+    even (``np.rint``), so dyadic probabilities (1, 1/2, 3/4, ...)
+    convert without any rounding error; probability 0 becomes ``INF``.
+    Returns an int64 array of the same shape.
     """
-    if p < 0.0 or p > 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    if p == 0.0:
-        return INF
-    if p == 1.0:
-        return 0
-    units = round(-math.log2(p) * SCALE)
-    return max(units, 0)
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        raise ValueError(f"probability out of range: {p[bad].flat[0]}")
+    alive = p > 0.0
+    units = np.rint(-np.log2(np.where(alive, p, 1.0)) * SCALE)
+    return np.where(alive, units.astype(np.int64), INF)
+
+
+def from_probability(p: float) -> int:
+    """NegLog units of one probability, by :func:`from_probabilities`."""
+    return int(from_probabilities(p))
 
 
 def to_probability(units: int) -> float:

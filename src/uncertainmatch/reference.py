@@ -30,7 +30,7 @@ def naive_wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[in
     for p in range(1, n - m + 2):
         total = 0
         for i, c in enumerate(pattern, start=1):
-            total += text.units(p + i - 1, c)
+            total += text.letter_units(p + i - 1, c)
         if total <= z.units:
             occ.append(p)
     return occ

@@ -87,8 +87,8 @@ def light_prefixes(
             if i < k - 1:
                 # account for the heavy letter at position i + 1
                 h = hx[i]
-                acc_x += X.units(i + 1, h)
-                acc_y += Y.units(i + 1, h)
+                acc_x += X.letter_units(i + 1, h)
+                acc_y += Y.letter_units(i + 1, h)
                 run.append(h)
             if not B[i]:
                 continue
@@ -101,7 +101,7 @@ def light_prefixes(
                     if p1 > zp_units:
                         break
                     first_failed = False
-                    p2 = rep.p2 + acc_y + Y.units(k, s)
+                    p2 = rep.p2 + acc_y + Y.letter_units(k, s)
                     if p2 <= z_units:
                         per_letter[si].append(
                             SolidFactorRep(rep.letters + hstr + s, p1, p2)
@@ -119,7 +119,7 @@ def light_suffixes(
     X: WeightedSequence, Y: WeightedSequence, z: ProbThreshold, zp_units: int
 ) -> list[list[SolidFactorRep]]:
     """Lists S_0..S_n of common 1/z-solid suffixes light in X, by length."""
-    rev = lambda W: WeightedSequence(W.alphabet, list(reversed(W.rows)))
+    rev = lambda W: WeightedSequence.from_units(W.alphabet, W.units[::-1])
     B = light_prefixes(rev(X), rev(Y), z, zp_units)
     return [
         [SolidFactorRep(r.letters[::-1], r.p1, r.p2) for r in lst] for lst in B
@@ -164,8 +164,8 @@ def build_L_R(inst: SdwcInstance, U: str, V: str):
         base = [_orient(r, U == "X") for r in Bp[i - 1]]
         streams = []
         for s, _ in X.sorted_rows[i - 1]:
-            ux = X.units(i, s)
-            uy = Y.units(i, s)
+            ux = X.letter_units(i, s)
+            uy = Y.letter_units(i, s)
             lst = [
                 SolidFactorRep(r.letters + s, r.p1 + ux, r.p2 + uy)
                 for r in base
@@ -207,8 +207,8 @@ def star_lists(inst: SdwcInstance, L, R, U: str, V: str):
     z_units = inst.z.units
     v_seq = X if V == "X" else Y
     hv = [v_seq.heavy(i) for i in range(1, n + 1)]
-    hv_x = [X.units(i, hv[i - 1]) for i in range(1, n + 1)]
-    hv_y = [Y.units(i, hv[i - 1]) for i in range(1, n + 1)]
+    hv_x = [X.letter_units(i, hv[i - 1]) for i in range(1, n + 1)]
+    hv_y = [Y.letter_units(i, hv[i - 1]) for i in range(1, n + 1)]
     u_key = (lambda r: r.p1) if U == "X" else (lambda r: r.p2)
     v_key = (lambda r: r.p1) if V == "X" else (lambda r: r.p2)
 

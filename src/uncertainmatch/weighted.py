@@ -1,15 +1,26 @@
 """Weighted sequences (PWMs) under fixed-point log-probabilities.
 
-Every position holds a letter -> NegLog-units table; a string matches
-a weighted fragment when its per-position units sum to at most the
+A weighted sequence of length n over an alphabet of sigma letters is
+one read-only n x sigma int64 matrix `units`: entry [i, c] holds the
+NegLog units of letter `alphabet[c]` at 0-based position i, and
+`neglog.INF` marks a letter of probability 0.  A string matches a
+weighted fragment when its per-position units sum to at most the
 threshold's units.  All arithmetic is exact integer addition, so the
 matchers and their brute-force oracles agree bit for bit.
+
+Pruning, the heavy string and the matchers' penalty lookups are numpy
+operations on that matrix.  `rows` (per position, a letter -> units
+dict of the letters present, in alphabet order) and `sorted_rows` (the
+same pairs by units, ties in alphabet order) are views derived on
+first use, for the small-instance solvers and oracles.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,112 +60,185 @@ class ProbThreshold:
 
 
 class WeightedSequence:
-    """Immutable per-position letter probability tables."""
+    """Immutable n x sigma matrix of NegLog units, one column per letter.
+
+    Built from per-position letter -> units mappings; `from_units` wraps
+    a matrix directly.  `probs`, when not None, is the n x sigma matrix
+    of decimal probabilities the sequence was converted from (see
+    `from_probabilities`), kept for lossless serialization.
+    """
 
     def __init__(self, alphabet: str, rows):
-        if len(set(alphabet)) != len(alphabet) or not alphabet:
-            raise DomainError("alphabet must be a nonempty set of distinct letters")
-        if SEPARATOR in alphabet or EMPTY_ROW_FILLER in alphabet:
-            raise DomainError("alphabet contains a reserved character")
+        _check_alphabet(alphabet)
+        units = np.array(_table(alphabet, rows, neglog.INF), dtype=np.int64)
+        units = units.reshape(-1, len(alphabet))
+        self._set(alphabet, np.where(neglog.is_inf(units), neglog.INF, units), None)
+
+    @classmethod
+    def from_units(cls, alphabet: str, units: np.ndarray, probs: np.ndarray | None = None):
+        """Wrap an n x len(alphabet) int64 units matrix.
+
+        An absent letter must hold exactly `neglog.INF`; `probs`, if
+        given, is the probability matrix the units were converted from.
+        """
+        _check_alphabet(alphabet)
+        units = np.asarray(units, dtype=np.int64)
+        if units.ndim != 2 or units.shape[1] != len(alphabet):
+            raise DomainError(f"units matrix of shape {units.shape} for alphabet {alphabet!r}")
+        x = cls.__new__(cls)
+        x._set(alphabet, units, probs)
+        return x
+
+    def _set(self, alphabet, units, probs):
         self.alphabet = alphabet
-        order = {c: k for k, c in enumerate(alphabet)}
-        table = []
-        sorted_rows = []
-        for row in rows:
-            clean = {}
-            for letter, units in row.items():
-                if letter not in order:
-                    raise DomainError(f"letter {letter!r} not in alphabet {alphabet!r}")
-                if neglog.is_inf(units):
-                    continue
-                clean[letter] = units
-            table.append(clean)
-            sorted_rows.append(tuple(sorted(clean.items(), key=lambda kv: (kv[1], order[kv[0]]))))
-        self.rows = tuple(table)
-        self.sorted_rows = tuple(sorted_rows)
-        self._order = order
+        self._column = {c: k for k, c in enumerate(alphabet)}
+        self.units = _read_only(units)
+        self.probs = None if probs is None else _read_only(probs)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.units.shape[0]
+
+    @cached_property
+    def rows(self) -> tuple[dict[str, int], ...]:
+        """Per position, letter -> units of the letters present."""
+        alphabet, inf = self.alphabet, neglog.INF
+        return tuple(
+            {alphabet[k]: u for k, u in enumerate(line) if u < inf}
+            for line in self.units.tolist()
+        )
+
+    @cached_property
+    def sorted_rows(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """Per position, (letter, units) pairs by units, ties in alphabet order."""
+        return tuple(tuple(sorted(row.items(), key=lambda kv: kv[1])) for row in self.rows)
 
     @property
     def lam(self) -> int:
         """Maximum number of letters at a single position."""
-        return max((len(r) for r in self.rows), default=0)
+        return int((self.units < neglog.INF).sum(axis=1).max(initial=0))
 
     @property
     def total_size(self) -> int:
         """Total list-representation size (R)."""
-        return sum(len(r) for r in self.rows)
+        return int((self.units < neglog.INF).sum())
 
-    def units(self, i: int, letter: str) -> int:
+    def letter_units(self, i: int, letter: str) -> int:
         """NegLog units of `letter` at 1-based position `i` (INF if absent)."""
-        return self.rows[i - 1].get(letter, neglog.INF)
+        k = self._column.get(letter)
+        return neglog.INF if k is None else int(self.units[i - 1, k])
 
     def heavy(self, i: int) -> str:
         """Most probable letter at 1-based position `i`; ties by alphabet order."""
-        row = self.sorted_rows[i - 1]
-        if not row:
+        row = self.units[i - 1]
+        k = int(row.argmin())
+        if row[k] >= neglog.INF:
             raise DomainError(f"position {i} has no letters with nonzero probability")
-        return row[0][0]
+        return self.alphabet[k]
 
     def factor(self, i: int, j: int) -> "WeightedSequence":
         """The weighted factor spanning 1-based positions i..j."""
-        return WeightedSequence(self.alphabet, self.rows[i - 1: j])
+        return WeightedSequence.from_units(self.alphabet, self.units[i - 1: j])
 
     def __eq__(self, other):
-        return isinstance(other, WeightedSequence) and \
-            (self.alphabet, self.rows) == (other.alphabet, other.rows)
+        return isinstance(other, WeightedSequence) and self.alphabet == other.alphabet \
+            and np.array_equal(self.units, other.units)
 
     def __repr__(self):
         return f"WeightedSequence(n={self.n}, alphabet={self.alphabet!r})"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _table(alphabet: str, rows, absent) -> list:
+    """Rows as lists in alphabet order.  A mapping row (letter -> value)
+    leaves its missing letters at `absent`; any other row must already
+    list one value per letter."""
+    column = {c: k for k, c in enumerate(alphabet)}
+    table = []
+    for idx, row in enumerate(rows, start=1):
+        if isinstance(row, Mapping):
+            line = [absent] * len(alphabet)
+            for letter, value in row.items():
+                k = column.get(letter)
+                if k is None:
+                    raise DomainError(f"letter {letter!r} not in alphabet {alphabet!r}")
+                line[k] = value
+            row = line
+        elif len(row) != len(alphabet):
+            raise DomainError(f"row {idx}: expected {len(alphabet)} values, got {len(row)}")
+        table.append(row)
+    return table
+
+
+def _check_alphabet(alphabet: str) -> None:
+    if len(set(alphabet)) != len(alphabet) or not alphabet:
+        raise DomainError("alphabet must be a nonempty set of distinct letters")
+    if SEPARATOR in alphabet or EMPTY_ROW_FILLER in alphabet:
+        raise DomainError("alphabet contains a reserved character")
+
+
+def first_invalid_row(probs: np.ndarray) -> tuple[int, str] | None:
+    """The first 0-based row of an n x sigma probability matrix that is
+    not a sub-distribution, and why; None when every row is one.
+
+    A row is one when every entry lies in [0, 1] and the entries, added
+    left to right, sum to at most 1 (plus rounding slack).
+    """
+    entry_bad = ~((probs >= 0.0) & (probs <= 1.0))
+    total = np.zeros(len(probs))
+    for c in range(probs.shape[1]):
+        total += probs[:, c]
+    bad = entry_bad.any(axis=1) | (total > 1.0 + ROW_SUM_SLACK)
+    if not bad.any():
+        return None
+    r = int(bad.argmax())
+    if entry_bad[r].any():
+        p = float(probs[r, entry_bad[r].argmax()])
+        return r, f"probability {p} outside [0, 1]"
+    return r, f"probabilities sum to {float(total[r])} > 1"
+
+
 def from_probabilities(alphabet: str, rows) -> WeightedSequence:
     """Build a weighted sequence from decimal probability rows.
 
-    Each row is either a mapping letter -> probability or a sequence of
-    probabilities in alphabet order.  Zero entries are dropped; rows
-    must sum to at most 1 (plus rounding slack).
+    `rows` is an n x sigma array, or a sequence of rows each either a
+    mapping letter -> probability or a sequence of probabilities in
+    alphabet order.  Zero entries mean absent letters; rows must sum to
+    at most 1 (plus rounding slack).  The whole matrix goes through one
+    `neglog.from_probabilities` call.
     """
-    converted = []
-    prob_rows = []
-    for idx, row in enumerate(rows, start=1):
-        if not isinstance(row, dict):
-            if len(row) != len(alphabet):
-                raise DomainError(
-                    f"row {idx}: expected {len(alphabet)} probabilities, got {len(row)}"
-                )
-            row = dict(zip(alphabet, row))
-        total = 0.0
-        units_row = {}
-        for letter, p in row.items():
-            if p < 0:
-                raise DomainError(f"row {idx}: negative probability {p}")
-            total += p
-            units_row[letter] = neglog.from_probability(p)
-        if total > 1.0 + ROW_SUM_SLACK:
-            raise DomainError(f"row {idx}: probabilities sum to {total} > 1")
-        converted.append(units_row)
-        prob_rows.append(tuple(float(row.get(c, 0.0)) for c in alphabet))
-    ws = WeightedSequence(alphabet, converted)
-    # kept for lossless serialization (see io.serialize_pwm)
-    ws.prob_rows = tuple(prob_rows)
-    return ws
+    _check_alphabet(alphabet)
+    sigma = len(alphabet)
+    if not isinstance(rows, np.ndarray):
+        rows = np.array(_table(alphabet, rows, 0.0), dtype=np.float64).reshape(-1, sigma)
+    probs = np.asarray(rows, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] != sigma:
+        raise DomainError(f"probability matrix of shape {probs.shape} for alphabet {alphabet!r}")
+    bad = first_invalid_row(probs)
+    if bad is not None:
+        raise DomainError(f"row {bad[0] + 1}: {bad[1]}")
+    return WeightedSequence.from_units(alphabet, neglog.from_probabilities(probs), probs)
 
 
 def prune(x: WeightedSequence, z: ProbThreshold) -> WeightedSequence:
     """Drop letters with probability below 1/z; guarantees lambda <= z."""
-    return WeightedSequence(
-        x.alphabet,
-        [{s: u for s, u in row.items() if u <= z.units} for row in x.rows],
+    return WeightedSequence.from_units(
+        x.alphabet, np.where(x.units <= z.units, x.units, neglog.INF)
     )
 
 
 def heavy_string(x: WeightedSequence) -> str:
     """Per-position most probable letter (requires every row nonempty)."""
-    return "".join(x.heavy(i) for i in range(1, x.n + 1))
+    heavy, units = _heavy_with_filler(x)
+    empty = np.nonzero(units >= neglog.INF)[0]
+    if len(empty):
+        raise DomainError(f"position {empty[0] + 1} has no letters with nonzero probability")
+    return heavy
 
 
 def match_neglog(s: str, x: WeightedSequence) -> int:
@@ -163,15 +247,18 @@ def match_neglog(s: str, x: WeightedSequence) -> int:
         raise DomainError(f"string length {len(s)} != sequence length {x.n}")
     total = 0
     for i, c in enumerate(s, start=1):
-        total += x.units(i, c)
+        total += x.letter_units(i, c)
     return neglog.clamp(total)
 
 
-def _heavy_with_filler(t: WeightedSequence) -> tuple[str, list[int]]:
-    """Heavy string where empty rows become an unmatchable filler letter."""
-    chars = [r[0][0] if r else EMPTY_ROW_FILLER for r in t.sorted_rows]
-    units = [r[0][1] if r else neglog.INF for r in t.sorted_rows]
-    return "".join(chars), units
+def _heavy_with_filler(t: WeightedSequence) -> tuple[str, np.ndarray]:
+    """Heavy string and its units; empty rows get an unmatchable filler
+    letter and INF.  Ties go to the first letter in alphabet order."""
+    cols = t.units.argmin(axis=1)
+    units = np.take_along_axis(t.units, cols[:, None], axis=1)[:, 0]
+    cols[units >= neglog.INF] = len(t.alphabet)
+    letters = np.array(list(t.alphabet + EMPTY_ROW_FILLER))
+    return "".join(letters[cols].tolist()), units
 
 
 def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
@@ -187,10 +274,14 @@ def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
         raise DomainError("empty pattern")
     if m > n:
         return []
-    heavy, heavy_units = _heavy_with_filler(text)
+    heavy, hu = _heavy_with_filler(text)
     idx = build_cross_index(pattern, heavy)
     cross_lcp = idx.cross_lcp
-    rows = text.rows
+    units = text.units
+    heavy_units = hu.tolist()
+    # column of each pattern letter; -1 (read as INF) if not in the alphabet
+    pattern_idx = np.array([text.alphabet.find(c) for c in pattern], dtype=np.int64)
+    pattern_col = pattern_idx.tolist()
     z_units = z.units
     inf = neglog.INF
 
@@ -202,7 +293,8 @@ def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
             i += delta + 1
             j += delta + 1
             if i <= m + 1:
-                ap += rows[j - 2].get(pattern[i - 2], inf) - heavy_units[j - 2]
+                k = pattern_col[i - 2]
+                ap += (int(units[j - 2, k]) if k >= 0 else inf) - heavy_units[j - 2]
         return ap <= z_units
 
     if z_units >= inf:
@@ -220,7 +312,6 @@ def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
     # still above 1/z after that mismatch walk further per query.
     # Clamping rows at z_units + 1 cannot flip a verdict (a clamped
     # term alone sinks its windows) and keeps the cumsum inside int64.
-    hu = np.array(heavy_units, dtype=np.int64)
     csum = np.concatenate(([0], np.cumsum(np.minimum(hu, z_units + 1))))
     alphas = csum[m:] - csum[: n - m + 1]
     cand = np.nonzero(alphas <= z_units)[0]
@@ -230,11 +321,8 @@ def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
     part = cand[~whole]
     fp = first[~whole]
     jrow = part + fp
-    pen = np.fromiter(
-        (rows[j].get(pattern[f], inf) for j, f in zip(jrow.tolist(), fp.tolist())),
-        dtype=np.int64,
-        count=len(part),
-    )
+    cols = pattern_idx[fp]
+    pen = np.where(cols >= 0, units[jrow, cols], inf)
     ap2 = alphas[part] - hu[jrow] + np.minimum(pen, z_units + 1)
     for t in np.nonzero(ap2 <= z_units)[0].tolist():
         p = int(part[t]) + 1

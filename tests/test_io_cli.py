@@ -28,6 +28,17 @@ def test_pwm_round_trip(tmp_path):
     assert io.serialize_pwm(io.parse_pwm(text)) == text
 
 
+def test_pwm_round_trip_many_seeds(tmp_path):
+    for seed in (1, 2, 3):
+        for length in (1, 57, 800):
+            for alphabet in ("acgt", "ab", "ACDEFGHIKLMNPQRSTVWY"):
+                path = gen(tmp_path, f"{seed}-{length}-{alphabet}.pwm", "--kind", "pwm",
+                           "--seed", str(seed), "--length", str(length),
+                           "--alphabet", alphabet)
+                text = path.read_text()
+                assert io.serialize_pwm(io.parse_pwm(text)) == text
+
+
 def test_mck_round_trip(tmp_path):
     path = gen(tmp_path, "i.mck", "--kind", "mck", "--seed", "7", "--classes", "5")
     text = path.read_text()
@@ -63,6 +74,34 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         io.parse_mck("MCK 1 5 5\n1\n1 1\nextra\n")
     assert exc.value.line == 4
+
+
+def test_pwm_row_errors_carry_file_lines():
+    # data row 2 sits on file line 5, after a comment and a blank line
+    with pytest.raises(ParseError) as exc:
+        io.parse_pwm("PWM 2 ab\n# c\n\n0.5 0.5\n0.7 0.7\n")
+    assert exc.value.line == 5
+    assert str(exc.value) == "line 5: probabilities sum to 1.4 > 1"
+    with pytest.raises(ParseError) as exc:
+        io.parse_pwm("# note\nPWM 3 ab\n0.5 0.5\n\n0.5 x\n")
+    assert exc.value.line == 5
+    # the earliest bad line wins, whatever its kind
+    with pytest.raises(ParseError) as exc:
+        io.parse_pwm("PWM 3 ab\n0.9 0.9\n0.5 x\n0.5\n")
+    assert exc.value.line == 2
+    with pytest.raises(ParseError) as exc:
+        io.parse_pwm("PWM 2 ab\n0.5 0.5\n0.5 1.5\n0.5 0.5\n")
+    assert exc.value.line == 3
+
+
+def test_empty_input_reports_no_line_zero():
+    for parse in (io.parse_pwm, io.parse_profile, io.parse_mck):
+        for text in ("", "\n\n", "# only a comment\n"):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert exc.value.line is None
+            assert "line 0" not in str(exc.value)
+            assert str(exc.value).startswith("unexpected end of file")
 
 
 def test_parse_rejects_bad_alphabet():

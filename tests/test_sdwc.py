@@ -77,8 +77,8 @@ def brute_light_prefixes(x, y, z, zp_units, k):
             continue
         if letters[-1] == x.heavy(k):
             continue
-        p1 = sum(x.units(i + 1, s) for i, s in enumerate(letters))
-        p2 = sum(y.units(i + 1, s) for i, s in enumerate(letters))
+        p1 = sum(x.letter_units(i + 1, s) for i, s in enumerate(letters))
+        p2 = sum(y.letter_units(i + 1, s) for i, s in enumerate(letters))
         if p1 <= zp_units and p2 <= z.units:
             out.append(("".join(letters), p1, p2))
     return out

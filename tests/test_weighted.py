@@ -1,12 +1,18 @@
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uncertainmatch import neglog
+from uncertainmatch import io, neglog
 from uncertainmatch.errors import CapacityError, DomainError
 from uncertainmatch.reference import enumerate_solid_strings, hamming, naive_wpm
 from uncertainmatch.weighted import (
     ProbThreshold,
+    WeightedSequence,
+    _heavy_with_filler,
     from_probabilities,
     heavy_string,
     match_neglog,
@@ -31,6 +37,126 @@ def test_neglog_dyadic_exact():
     assert neglog.from_probability(0.25) == 2 << 32
     assert neglog.from_probability(0.75) == round(-math.log2(0.75) * (1 << 32))
     assert neglog.from_probability(0.0) == neglog.INF
+
+
+def definition_units(p: float) -> int:
+    """-log2(p) * 2**32 rounded half to even, in Python floats; INF for 0."""
+    return neglog.INF if p == 0.0 else max(round(-math.log2(p) * neglog.SCALE), 0)
+
+
+def test_conversion_bit_exact_on_a_million_probabilities():
+    rng = np.random.default_rng(20261018)
+    probs = np.concatenate([
+        rng.random(400_000),  # uniform in [0, 1)
+        rng.integers(0, 1_000_001, 400_000) / 1e6,  # the generator's 1e-6 grid
+        np.ldexp(rng.integers(1, 1 << 20, 200_000), -20),  # dyadic
+        np.ldexp(1.0, -np.arange(1075)),  # every power of two down to 5e-324
+        [1e-300, 5e-324, 0.0, 1.0, 0.5, 0.75],
+    ])
+    assert len(probs) >= 1_000_000
+    got = neglog.from_probabilities(probs)
+    assert got.dtype == np.int64
+    assert got.tolist() == [definition_units(p) for p in probs.tolist()]
+    for p in (1e-300, 5e-324, 0.0, 1.0, 0.375):
+        assert neglog.from_probability(p) == definition_units(p)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=1000, deadline=None)
+def test_conversion_scalar_equals_vector(p):
+    want = definition_units(p)
+    assert neglog.from_probability(p) == want
+    assert neglog.from_probabilities(np.array([p, 1.0, 0.0])).tolist() == [want, 0, neglog.INF]
+
+
+def test_conversion_rejects_out_of_range():
+    for bad in (-1e-9, 1.0000001, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            neglog.from_probability(bad)
+        with pytest.raises(ValueError):
+            neglog.from_probabilities(np.array([0.5, bad]))
+
+
+def noisy_pwm_text(rng: random.Random, n: int, sigma: str) -> tuple[str, list[list[float]]]:
+    """A PWM text with comments, blank lines, all-zero rows, zero entries
+    and equal-probability ties; also returns its probability rows."""
+    rows = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [0.0] * len(sigma)
+        elif kind < 0.3:  # a tie between two or more letters
+            k = rng.randint(2, len(sigma))
+            chosen = set(rng.sample(range(len(sigma)), k))
+            row = [round(1.0 / k, 6) if c in chosen else 0.0 for c in range(len(sigma))]
+        else:
+            raw = [rng.random() if rng.random() < 0.7 else 0.0 for _ in sigma]
+            total = sum(raw) or 1.0
+            row = [math.floor(x / total * 1e6) / 1e6 for x in raw]
+        rows.append(row)
+    lines = ["# a generated PWM", "", f"PWM {n} {sigma}"]
+    for row in rows:
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "# comment", "   "]))
+        lines.append(" ".join(repr(p) for p in row))
+    return "\n".join(lines) + "\n", rows
+
+
+def test_parsed_matrix_equals_dict_built_sequence():
+    rng = random.Random(1729)
+    for trial in range(40):
+        sigma = rng.choice(["ab", "acgt", "xyzw1"])
+        text, rows = noisy_pwm_text(rng, rng.randint(1, 60), sigma)
+        parsed = io.parse_pwm(text)
+        dict_rows = [{c: neglog.from_probability(p) for c, p in zip(sigma, row) if p > 0}
+                     for row in rows]
+        built = WeightedSequence(sigma, dict_rows)
+        order = {c: k for k, c in enumerate(sigma)}
+        assert parsed == built
+        assert parsed.rows == built.rows == tuple(dict_rows)
+        want_sorted = tuple(
+            tuple(sorted(r.items(), key=lambda kv: (kv[1], order[kv[0]]))) for r in dict_rows
+        )
+        assert parsed.sorted_rows == built.sorted_rows == want_sorted
+        assert parsed.lam == built.lam == max(len(r) for r in dict_rows)
+        assert parsed.total_size == built.total_size == sum(len(r) for r in dict_rows)
+        heavy = "".join(r[0][0] if r else "\x01" for r in want_sorted)
+        assert _heavy_with_filler(parsed)[0] == heavy
+        if all(dict_rows):
+            assert heavy_string(parsed) == heavy_string(built) == heavy
+        else:
+            with pytest.raises(DomainError):
+                heavy_string(parsed)
+        for z in (1, 2, 3, 16, 2 ** 20, math.inf):
+            zt = ProbThreshold.from_z(z)
+            pruned = prune(parsed, zt)
+            assert pruned == prune(built, zt)
+            assert pruned.rows == tuple(
+                {c: u for c, u in r.items() if u <= zt.units} for r in dict_rows
+            )
+        assert io.serialize_pwm(parsed) == io.serialize_pwm(from_probabilities(sigma, rows))
+
+
+def test_units_matrix_is_read_only():
+    x = fig_sequence()
+    with pytest.raises(ValueError):
+        x.units[0, 0] = 0
+    with pytest.raises(ValueError):
+        x.probs[0, 0] = 0.0
+    assert x.units.dtype == np.int64 and x.units.shape == (4, 2)
+    assert x.units[1].tolist() == [0, neglog.INF]
+
+
+def test_serialize_falls_back_without_probabilities():
+    x = fig_sequence()
+    assert x.probs is not None
+    for derived in (prune(x, ProbThreshold.from_z(2)), x.factor(2, 3)):
+        assert derived.probs is None
+        want = [[neglog.to_probability(derived.letter_units(i, c)) for c in "ab"]
+                for i in range(1, derived.n + 1)]
+        lines = io.serialize_pwm(derived).splitlines()
+        assert lines[0] == f"PWM {derived.n} ab"
+        assert [[float(t) for t in line.split()] for line in lines[1:]] == want
 
 
 def test_from_probabilities_shape():
