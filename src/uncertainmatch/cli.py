@@ -77,6 +77,16 @@ def _read(path: str) -> str:
                          f"at byte {exc.start})") from None
 
 
+def _parse(parse, path: str):
+    """`parse` applied to the file at `path`; an error in it names the file."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except (ParseError, DomainError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _read_string(path: str) -> str:
     """A solid string file: comments stripped, lines concatenated."""
     parts = []
@@ -100,18 +110,8 @@ def _emit_positions(positions, fmt, out, witness_of=None):
             print(p, file=out)
 
 
-def _auto_k(lam: int, z: float) -> int | None:
-    """Profitable rank parameter: k with lam^(2k-1) <= z <= lam^(2k+1)."""
-    if lam < 2 or z < lam:
-        return None
-    k = 1
-    while lam ** (2 * k + 1) < z:
-        k += 1
-    return k if lam ** (2 * k - 1) <= z else None
-
-
 def _run_pm(cfg: RunConfig, out) -> int:
-    prof = io_mod.parse_profile(_read(cfg.paths["profile"]))
+    prof = _parse(io_mod.parse_profile, cfg.paths["profile"])
     text = _read_string(cfg.paths["text"])
     if cfg.algo == "naive":
         occ = reference.naive_profile_match(prof, text, cfg.Z)
@@ -123,7 +123,7 @@ def _run_pm(cfg: RunConfig, out) -> int:
 
 def _run_wpm(cfg: RunConfig, out) -> int:
     pattern = _read_string(cfg.paths["pattern"])
-    text = io_mod.parse_pwm(_read(cfg.paths["text"]))
+    text = _parse(io_mod.parse_pwm, cfg.paths["text"])
     if cfg.algo == "naive":
         occ = reference.naive_wpm(pattern, text, cfg.z)
     else:
@@ -133,8 +133,8 @@ def _run_wpm(cfg: RunConfig, out) -> int:
 
 
 def _run_consensus(cfg: RunConfig, k: int | None, out) -> int:
-    x = io_mod.parse_pwm(_read(cfg.paths["x"]))
-    y = io_mod.parse_pwm(_read(cfg.paths["y"]))
+    x = _parse(io_mod.parse_pwm, cfg.paths["x"])
+    y = _parse(io_mod.parse_pwm, cfg.paths["y"])
     if cfg.algo == "naive":
         witness = reference.naive_consensus(x, y, cfg.z)
     elif cfg.algo == "sdwc":
@@ -143,8 +143,7 @@ def _run_consensus(cfg: RunConfig, k: int | None, out) -> int:
         )
         witness = sdwc.solve(inst)
     else:
-        if cfg.algo == "auto" and k is None:
-            k = _auto_k(max(x.lam, y.lam), cfg.z.display)
+        # auto is meet in the middle: solve_k lost on every pair measured
         witness = consensus_mod.weighted_consensus(x, y, cfg.z, k=k)
     if cfg.fmt == "jsonl":
         print(json.dumps({"witness": witness}), file=out)
@@ -154,8 +153,8 @@ def _run_consensus(cfg: RunConfig, k: int | None, out) -> int:
 
 
 def _run_gwpm(cfg: RunConfig, k: int | None, out) -> int:
-    p = io_mod.parse_pwm(_read(cfg.paths["pattern"]))
-    t = io_mod.parse_pwm(_read(cfg.paths["text"]))
+    p = _parse(io_mod.parse_pwm, cfg.paths["pattern"])
+    t = _parse(io_mod.parse_pwm, cfg.paths["text"])
     algo = "mim" if cfg.algo == "k" else cfg.algo
     result = consensus_mod.gwpm(p, t, cfg.z, algo=algo, k=k)
     witness_of = (lambda pos: consensus_mod.gwpm_witness(result, pos)) if cfg.witness else None
@@ -164,7 +163,7 @@ def _run_gwpm(cfg: RunConfig, k: int | None, out) -> int:
 
 
 def _run_knapsack(cfg: RunConfig, k: int | None, out) -> int:
-    inst = io_mod.parse_mck(_read(cfg.paths["instance"]))
+    inst = _parse(io_mod.parse_mck, cfg.paths["instance"])
     if cfg.algo == "naive":
         choice = knapsack_mod.brute_force(inst)
     elif cfg.algo == "k":

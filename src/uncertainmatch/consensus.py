@@ -12,7 +12,6 @@ few positions where the heavy strings mismatch.
 
 from __future__ import annotations
 
-import itertools
 import math
 import string as _string
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 from . import knapsack, neglog
 from .errors import DomainError
 from .knapsack import KnapsackInstance, make_instance
-from .lcp import build_cross_index
+from .lcp import build_cross_index, mismatch_walk
 from .weighted import (
     ProbThreshold,
     WeightedSequence,
@@ -198,11 +197,13 @@ def gwpm(
     """Positions p where some string matches both P and T[p..p+m-1].
 
     An exact vectorized prefilter (`_window_prefilter`) first drops
-    windows that no string can match.  On the rest, a window scan over
-    the heavy strings collects with lcp queries the few positions where
-    they mismatch; windows with more than 2 floor(log2 z) mismatches
-    cannot match, the others reduce to a consensus instance restricted
-    to the mismatch set, solved by `algo`:
+    windows that no string can match.  The rest walk together over the
+    heavy strings in batched kangaroo rounds (`mismatch_walk`), one lcp
+    query per live window and round, collecting the few offsets where
+    the heavy strings mismatch.  A window is dropped at its
+    (2 floor(log2 z) + 1)-th mismatch, since it cannot match; the
+    others reduce to a consensus instance restricted to the mismatch
+    set, solved by `algo`:
 
     - ``auto`` or ``mim``: meet-in-the-middle knapsack (`knapsack.solve`,
       or `knapsack.solve_k` when `k` is given).  ``auto`` takes it by
@@ -227,41 +228,41 @@ def gwpm(
     starts = _window_prefilter(P, T, z_units)
     if not len(starts):
         return GwpmResult((), m, heavy_t, {})
-    units_t = units_t.tolist()
-    units_p = units_p.tolist()
-    beta = sum(units_p)
-    alpha_at = list(itertools.accumulate(units_t, initial=0))
-    cross_lcp = build_cross_index(heavy_p, heavy_t).cross_lcp
+    # up to budget + 1 mismatch offsets per window, found in batched
+    # kangaroo rounds; a window is dropped at its (budget + 1)-th
+    d = np.zeros((len(starts), budget + 1), dtype=np.int64)
+    count = np.zeros(len(starts), dtype=np.int64)
+
+    def step(w, f):
+        d[w, count[w]] = f
+        count[w] += 1
+        return count[w] <= budget
+
+    idx = build_cross_index(heavy_p, heavy_t)
+    ended = mismatch_walk(idx, starts, step)
+    starts, d, count = starts[ended], d[ended], count[ended]
+    # heavy units of the window and of the pattern outside the
+    # mismatches; a window left holds no empty (INF) row, so capping
+    # the rows at z + 1 changes none of its sums
+    alive = np.arange(budget + 1) < count[:, None]
+    alpha_at = np.concatenate(([0], np.cumsum(np.minimum(units_t, z_units + 1))))
+    alpha_rest = alpha_at[starts + m] - alpha_at[starts] \
+        - np.where(alive, units_t[starts[:, None] + d], 0).sum(axis=1)
+    beta_rest = int(units_p.sum()) - np.where(alive, units_p[d], 0).sum(axis=1)
     occ = []
     records: dict[int, _Occurrence] = {}
-    for p in (starts + 1).tolist():
-        d: list[int] = []
-        i, j = 1, p
-        while i <= m:
-            delta = cross_lcp(i, j)
-            i += delta
-            j += delta
-            if i > m:
-                break
-            d.append(i)
-            i += 1
-            j += 1
-            if len(d) > budget:
-                break
-        alpha = alpha_at[p + m - 1] - alpha_at[p - 1]
-        if len(d) > budget:
-            pass
-        elif not d:
-            if alpha <= z_units and beta <= z_units:
+    for p, row, c, a, b in zip((starts + 1).tolist(), (d + 1).tolist(), count.tolist(),
+                               alpha_rest.tolist(), beta_rest.tolist()):
+        if not c:
+            if a <= z_units and b <= z_units:
                 occ.append(p)
-                records[p] = _Occurrence((), "", alpha, beta)
-        else:
-            alpha_rest = alpha - sum(units_t[p + i - 2] for i in d)
-            beta_rest = beta - sum(units_p[i - 1] for i in d)
-            witness = _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k)
-            if witness is not None:
-                occ.append(p)
-                records[p] = _Occurrence(tuple(d), witness, alpha_rest, beta_rest)
+                records[p] = _Occurrence((), "", a, b)
+            continue
+        mism = row[:c]
+        witness = _solve_window(P, T, z, p, mism, a, b, algo, k)
+        if witness is not None:
+            occ.append(p)
+            records[p] = _Occurrence(tuple(mism), witness, a, b)
     return GwpmResult(tuple(occ), m, heavy_t, records)
 
 

@@ -159,19 +159,9 @@ def count_feasible(inst: KnapsackInstance) -> tuple[int, int]:
     return a_v, a_w
 
 
-def feasible_parameters(inst: KnapsackInstance) -> tuple[int, int]:
-    """(A, a) = (max, min) of the two feasible-choice counts."""
-    a_v, a_w = count_feasible(inst)
-    return max(a_v, a_w), min(a_v, a_w)
-
-
 def rank_v(s: PartialChoice, inst: KnapsackInstance) -> int:
     """Number of same-domain partial choices with value sum <= v(S)."""
     return _rank(s, inst, lambda it: it.v, 0)
-
-
-def rank_w(s: PartialChoice, inst: KnapsackInstance) -> int:
-    return _rank(s, inst, lambda it: it.w, 1)
 
 
 def _rank(s: PartialChoice, inst: KnapsackInstance, key, sum_index: int) -> int:

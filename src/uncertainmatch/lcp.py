@@ -5,7 +5,8 @@ sparse-table range-minimum structure.  Construction is O(n log n) and
 all numpy: prefix doubling (Karp-Miller-Rosenberg) ranks the length-2^t
 factors, and the LCP table is read off those rank levels by binary
 lifting.  Queries use 1-based positions throughout, matching the rest
-of the package.
+of the package.  `mismatch_walk` is the one mismatch walk of the
+matchers: batched kangaroo rounds over all live windows at once.
 """
 
 from __future__ import annotations
@@ -67,36 +68,39 @@ def _suffix_array_lcp(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SparseTable:
-    """Range-minimum structure: O(n log n) space, O(1) query."""
+    """Range-minimum structure: O(n log n) space, O(1) query.
+
+    Level k, the minima of all 2^k-long runs, is table[start[k]:], so
+    a batch of ranges of mixed lengths is answered by two gathers.
+    """
 
     def __init__(self, values: np.ndarray):
-        self._levels = [values]
         n = len(values)
-        k = 1
-        while (1 << k) <= n:
+        sizes = [n - (1 << k) + 1 for k in range(n.bit_length())]
+        self.start = np.cumsum([0] + sizes[:-1])
+        self.table = np.empty(sum(sizes), dtype=np.int64)
+        self.table[:n] = values
+        for k in range(1, len(sizes)):
+            prev = self.table[self.start[k - 1]:]
             half = 1 << (k - 1)
-            prev = self._levels[-1]
-            self._levels.append(np.minimum(prev[: n - (1 << k) + 1], prev[half: n - half + 1]))
-            k += 1
+            np.minimum(prev[: sizes[k]], prev[half: half + sizes[k]],
+                       out=self.table[self.start[k]: self.start[k] + sizes[k]])
 
     def query(self, lo: int, hi: int) -> int:
         """Minimum over the inclusive index range [lo, hi]."""
         k = (hi - lo + 1).bit_length() - 1
-        level = self._levels[k]
-        return int(min(level[lo], level[hi - (1 << k) + 1]))
+        base = int(self.start[k])
+        return int(min(self.table[base + lo], self.table[base + hi - (1 << k) + 1]))
 
     def query_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorized `query` over parallel arrays of inclusive ranges."""
-        out = np.empty(len(lo), dtype=np.int64)
-        if len(lo) == 0:
-            return out
         # frexp is exact on integers below 2^53, unlike log2 rounding
-        ks = np.frexp((hi - lo + 1).astype(np.float64))[1] - 1
-        for k in np.unique(ks):
-            mask = ks == k
-            level = self._levels[k]
-            out[mask] = np.minimum(level[lo[mask]], level[hi[mask] - (1 << k) + 1])
-        return out
+        ks = np.frexp(hi - lo + 1)[1] - 1
+        base = self.start[ks]
+        out = self.table[base + lo]
+        base += hi + 1
+        base -= 1 << ks
+        return np.minimum(out, self.table[base], out=out)
 
 
 class LcpIndex:
@@ -107,12 +111,13 @@ class LcpIndex:
             raise DomainError("cannot index an empty text")
         self.text = text
         self.n = len(text)
-        sa, self.lcp_table = _suffix_array_lcp(_encode(text))
+        sa, lcp = _suffix_array_lcp(_encode(text))
         self.suffix_array = sa
         inverse = np.empty(self.n, dtype=np.int64)
         inverse[sa] = np.arange(self.n)
         self.inverse_sa = inverse
-        self._rmq = _SparseTable(self.lcp_table) if self.n > 1 else None
+        self._rmq = _SparseTable(lcp)
+        self.lcp_table = self._rmq.table[: self.n - 1]  # level 0
 
     def lcp(self, i: int, j: int) -> int:
         """Length of the longest common prefix of text[i..n] and text[j..n]."""
@@ -127,21 +132,23 @@ class LcpIndex:
             ri, rj = rj, ri
         return self._rmq.query(ri, rj - 1)
 
-    def lcp_batch(self, i: int, js: np.ndarray) -> np.ndarray:
-        """`lcp(i, j)` for every j in `js` at once (1-based positions)."""
+    def lcp_batch(self, i, js: np.ndarray) -> np.ndarray:
+        """`lcp(i, j)` for every j in `js`; `i` is one position or an array like `js`."""
         n = self.n
+        i = np.asarray(i, dtype=np.int64)
         js = np.asarray(js, dtype=np.int64)
-        if not (1 <= i <= n) or (len(js) and not (1 <= js.min() and js.max() <= n)):
+        if (i.size and not (1 <= i.min() and i.max() <= n)) or \
+                (len(js) and not (1 <= js.min() and js.max() <= n)):
             raise DomainError(f"lcp position out of range, n={n}")
-        if self._rmq is None:
-            return np.full(len(js), n - i + 1, dtype=np.int64)
-        ri = int(self.inverse_sa[i - 1])
+        if n == 1:
+            return np.ones(len(js), dtype=np.int64)
+        ri = self.inverse_sa[i - 1]
         rj = self.inverse_sa[js - 1]
         lo = np.minimum(ri, rj)
-        hi = np.maximum(ri, rj) - 1
-        out = self._rmq.query_batch(lo, np.maximum(hi, lo))  # j == i gives hi < lo
-        out[js == i] = n - i + 1
-        return out
+        hi = np.maximum(ri, rj, out=rj)
+        hi -= 1
+        out = self._rmq.query_batch(lo, np.maximum(hi, lo, out=hi))  # j == i gives hi < lo
+        return np.where(js == i, n - i + 1, out)
 
 
 class CrossLcpIndex:
@@ -167,11 +174,49 @@ class CrossLcpIndex:
             raise DomainError(f"text position out of range: {j}")
         return self._index.lcp(i, self.m + 1 + j)
 
-    def cross_lcp_batch(self, i: int, js: np.ndarray) -> np.ndarray:
-        """`cross_lcp(i, j)` for every text position j in `js` at once."""
-        if not (1 <= i <= self.m):
-            raise DomainError(f"pattern position out of range: {i}")
-        return self._index.lcp_batch(i, np.asarray(js, dtype=np.int64) + self.m + 1)
+    def cross_lcp_batch(self, i, js: np.ndarray) -> np.ndarray:
+        """`cross_lcp(i, j)` for every j in `js`; `i` is one position or an array like `js`."""
+        i = np.asarray(i, dtype=np.int64)
+        js = np.asarray(js, dtype=np.int64)
+        if i.size and not (1 <= i.min() and i.max() <= self.m):
+            raise DomainError(f"pattern position out of range: {i.min()}..{i.max()}")
+        if len(js) and not (1 <= js.min() and js.max() <= self.n):
+            raise DomainError(f"text position out of range: {js.min()}..{js.max()}")
+        return self._index.lcp_batch(i, js + self.m + 1)
+
+
+# windows walked together: on the benchmark's 20k- and 30k-window jobs
+# 2^13 gave the lowest peak RSS of 2^10..2^16 at the same speed (larger
+# blocks hold more temporaries, smaller ones fragment the heap)
+WALK_BLOCK = 1 << 13
+
+
+def mismatch_walk(index: CrossLcpIndex, starts: np.ndarray, step) -> np.ndarray:
+    """Landau-Vishkin kangaroo rounds over many windows at once.
+
+    Window w aligns the pattern with the text from 0-based position
+    starts[w].  Each round, one `cross_lcp_batch` query per live window
+    jumps it to its next mismatch; `step(w, f)` gets the windows w
+    (indices into `starts`) that have one, at pattern offsets f, and
+    returns the mask of those that walk on.  Returns, in increasing
+    order, the windows left with no mismatch before the pattern's end.
+    """
+    m = index.m
+    ended = [np.empty(0, dtype=np.int64)]
+    for first in range(0, len(starts), WALK_BLOCK):
+        live = np.arange(first, min(first + WALK_BLOCK, len(starts)))
+        off = np.zeros(len(live), dtype=np.int64)
+        while len(live):
+            f = off + index.cross_lcp_batch(off + 1, starts[live] + off + 1)
+            hit = f < m
+            ended.append(live[~hit])
+            live, f = live[hit], f[hit]
+            keep = step(live, f)
+            live, off = live[keep], f[keep] + 1
+            done = off == m
+            ended.append(live[done])
+            live, off = live[~done], off[~done]
+    return np.sort(np.concatenate(ended))
 
 
 def build_index(text: str) -> LcpIndex:

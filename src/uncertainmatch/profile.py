@@ -2,18 +2,21 @@
 
 A profile assigns an integer score to every letter at every position;
 a window of text matches when its score sum reaches the threshold.
-The matcher scans windows starting from the heavy string's score and
-walks mismatches with O(1) lcp queries, abandoning a window as soon
-as the running score falls below the threshold.
+The matcher starts every window at the heavy string's score and walks
+all windows together through their mismatches with the heavy string,
+one batched lcp query per live window and round, abandoning a window
+as soon as its running score falls below the threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .capacity import enumeration_limit
 from .errors import CapacityError, DomainError
-from .lcp import build_cross_index
+from .lcp import _encode, build_cross_index, mismatch_walk
 
 _SCORE_LIMIT = 1 << 31  # per-entry scores are 32-bit; window sums fit in 64
 
@@ -72,31 +75,45 @@ def profile_match(profile: ScoringMatrix, text: str, threshold: int) -> list[int
     """All 1-based positions whose window scores at least `threshold`.
 
     Lookahead scan: every window starts at the heavy string's score and
-    mismatches are walked via lcp queries, so each window costs at most
-    floor(log2 M) + 1 steps before it is accepted or abandoned.
+    loses score only at its mismatches with it.  In batched kangaroo
+    rounds (`mismatch_walk`) every live window finds its next mismatch
+    with one lcp query, loses its score there in one gather, and is
+    dropped below the threshold: at most floor(log2 M) + 1 queries per
+    window, M = `count_matching_strings`.
     """
     m, n = profile.m, len(text)
     if m > n:
         return []
-    for c in text:
-        if c not in profile._index:
-            raise DomainError(f"text letter {c!r} not in alphabet {profile.alphabet!r}")
-    heavy = heavy_string(profile)
-    idx = build_cross_index(heavy, text)
-    s = score(heavy, profile)
-    occ = []
-    for p in range(1, n - m + 2):
-        sp = s
-        i, j = 1, p
-        while sp >= threshold and i <= m:
-            delta = idx.cross_lcp(i, j)
-            i += delta + 1
-            j += delta + 1
-            if i <= m + 1:
-                sp += profile.entry(i - 1, text[j - 2]) - profile.entry(i - 1, heavy[i - 2])
-        if sp >= threshold:
-            occ.append(p)
-    return occ
+    col = _columns(profile.alphabet, text)
+    scores = np.array(profile.scores, dtype=np.int64)
+    best = scores.max(axis=1)
+    # window score = heavy score - losses; a loss sum stays below
+    # m * 2^32, so capping the slack keeps a huge threshold exact
+    slack = int(best.sum()) - threshold
+    if slack < 0:
+        return []
+    slack = min(slack, 1 << 62)
+    idx = build_cross_index(heavy_string(profile), text)
+    loss = np.zeros(n - m + 1, dtype=np.int64)
+
+    def step(w, f):
+        loss[w] += best[f] - scores[f, col[w + f]]
+        return loss[w] <= slack
+
+    return (mismatch_walk(idx, np.arange(n - m + 1), step) + 1).tolist()
+
+
+def _columns(alphabet: str, text: str) -> np.ndarray:
+    """int32 column in `alphabet` of every letter of `text`."""
+    codes = _encode(text)
+    letters = _encode(alphabet)
+    order = np.argsort(letters)
+    col = order[np.minimum(np.searchsorted(letters, codes, sorter=order), len(letters) - 1)]
+    bad = letters[col] != codes
+    if bad.any():
+        c = text[int(bad.argmax())]
+        raise DomainError(f"text letter {c!r} not in alphabet {alphabet!r}")
+    return col.astype(np.int32)
 
 
 def count_matching_strings(profile: ScoringMatrix, threshold: int) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from . import neglog
 from .capacity import enumeration_limit
 from .errors import CapacityError, DomainError
-from .lcp import SEPARATOR, build_cross_index
+from .lcp import SEPARATOR, build_cross_index, mismatch_walk
 
 # Placeholder letter for positions whose row became empty after
 # pruning; never equal to any user letter or the index separator.
@@ -264,10 +264,13 @@ def _heavy_with_filler(t: WeightedSequence) -> tuple[str, np.ndarray]:
 def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
     """Occurrences of a solid pattern in a weighted text above 1/z.
 
-    Sliding-window lookahead scan over the text's heavy string: the
-    running window probability starts at the heavy probability and is
-    corrected along mismatches found by lcp queries, abandoning the
-    window once it falls below 1/z.
+    Lookahead scan over the text's heavy string: a window's units start
+    at its heavy units and grow only at its mismatches with the
+    pattern.  Windows already below 1/z are dropped at once; the rest
+    walk together in batched kangaroo rounds (`mismatch_walk`): each
+    round finds every live window's next mismatch with one lcp query,
+    adds its penalty in one gather and drops the windows that fell
+    below 1/z, so each window takes at most floor(log2 z) + 1 queries.
     """
     m, n = len(pattern), text.n
     if m == 0:
@@ -275,61 +278,38 @@ def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
     if m > n:
         return []
     heavy, hu = _heavy_with_filler(text)
-    idx = build_cross_index(pattern, heavy)
-    cross_lcp = idx.cross_lcp
-    units = text.units
-    heavy_units = hu.tolist()
-    # column of each pattern letter; -1 (read as INF) if not in the alphabet
-    pattern_idx = np.array([text.alphabet.find(c) for c in pattern], dtype=np.int64)
-    pattern_col = pattern_idx.tolist()
     z_units = z.units
     inf = neglog.INF
+    # every sum is saturated at cap: a sum past z stays past z, and at
+    # z = inf two INF terms cannot overflow int64.  Empty (INF) heavy
+    # rows are counted apart; a window holding one reaches exactly INF
+    # only when its other heavy units are 0.
+    cap = z_units + 1
 
-    def survives(p, ap, i):
-        # kangaroo walk from 1-based pattern position i of window p
-        j = p + i - 1
-        while ap <= z_units and i <= m:
-            delta = cross_lcp(i, j)
-            i += delta + 1
-            j += delta + 1
-            if i <= m + 1:
-                k = pattern_col[i - 2]
-                ap += (int(units[j - 2, k]) if k >= 0 else inf) - heavy_units[j - 2]
-        return ap <= z_units
+    def window_sums(a):
+        c = np.concatenate(([0], np.cumsum(a)))
+        return c[m:] - c[:-m]
 
-    if z_units >= inf:
-        alpha = sum(heavy_units[:m])
-        occ = []
-        for p in range(1, n - m + 2):
-            if survives(p, alpha, 1):
-                occ.append(p)
-            if p <= n - m:
-                alpha += heavy_units[p + m - 1] - heavy_units[p - 1]
-        return occ
-
-    # vector pass: window heavy sums, every surviving window's first
-    # mismatch (one batched rmq query) and its penalty; only windows
-    # still above 1/z after that mismatch walk further per query.
-    # Clamping rows at z_units + 1 cannot flip a verdict (a clamped
-    # term alone sinks its windows) and keeps the cumsum inside int64.
-    csum = np.concatenate(([0], np.cumsum(np.minimum(hu, z_units + 1))))
-    alphas = csum[m:] - csum[: n - m + 1]
+    empty = hu >= inf
+    k = window_sums(empty)
+    finite = window_sums(np.where(empty, 0, np.minimum(hu, cap)))
+    alphas = np.where(k == 0, np.minimum(finite, cap),
+                      np.where((k == 1) & (finite == 0), inf, cap))
     cand = np.nonzero(alphas <= z_units)[0]
-    first = idx.cross_lcp_batch(1, cand + 1)
-    whole = first >= m
-    occ = (cand[whole] + 1).tolist()
-    part = cand[~whole]
-    fp = first[~whole]
-    jrow = part + fp
-    cols = pattern_idx[fp]
-    pen = np.where(cols >= 0, units[jrow, cols], inf)
-    ap2 = alphas[part] - hu[jrow] + np.minimum(pen, z_units + 1)
-    for t in np.nonzero(ap2 <= z_units)[0].tolist():
-        p = int(part[t]) + 1
-        if survives(p, int(ap2[t]), int(fp[t]) + 2):
-            occ.append(p)
-    occ.sort()
-    return occ
+    if not len(cand):
+        return []
+    ap = alphas[cand]
+    # column of each pattern letter; -1 (read as INF) if not in the alphabet
+    cols = np.array([text.alphabet.find(c) for c in pattern], dtype=np.int64)
+
+    def step(w, f):
+        j = cand[w] + f
+        pen = np.where(cols[f] >= 0, text.units[j, cols[f]], inf) - hu[j]
+        ap[w] += np.minimum(pen, cap - ap[w])
+        return ap[w] <= z_units
+
+    idx = build_cross_index(pattern, heavy)
+    return (cand[mismatch_walk(idx, cand, step)] + 1).tolist()
 
 
 def maximal_solid_prefixes(x: WeightedSequence, z: ProbThreshold) -> list[str]:

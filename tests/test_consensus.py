@@ -264,3 +264,78 @@ def test_gwpm_edge_cases():
     assert res.occurrences == (1,)
     with pytest.raises(DomainError):
         gwpm_witness(res, 2)
+
+
+def fibonacci_word(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def test_gwpm_equals_per_window_naive_on_adversarial_texts(rng):
+    # periodic heavy strings and a single window (m == n)
+    for heavy in ("a" * 12, "ab" * 6, fibonacci_word(12)):
+        for _ in range(12):
+            rows = [{h: rng.uniform(0.6, 0.95)} for h in heavy]
+            for row in rows:
+                (h, p), = row.items()
+                row[rng.choice([c for c in "abc" if c != h])] = 1.0 - p
+            t_seq = from_probabilities("abc", rows)
+            n = len(heavy)
+            m = rng.choice([1, 3, 5, n])
+            start = rng.randrange(n - m + 1)
+            p_seq = from_probabilities("abc", random_rows(rng, m, "abc")) if rng.random() < 0.5 \
+                else t_seq.factor(start + 1, start + m)
+            z = ProbThreshold.from_z(rng.choice([2, 4, 16]))
+            expect = [
+                p for p in range(1, n - m + 2)
+                if naive_consensus(p_seq, window(t_seq, p, m), z) is not None
+            ]
+            assert list(gwpm(p_seq, t_seq, z).occurrences) == expect
+
+
+def budget_window(kinds, q):
+    """Pattern and text rows whose heavy letters differ at every offset
+    with a kind.  A "p" or "t" mismatch costs exactly one bit in the
+    pattern or in the text.  An "x" mismatch costs the prefilter only
+    -log2(1 - q) bits on each side, but any letter there costs
+    -log2(q) bits on one side."""
+    rows = {"p": ({"a": 0.5, "b": 0.5}, {"b": 1.0}),  # heavy a (tie) against b
+            "t": ({"b": 1.0}, {"a": 0.5, "b": 0.5}),
+            "x": ({"a": 1 - q, "b": q}, {"b": 1 - q, "a": q}),
+            "-": ({"c": 1.0}, {"c": 1.0})}
+    return [rows[k][0] for k in kinds], [rows[k][1] for k in kinds]
+
+
+def test_gwpm_windows_at_the_mismatch_budget():
+    # with z = 2^L the budget is 2L mismatches; the planted window at
+    # position 3 passes the prefilter, so the walk itself must keep
+    # windows with 2L mismatches and drop those with 2L + 1
+    for log2z in (1, 2, 3, 4):
+        z = ProbThreshold.from_z(2 ** log2z)
+        budget = 2 * log2z
+        cases = [(["p"] * log2z + ["t"] * log2z, True)]
+        if log2z >= 3:  # below, 2L + 1 cheap mismatches fail the prefilter
+            cases += [(["x"] * budget, False), (["x"] * (budget + 1), False)]
+        for kinds, matches in cases:
+            kinds = kinds + ["-"] * 3
+            random.Random(log2z).shuffle(kinds)
+            pat, txt = budget_window(kinds, 2.0 ** -log2z)
+            m = len(pat)
+            p_seq = from_probabilities("abc", pat)
+            t_seq = from_probabilities("abc", [{"c": 1.0}] * 2 + txt + [{"a": 1.0}] * 2)
+            assert 2 in _window_prefilter(prune(p_seq, z), prune(t_seq, z), z.units)
+            res = gwpm(p_seq, t_seq, z)
+            expect = [
+                p for p in range(1, t_seq.n - m + 2)
+                if naive_consensus(p_seq, window(t_seq, p, m), z) is not None
+            ]
+            assert list(res.occurrences) == expect
+            assert (3 in res.occurrences) == matches
+            for algo in ("mim", "sdwc", "naive"):
+                assert gwpm(p_seq, t_seq, z, algo=algo).occurrences == res.occurrences
+            for p in res.occurrences:
+                w = gwpm_witness(res, p)
+                assert match_neglog(w, p_seq) <= z.units
+                assert match_neglog(w, window(t_seq, p, m)) <= z.units

@@ -1,6 +1,10 @@
+import contextlib
+import io as stdio
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uncertainmatch import cli, io
 from uncertainmatch.errors import ParseError
@@ -248,3 +252,126 @@ def test_cli_gen_refuses_empty_mck(tmp_path, capsys):
     assert_input_error(capsys, ["gen", "--kind", "mck", "--seed", "1", "--classes", "0",
                                 "--out", str(out)])
     assert not out.exists()
+
+
+def test_cli_consensus_auto_is_meet_in_the_middle(tmp_path, capsys, monkeypatch):
+    # lam = 4 and z = 16 lie in the band lam^1 <= z <= lam^3 that once
+    # sent `auto` to solve_k; `auto` and `mim` both run knapsack.solve
+    from uncertainmatch import knapsack
+
+    x = gen(tmp_path, "x.pwm", "--kind", "pwm", "--seed", "3", "--length", "6")
+    y = gen(tmp_path, "y.pwm", "--kind", "pwm", "--seed", "4", "--length", "6")
+    calls = []
+    for name in ("solve", "solve_k"):
+        original = getattr(knapsack, name)
+        monkeypatch.setattr(knapsack, name,
+                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    for algo in ("auto", "mim", "k=1"):
+        calls.clear()
+        assert cli.main(["consensus", "--x", str(x), "--y", str(y), "--z", "16",
+                         "--algo", algo]) in (0, 1)
+        assert calls[:1] == (["solve_k"] if algo == "k=1" else ["solve"])
+        if algo != "k=1":
+            assert "solve_k" not in calls
+    capsys.readouterr()
+
+
+def test_cli_parse_error_names_its_file(tmp_path, capsys):
+    good = gen(tmp_path, "a.pwm", "--kind", "pwm", "--seed", "1", "--length", "4")
+    bad = tmp_path / "b.pwm"
+    bad.write_text("PWM 2 ab\n# c\n\n0.5 0.5\n0.7 0.7\n")
+    assert_input_error(capsys, ["consensus", "--x", str(good), "--y", str(bad), "--z", "4"])
+    assert cli.main(["consensus", "--x", str(good), "--y", str(bad), "--z", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line 5: probabilities sum to 1.4 > 1\n"
+    assert str(good) not in err
+    prof = tmp_path / "p.prof"
+    prof.write_text("PROFILE 1 ab\n1\n")
+    text = tmp_path / "t.txt"
+    text.write_text("ab\n")
+    assert_input_error(capsys, ["pm", "--profile", str(prof), "--text", str(text), "--Z", "0"])
+    inst = tmp_path / "i.mck"
+    inst.write_text("MCK 1 5 5\n1\n1 1\nextra\n")
+    assert cli.main(["knapsack", "--instance", str(inst)]) == 2
+    assert capsys.readouterr().err == f"error: {inst}: line 4: trailing content: 'extra'\n"
+
+
+# inputs for the exit-code fuzz test: name -> `um gen` options
+FUZZ_BASES = {
+    "profile": ("--kind", "profile", "--length", "4"),
+    "text": ("--kind", "text", "--length", "40"),
+    "pattern": ("--kind", "text", "--length", "3"),
+    "pwm": ("--kind", "pwm", "--length", "30"),
+    "short_pwm": ("--kind", "pwm", "--length", "4"),
+    "mck": ("--kind", "mck", "--classes", "4"),
+}
+# (argv with "@" for the fuzzed file, the good file it stands in for)
+FUZZ_TARGETS = [
+    (["pm", "--profile", "@", "--text", "text", "--Z", "-5"], "profile"),
+    (["pm", "--profile", "profile", "--text", "@", "--Z", "-5"], "text"),
+    (["wpm", "--pattern", "pattern", "--text", "@", "--z", "16"], "pwm"),
+    (["wpm", "--pattern", "@", "--text", "pwm", "--z", "16"], "pattern"),
+    (["gwpm", "--pattern", "@", "--text", "pwm", "--z", "16", "--witness"], "short_pwm"),
+    (["gwpm", "--pattern", "short_pwm", "--text", "@", "--z", "16"], "pwm"),
+    (["consensus", "--x", "short_pwm", "--y", "@", "--z", "16"], "short_pwm"),
+    (["knapsack", "--instance", "@"], "mck"),
+]
+TOKENS = [b"0", b"1", b"-1", b"2", b"0.5", b"1.5", b"-0.0", b"1e309", b"nan", b"inf",
+          b"99999999999999", b"x", b"", b"#", b"\x00", b"\x01", b"\xff", b"\n", b" "]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, opts in FUZZ_BASES.items():
+        assert cli.main(["gen", "--seed", "5", "--out", str(root / name), *opts]) == 0
+    return root
+
+
+@st.composite
+def near_valid(draw, base: bytes) -> bytes:
+    """`base` after a few token-level edits: replace, insert, delete a
+    token, or delete or repeat a line."""
+    lines = base.split(b"\n")
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split(b" ")
+        t = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "drop_line", "dup_line"]))
+        if op == "replace":
+            tokens[t] = draw(st.sampled_from(TOKENS))
+        elif op == "insert":
+            tokens.insert(t, draw(st.sampled_from(TOKENS)))
+        elif op == "delete":
+            del tokens[t]
+        lines[k] = b" ".join(tokens)
+        if op == "drop_line":
+            del lines[k]
+        elif op == "dup_line":
+            lines.insert(k, lines[k])
+        if not lines:
+            lines = [b""]
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("argv,base", FUZZ_TARGETS,
+                         ids=[f"{a[0]}-{a.index('@')}" for a, _ in FUZZ_TARGETS])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_code_contract_fuzz(fuzz_files, tmp_path, argv, base, data):
+    good = (fuzz_files / base).read_bytes()
+    content = data.draw(st.one_of(st.binary(max_size=300), near_valid(good)))
+    path = tmp_path / "fuzzed"
+    path.write_bytes(content)
+    args = [str(path) if a == "@" else str(fuzz_files / a) if a in FUZZ_BASES else a
+            for a in argv]
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from uncertainmatch.lcp import (
     LcpIndex,
     build_cross_index,
     build_index,
+    mismatch_walk,
     naive_lcp,
 )
 
@@ -105,3 +107,49 @@ def test_cross_lcp_truncates_at_pattern_end():
     idx = build_cross_index("abc", "abcabc")
     assert idx.cross_lcp(1, 1) == 3
     assert idx.cross_lcp(2, 2) == 2
+
+
+@given(st.text(alphabet="abc", min_size=1, max_size=30),
+       st.text(alphabet="abc", min_size=1, max_size=30), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cross_lcp_batch_pairwise(pattern, text, data):
+    idx = build_cross_index(pattern, text)
+    size = data.draw(st.integers(0, 20))
+    i = np.array(data.draw(st.lists(st.integers(1, len(pattern)), min_size=size, max_size=size)))
+    j = np.array(data.draw(st.lists(st.integers(1, len(text)), min_size=size, max_size=size)))
+    want = [naive_lcp(pattern[a - 1:], text[b - 1:]) for a, b in zip(i.tolist(), j.tolist())]
+    assert idx.cross_lcp_batch(i, j).tolist() == want
+    if size:
+        assert idx.cross_lcp_batch(int(i[0]), j).tolist() == \
+            [naive_lcp(pattern[i[0] - 1:], text[b - 1:]) for b in j.tolist()]
+
+
+def test_cross_lcp_batch_range_checks():
+    idx = build_cross_index("ab", "abab")
+    for i, j in (([0], [1]), ([3], [1]), ([1], [0]), ([1], [5]), ([1, 2], [1, 4 + 1])):
+        with pytest.raises(DomainError):
+            idx.cross_lcp_batch(np.array(i), np.array(j))
+    with pytest.raises(DomainError):
+        idx.cross_lcp_batch(3, np.array([1]))
+
+
+@given(st.text(alphabet="ab", min_size=1, max_size=8),
+       st.text(alphabet="ab", min_size=1, max_size=40), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_mismatch_walk_finds_every_mismatch_within_budget(pattern, text, budget):
+    m, n = len(pattern), len(text)
+    starts = np.arange(max(n - m + 1, 0))
+    if not len(starts):
+        return
+    found = [[] for _ in starts]
+
+    def step(w, f):
+        for a, b in zip(w.tolist(), f.tolist()):
+            found[a].append(b)
+        return np.array([len(found[a]) <= budget for a in w.tolist()], dtype=bool)
+
+    ended = mismatch_walk(build_cross_index(pattern, text), starts, step)
+    for p in starts.tolist():
+        want = [i for i in range(m) if pattern[i] != text[p + i]]
+        assert found[p] == want[: budget + 1]
+    assert ended.tolist() == [p for p in starts.tolist() if len(found[p]) <= budget]

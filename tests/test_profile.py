@@ -102,3 +102,58 @@ def test_mismatch_bound(rng):
         bound = count.bit_length() - 1  # floor(log2 count)
         for p in profile_match(prof, text, threshold):
             assert hamming(h, text[p - 1: p + m - 1]) <= bound
+
+
+def fibonacci_word(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def random_profile(rng, sigma, m, lo=-9, hi=9):
+    return ScoringMatrix(sigma, tuple(tuple(rng.randint(lo, hi) for _ in sigma)
+                                      for _ in range(m)))
+
+
+def test_profile_match_equals_naive_on_adversarial_texts(rng):
+    # periodic texts, a single window (m == n), heavy letters absent
+    # from the text, and thresholds at the heavy score and beyond it
+    texts = ["a" * 40, "ab" * 20, fibonacci_word(40), "abab", "b"]
+    for _ in range(200):
+        text = rng.choice(texts)
+        sigma = rng.choice(["ab", "abc", "cab"])
+        m = rng.choice([1, 2, 3, 5, len(text)])
+        if m > len(text):
+            continue
+        prof = random_profile(rng, sigma, m)
+        top = score(heavy_string(prof), prof)
+        for threshold in (top, top + 1, top - 1, top - 7, rng.randint(-30, 30),
+                          10 ** 30, -10 ** 30):
+            assert profile_match(prof, text, threshold) == \
+                naive_profile_match(prof, text, threshold)
+
+
+def test_profile_match_heavy_letters_outside_text(rng):
+    # "c" scores best everywhere but never occurs in the text: every
+    # window mismatches the heavy string at every position
+    prof = ScoringMatrix("abc", tuple((rng.randint(-3, 3), rng.randint(-3, 3), 9)
+                                      for _ in range(4)))
+    text = "".join(rng.choice("ab") for _ in range(30))
+    for threshold in range(-12, 37, 3):
+        assert profile_match(prof, text, threshold) == \
+            naive_profile_match(prof, text, threshold)
+
+
+def test_profile_match_threshold_above_heavy_score():
+    # an exact heavy match still scores below the threshold
+    heavy = heavy_string(TOY)
+    top = score(heavy, TOY)
+    assert profile_match(TOY, heavy * 3, top + 1) == []
+    assert profile_match(TOY, heavy * 3, 10 ** 30) == []
+    assert profile_match(TOY, heavy * 3, -10 ** 30) == list(range(1, 6))
+
+
+def test_profile_match_rejects_letter_outside_alphabet():
+    with pytest.raises(DomainError, match=r"text letter 'x' not in alphabet 'ab'"):
+        profile_match(TOY, "abxab", 0)

@@ -259,3 +259,59 @@ def test_enumerate_solid_strings_fig():
     assert set(got) == {"aaab", "baab"}
     assert got["aaab"] == neglog.from_probability(0.375)
     assert got["baab"] == neglog.from_probability(0.375)
+
+
+def fibonacci_word(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def rows_with_heavy(rng, heavy, sigma):
+    """Rows whose most probable letter follows `heavy`; some rows are
+    certain (probability 1) and some empty (every letter 0)."""
+    rows = []
+    for h in heavy:
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.3:
+            rows.append({h: 1.0})
+        else:
+            p = rng.uniform(0.5, 0.95)
+            others = [c for c in sigma if c != h]
+            rows.append({h: p, rng.choice(others): 1.0 - p})
+    return rows
+
+
+def test_wpm_equals_naive_on_adversarial_texts(rng):
+    # periodic heavy strings, a single window (m == n), z = inf, empty
+    # rows and pattern letters outside the text alphabet
+    zs = [ProbThreshold.from_z(z) for z in (1, 2, 16, 2 ** 10, 2.0 ** 40, math.inf)]
+    for heavy in ("a" * 30, "ab" * 15, fibonacci_word(30), "ab", "a"):
+        for _ in range(40):
+            t = from_probabilities("abc", rows_with_heavy(rng, heavy, "abc"))
+            n = len(heavy)
+            m = rng.choice([1, 2, 3, 5, n])
+            if m > n:
+                continue
+            start = rng.randrange(n - m + 1)
+            pattern = rng.choice([heavy[start: start + m], random_string(rng, m, "abc"),
+                                  random_string(rng, m, "abx")])
+            for z in zs:
+                assert wpm(pattern, t, z) == naive_wpm(pattern, t, z)
+
+
+def test_wpm_infinite_threshold_with_empty_rows():
+    # a window holding one empty row matches at z = inf exactly when its
+    # other letters are certain (units INF); two empty rows never match
+    t = from_probabilities("ab", [{"a": 1.0}, {}, {"a": 1.0}, {"a": 0.5, "b": 0.5}, {}, {}])
+    z = ProbThreshold.from_z(math.inf)
+    assert wpm("aa", t, z) == naive_wpm("aa", t, z) == [1, 2, 3]
+    assert wpm("ab", t, z) == naive_wpm("ab", t, z)
+    assert wpm("a", t, z) == naive_wpm("a", t, z) == [1, 2, 3, 4, 5, 6]
+    assert wpm("aaa", t, z) == naive_wpm("aaa", t, z) == [1]
+    empty = from_probabilities("ab", [{}] * 8)
+    assert wpm("aa", empty, z) == naive_wpm("aa", empty, z) == []
+    assert wpm("x", empty, z) == naive_wpm("x", empty, z) == list(range(1, 9))
