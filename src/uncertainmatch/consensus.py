@@ -3,7 +3,10 @@
 A consensus of two equal-length weighted sequences is a single string
 matching both with probability at least 1/z.  Finding one is a
 two-threshold Multichoice Knapsack problem over NegLog units: one
-class per position, one item per letter alive in both sequences.
+class per position, one item per letter alive in both sequences whose
+units stay within z in each (letters above z are left out).
+`_classes` is the one builder of those classes, for `wc_to_knapsack`
+and for every `gwpm` window.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window reduces to a consensus instance restricted to the
@@ -22,6 +25,7 @@ from . import knapsack, neglog
 from .errors import DomainError
 from .knapsack import KnapsackInstance, make_instance
 from .lcp import build_cross_index, mismatch_walk
+from .reference import naive_consensus
 from .weighted import (
     ProbThreshold,
     WeightedSequence,
@@ -55,43 +59,69 @@ def wc_to_knapsack(
     """Knapsack view of a consensus instance, plus per-class letters.
 
     Item values are NegLog units in X, weights units in Y; both
-    thresholds are the units of z.  A position with no letter alive in
-    both sequences has an empty class, reported as (None, []): the
-    answer is NO outright.
+    thresholds are the units of z.  A class holds the letters alive in
+    both sequences whose units stay within z in each (a letter above z
+    fits no choice).  A position with no such letter has an empty
+    class, reported as (None, []): the answer is NO outright.
     """
     if X.n != Y.n:
         raise DomainError("sequences must have equal length")
-    classes = []
-    letters: list[list[str]] = []
-    for i in range(1, X.n + 1):
-        row_y = Y.rows[i - 1]
-        cls = [
-            (u, row_y[s])
-            for s, u in X.sorted_rows[i - 1]
-            if s in row_y
-        ]
-        if not cls:
-            return None, []
-        classes.append(cls)
-        letters.append([s for s, u in X.sorted_rows[i - 1] if s in row_y])
+    built = _classes(X.sorted_rows, Y.units.tolist(), Y.alphabet, z.units)
+    if built is None:
+        return None, []
+    classes, letters = built
     return make_instance(classes, z.units, z.units), letters
 
 
-def _decode(choice: dict[int, int], letters: list[list[str]]) -> str:
+def _classes(rows_x, rows_y, alphabet_y: str, z_units: int, add_x: int = 0, add_y: int = 0):
+    """Knapsack classes of aligned rows, with their letters; None if one is empty.
+
+    `rows_x` are X's (letter, units) rows by units, ties in alphabet
+    order (`sorted_rows`), and `rows_y` are Y's units rows as lists in
+    `alphabet_y` order.  A class takes, in that order, every letter
+    alive in Y whose units stay within z in both sequences, after
+    add_x and add_y are added to the first row.
+    """
+    inf = neglog.INF
+    classes = []
+    letters: list[list[str]] = []
+    for row_x, row_y in zip(rows_x, rows_y):
+        cls = []
+        cls_letters = []
+        for s, u in row_x:
+            c = alphabet_y.find(s)
+            w = row_y[c] if c >= 0 else inf
+            if w < inf and u + add_x <= z_units and w + add_y <= z_units:
+                cls.append((u + add_x, w + add_y))
+                cls_letters.append(s)
+        if not cls:
+            return None
+        classes.append(cls)
+        letters.append(cls_letters)
+        add_x = add_y = 0
+    return classes, letters
+
+
+def _solve(inst: KnapsackInstance, letters: list[list[str]], k: int | None) -> str | None:
+    """The consensus letters of a knapsack solution, or None."""
+    choice = knapsack.solve(inst) if k is None else knapsack.solve_k(inst, k)
+    if choice is None:
+        return None
     return "".join(letters[ci][choice[ci]] for ci in range(len(letters)))
 
 
 def weighted_consensus(
     X: WeightedSequence, Y: WeightedSequence, z: ProbThreshold, k: int | None = None
 ) -> str | None:
-    """A string matching both X and Y with probability >= 1/z, or None."""
+    """A string matching both X and Y with probability >= 1/z, or None.
+
+    Solved as the knapsack of `wc_to_knapsack` by meet in the middle
+    (`knapsack.solve`), or by `knapsack.solve_k` when `k` is given.
+    """
     inst, letters = wc_to_knapsack(X, Y, z)
     if inst is None:
         return None
-    choice = knapsack.solve(inst) if k is None else knapsack.solve_k(inst, k)
-    if choice is None:
-        return None
-    return _decode(choice, letters)
+    return _solve(inst, letters, k)
 
 
 def knapsack_to_wc(inst: KnapsackInstance, normalize: bool = False) -> WcInstance:
@@ -184,7 +214,7 @@ class GwpmResult:
     _records: dict[int, _Occurrence]
 
 
-GWPM_ALGOS = ("auto", "mim", "sdwc", "naive")
+GWPM_ALGOS = ("auto", "mim", "naive")
 
 
 def gwpm(
@@ -206,10 +236,9 @@ def gwpm(
     set, solved by `algo`:
 
     - ``auto`` or ``mim``: meet-in-the-middle knapsack (`knapsack.solve`,
-      or `knapsack.solve_k` when `k` is given).  ``auto`` takes it by
-      measurement: it beat SDWC at every (z, m) tried, lengths at SDWC's
-      2 floor(log2 z) bound included.
-    - ``sdwc``: the Short Dissimilar Weighted Consensus solver.
+      or `knapsack.solve_k` when `k` is given), over knapsack classes
+      built as in `wc_to_knapsack`: letters above z are left out.  It beat the SDWC
+      solver at every (z, m) measured, so `gwpm` does not offer SDWC.
     - ``naive``: the brute-force oracle.
     """
     if algo not in GWPM_ALGOS:
@@ -300,54 +329,27 @@ def _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k):
     The rows of P at d and of T at p+d-1 stand for the whole window:
     the heavy units outside d, beta_rest of the pattern and alpha_rest
     of the window, are added to the first row, and letters above z are
-    dropped.  For ``auto`` and ``mim`` the knapsack classes are read
-    straight off the pruned rows, in the (units in P, alphabet order)
-    item order of `wc_to_knapsack`; ``naive`` and ``sdwc`` build the two
-    reweighted sequences.
+    left out.  ``naive`` hands the two reweighted sequences to the
+    oracle; otherwise `_classes` builds the knapsack straight off the
+    pruned rows.
     """
-    z_units = z.units
-    if algo in ("auto", "mim"):
-        classes = []
-        letters: list[list[str]] = []
-        add_x, add_y = beta_rest, alpha_rest
-        for i in d:
-            row_y = T.units[p + i - 2].tolist()
-            cls = []
-            cls_letters = []
-            for s, u in P.sorted_rows[i - 1]:
-                c = T.alphabet.find(s)
-                w = row_y[c] if c >= 0 else neglog.INF
-                if w < neglog.INF and u + add_x <= z_units and w + add_y <= z_units:
-                    cls.append((u + add_x, w + add_y))
-                    cls_letters.append(s)
-            if not cls:
-                return None
-            classes.append(cls)
-            letters.append(cls_letters)
-            add_x = add_y = 0
-        inst = make_instance(classes, z_units, z_units)
-        choice = knapsack.solve(inst) if k is None else knapsack.solve_k(inst, k)
-        return None if choice is None else _decode(choice, letters)
-    rows_x = P.units[[i - 1 for i in d]]
-    rows_y = T.units[[p + i - 2 for i in d]]
-    rows_x[0] = np.where(rows_x[0] < neglog.INF, rows_x[0] + beta_rest, neglog.INF)
-    rows_y[0] = np.where(rows_y[0] < neglog.INF, rows_y[0] + alpha_rest, neglog.INF)
-    X = prune(WeightedSequence.from_units(P.alphabet, rows_x), z)
-    Y = prune(WeightedSequence.from_units(T.alphabet, rows_y), z)
-    if (X.units.min(axis=1) >= neglog.INF).any() or (Y.units.min(axis=1) >= neglog.INF).any():
-        return None
     if algo == "naive":
-        from .reference import naive_consensus
-
+        rows_x = P.units[[i - 1 for i in d]]
+        rows_y = T.units[[p + i - 2 for i in d]]
+        rows_x[0] = np.where(rows_x[0] < neglog.INF, rows_x[0] + beta_rest, neglog.INF)
+        rows_y[0] = np.where(rows_y[0] < neglog.INF, rows_y[0] + alpha_rest, neglog.INF)
+        X = prune(WeightedSequence.from_units(P.alphabet, rows_x), z)
+        Y = prune(WeightedSequence.from_units(T.alphabet, rows_y), z)
+        if (X.units.min(axis=1) >= neglog.INF).any() or (Y.units.min(axis=1) >= neglog.INF).any():
+            return None
         return naive_consensus(X, Y, z)
-    # heavy letters differ at every mismatch position, and reweighting
-    # shifts whole rows, so the dissimilarity invariant holds
-    from . import sdwc
-
-    inst = sdwc.SdwcInstance(X, Y, z)
-    if k is not None:
-        return sdwc.solve_fast(inst, k)
-    return sdwc.solve(inst)
+    built = _classes([P.sorted_rows[i - 1] for i in d],
+                     [T.units[p + i - 2].tolist() for i in d],
+                     T.alphabet, z.units, beta_rest, alpha_rest)
+    if built is None:
+        return None
+    classes, letters = built
+    return _solve(make_instance(classes, z.units, z.units), letters, k)
 
 
 def gwpm_witness(result: GwpmResult, p: int) -> str:

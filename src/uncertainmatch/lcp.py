@@ -86,14 +86,8 @@ class _SparseTable:
             np.minimum(prev[: sizes[k]], prev[half: half + sizes[k]],
                        out=self.table[self.start[k]: self.start[k] + sizes[k]])
 
-    def query(self, lo: int, hi: int) -> int:
-        """Minimum over the inclusive index range [lo, hi]."""
-        k = (hi - lo + 1).bit_length() - 1
-        base = int(self.start[k])
-        return int(min(self.table[base + lo], self.table[base + hi - (1 << k) + 1]))
-
     def query_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vectorized `query` over parallel arrays of inclusive ranges."""
+        """Minimum over each inclusive index range [lo, hi] of two parallel arrays."""
         # frexp is exact on integers below 2^53, unlike log2 rounding
         ks = np.frexp(hi - lo + 1)[1] - 1
         base = self.start[ks]
@@ -124,13 +118,7 @@ class LcpIndex:
         n = self.n
         if not (1 <= i <= n) or not (1 <= j <= n):
             raise DomainError(f"lcp position out of range: ({i}, {j}), n={n}")
-        if i == j:
-            return n - i + 1
-        ri = int(self.inverse_sa[i - 1])
-        rj = int(self.inverse_sa[j - 1])
-        if ri > rj:
-            ri, rj = rj, ri
-        return self._rmq.query(ri, rj - 1)
+        return int(self.lcp_batch(i, [j])[0])
 
     def lcp_batch(self, i, js: np.ndarray) -> np.ndarray:
         """`lcp(i, j)` for every j in `js`; `i` is one position or an array like `js`."""
@@ -144,10 +132,12 @@ class LcpIndex:
             return np.ones(len(js), dtype=np.int64)
         ri = self.inverse_sa[i - 1]
         rj = self.inverse_sa[js - 1]
-        lo = np.minimum(ri, rj)
+        # j == i gives hi < lo, and may sit at the last rank: any valid
+        # range will do, its answer is replaced below
+        lo = np.minimum(np.minimum(ri, rj), n - 2)
         hi = np.maximum(ri, rj, out=rj)
         hi -= 1
-        out = self._rmq.query_batch(lo, np.maximum(hi, lo, out=hi))  # j == i gives hi < lo
+        out = self._rmq.query_batch(lo, np.maximum(hi, lo, out=hi))
         return np.where(js == i, n - i + 1, out)
 
 

@@ -8,6 +8,7 @@ fixed-point domain so comparisons are bit-exact.
 
 from __future__ import annotations
 
+from . import neglog
 from .capacity import enumeration_limit
 from .errors import CapacityError
 from .profile import ScoringMatrix, score
@@ -24,14 +25,18 @@ def naive_profile_match(profile: ScoringMatrix, text: str, threshold: int) -> li
 
 
 def naive_wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
-    """Per-window NegLog summation against the occurrence definition."""
+    """Per-window NegLog summation against the occurrence definition.
+
+    Sums are clamped as in `match_neglog`, so at z = inf (1/z = 0) every
+    window matches, and at finite z a probability-0 letter never does.
+    """
     m, n = len(pattern), text.n
     occ = []
     for p in range(1, n - m + 2):
         total = 0
         for i, c in enumerate(pattern, start=1):
             total += text.letter_units(p + i - 1, c)
-        if total <= z.units:
+        if neglog.clamp(total) <= z.units:
             occ.append(p)
     return occ
 

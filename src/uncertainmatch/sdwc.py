@@ -16,7 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from . import neglog
+from . import consensus, neglog
 from .errors import DomainError
 from .weighted import ProbThreshold, WeightedSequence, match_neglog
 
@@ -325,13 +325,4 @@ def solve(inst: SdwcInstance) -> str | None:
 
 def solve_fast(inst: SdwcInstance, k: int) -> str | None:
     """Same answer as solve, via the rank-parameterized knapsack path."""
-    from . import knapsack
-    from .consensus import _decode, wc_to_knapsack
-
-    ki, letters = wc_to_knapsack(inst.X, inst.Y, inst.z)
-    if ki is None:
-        return None
-    choice = knapsack.solve_k(ki, k)
-    if choice is None:
-        return None
-    return _decode(choice, letters)
+    return consensus.weighted_consensus(inst.X, inst.Y, inst.z, k)

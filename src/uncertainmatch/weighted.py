@@ -271,30 +271,24 @@ def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
     round finds every live window's next mismatch with one lcp query,
     adds its penalty in one gather and drops the windows that fell
     below 1/z, so each window takes at most floor(log2 z) + 1 queries.
+    At z = inf every window matches.
     """
     m, n = len(pattern), text.n
     if m == 0:
         raise DomainError("empty pattern")
     if m > n:
         return []
-    heavy, hu = _heavy_with_filler(text)
     z_units = z.units
+    if z_units >= neglog.INF:
+        # 1/z = 0: every string matches every window
+        return list(range(1, n - m + 2))
+    heavy, hu = _heavy_with_filler(text)
     inf = neglog.INF
-    # every sum is saturated at cap: a sum past z stays past z, and at
-    # z = inf two INF terms cannot overflow int64.  Empty (INF) heavy
-    # rows are counted apart; a window holding one reaches exactly INF
-    # only when its other heavy units are 0.
+    # every sum is saturated at cap: a sum past z stays past z, and an
+    # empty (INF) heavy row sinks its window
     cap = z_units + 1
-
-    def window_sums(a):
-        c = np.concatenate(([0], np.cumsum(a)))
-        return c[m:] - c[:-m]
-
-    empty = hu >= inf
-    k = window_sums(empty)
-    finite = window_sums(np.where(empty, 0, np.minimum(hu, cap)))
-    alphas = np.where(k == 0, np.minimum(finite, cap),
-                      np.where((k == 1) & (finite == 0), inf, cap))
+    c = np.concatenate(([0], np.cumsum(np.minimum(hu, cap))))
+    alphas = np.minimum(c[m:] - c[:-m], cap)
     cand = np.nonzero(alphas <= z_units)[0]
     if not len(cand):
         return []

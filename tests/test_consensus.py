@@ -58,6 +58,29 @@ def test_wc_to_knapsack_dead_position():
     assert weighted_consensus(x, y, ProbThreshold.from_z(4)) is None
 
 
+def test_wc_to_knapsack_leaves_out_letters_above_z():
+    # b is alive in both sequences at positions 2 and 3, but above z = 8
+    # in X at 2 and in Y at 3, so no choice can take it there
+    x = from_probabilities("ab", [{"a": 0.5, "b": 0.5}, {"a": 0.9, "b": 0.1},
+                                  {"a": 0.5, "b": 0.5}])
+    y = from_probabilities("ab", [{"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5},
+                                  {"a": 0.95, "b": 0.05}])
+    z8 = ProbThreshold.from_z(8)
+    inst, letters = wc_to_knapsack(x, y, z8)
+    assert letters == [["a", "b"], ["a"], ["a"]]
+    assert [len(c) for c in inst.classes] == [2, 1, 1]
+    assert all(it.v <= z8.units and it.w <= z8.units for cls in inst.classes for it in cls)
+    for zv in (4, 8, 16):
+        z = ProbThreshold.from_z(zv)
+        expect = naive_consensus(x, y, z)
+        for k in (None, 1, 2):
+            got = weighted_consensus(x, y, z, k=k)
+            assert (got is None) == (expect is None)
+            if got is not None:
+                assert match_neglog(got, x) <= z.units
+                assert match_neglog(got, y) <= z.units
+
+
 def test_weighted_consensus_fig():
     x = fig_sequence()
     z4 = ProbThreshold.from_z(4)
@@ -158,7 +181,6 @@ def test_gwpm_algo_variants_agree(rng):
         assert gwpm(p_seq, t_seq, z, algo="naive").occurrences == base
         assert gwpm(p_seq, t_seq, z, algo="mim").occurrences == base
         assert gwpm(p_seq, t_seq, z, algo="mim", k=1).occurrences == base
-        assert gwpm(p_seq, t_seq, z, algo="sdwc").occurrences == base
 
 
 def peaked_rows(rng, n, sigma="acgt"):
@@ -196,7 +218,7 @@ def test_gwpm_at_sdwc_length_bound():
             p_seq = from_probabilities("acgt", pat_rows)
             t_seq = from_probabilities("acgt", rows)
             res = gwpm(p_seq, t_seq, z)
-            for algo in ("mim", "sdwc", "naive"):
+            for algo in ("mim", "naive"):
                 assert gwpm(p_seq, t_seq, z, algo=algo).occurrences == res.occurrences
             for p in res.occurrences:
                 w = gwpm_witness(res, p)
@@ -333,7 +355,7 @@ def test_gwpm_windows_at_the_mismatch_budget():
             ]
             assert list(res.occurrences) == expect
             assert (3 in res.occurrences) == matches
-            for algo in ("mim", "sdwc", "naive"):
+            for algo in ("mim", "naive"):
                 assert gwpm(p_seq, t_seq, z, algo=algo).occurrences == res.occurrences
             for p in res.occurrences:
                 w = gwpm_witness(res, p)

@@ -276,6 +276,15 @@ def test_cli_consensus_auto_is_meet_in_the_middle(tmp_path, capsys, monkeypatch)
     capsys.readouterr()
 
 
+def test_cli_sdwc_is_not_an_algorithm(tmp_path, capsys):
+    x = tmp_path / "x.pwm"
+    x.write_text(FIG_PWM)
+    assert_input_error(capsys, ["consensus", "--x", str(x), "--y", str(x), "--z", "4",
+                                "--algo", "sdwc"])
+    assert_input_error(capsys, ["gwpm", "--pattern", str(x), "--text", str(x), "--z", "4",
+                                "--algo", "sdwc"])
+
+
 def test_cli_parse_error_names_its_file(tmp_path, capsys):
     good = gen(tmp_path, "a.pwm", "--kind", "pwm", "--seed", "1", "--length", "4")
     bad = tmp_path / "b.pwm"

@@ -82,6 +82,17 @@ def test_equal_positions_full_suffix():
     assert idx.lcp(1, 1) == 6
 
 
+def test_lcp_batch_with_equal_positions():
+    for text in ("aa", "banana", "abab", "a"):
+        idx = build_index(text)
+        n = len(text)
+        js = np.arange(1, n + 1)
+        for i in range(1, n + 1):
+            assert idx.lcp_batch(i, js).tolist() == \
+                [naive_lcp(text[i - 1:], text[j - 1:]) for j in js.tolist()]
+        assert idx.lcp_batch(js, js).tolist() == (n + 1 - js).tolist()
+
+
 def test_repetitive_text():
     idx = build_index("aaaa")
     assert idx.lcp(1, 3) == 2

@@ -304,14 +304,13 @@ def test_wpm_equals_naive_on_adversarial_texts(rng):
 
 
 def test_wpm_infinite_threshold_with_empty_rows():
-    # a window holding one empty row matches at z = inf exactly when its
-    # other letters are certain (units INF); two empty rows never match
+    # at z = inf (1/z = 0) every window matches, empty rows included
     t = from_probabilities("ab", [{"a": 1.0}, {}, {"a": 1.0}, {"a": 0.5, "b": 0.5}, {}, {}])
     z = ProbThreshold.from_z(math.inf)
-    assert wpm("aa", t, z) == naive_wpm("aa", t, z) == [1, 2, 3]
+    assert wpm("aa", t, z) == naive_wpm("aa", t, z) == [1, 2, 3, 4, 5]
     assert wpm("ab", t, z) == naive_wpm("ab", t, z)
     assert wpm("a", t, z) == naive_wpm("a", t, z) == [1, 2, 3, 4, 5, 6]
-    assert wpm("aaa", t, z) == naive_wpm("aaa", t, z) == [1]
+    assert wpm("aaa", t, z) == naive_wpm("aaa", t, z) == [1, 2, 3, 4]
     empty = from_probabilities("ab", [{}] * 8)
-    assert wpm("aa", empty, z) == naive_wpm("aa", empty, z) == []
+    assert wpm("aa", empty, z) == naive_wpm("aa", empty, z) == list(range(1, 8))
     assert wpm("x", empty, z) == naive_wpm("x", empty, z) == list(range(1, 9))
