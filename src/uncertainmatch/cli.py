@@ -52,6 +52,13 @@ def parse_algo(token: str) -> tuple[str, int | None]:
     raise ParseError(f"unknown algorithm {token!r}")
 
 
+def _matcher_algo(args) -> str:
+    """`--algo` of pm and wpm, which have no solver to choose."""
+    if args.algo not in ("auto", "naive"):
+        raise ParseError(f"um {args.subcommand} takes --algo auto or naive, not {args.algo!r}")
+    return args.algo
+
+
 def _read(path: str) -> str:
     try:
         with open(path) as fh:
@@ -97,7 +104,7 @@ def _emit_positions(positions, fmt, witness_of=None):
 
 
 def _run_pm(args) -> int:
-    algo, _ = parse_algo(args.algo)
+    algo = _matcher_algo(args)
     prof = _parse(io_mod.parse_profile, args.profile)
     text = _read_string(args.text)
     if algo == "naive":
@@ -109,7 +116,7 @@ def _run_pm(args) -> int:
 
 
 def _run_wpm(args) -> int:
-    algo, _ = parse_algo(args.algo)
+    algo = _matcher_algo(args)
     z = parse_z(args.z)
     pattern = _read_string(args.pattern)
     text = _parse(io_mod.parse_pwm, args.text)
@@ -242,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="um", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--algo", default="auto", help="auto | naive | mim | k=<int>")
+    def common(p, algos="auto | naive | mim | k=<int>"):
+        p.add_argument("--algo", default="auto", help=algos)
         p.add_argument("--format", default="text", choices=("text", "jsonl"))
 
     p = sub.add_parser("pm", help="profile matching on a solid text")
@@ -251,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--Z", required=True, type=int, help="score threshold")
-    common(p)
+    common(p, "auto | naive")
 
     p = sub.add_parser("wpm", help="solid pattern in a weighted text")
     p.set_defaults(run=_run_wpm)
     p.add_argument("--pattern", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--z", required=True, help="probability threshold (decimal or 2^<int>)")
-    common(p)
+    common(p, "auto | naive")
 
     p = sub.add_parser("consensus", help="weighted consensus of two sequences")
     p.set_defaults(run=_run_consensus)

@@ -1,12 +1,12 @@
-"""Suffix-array text index answering lcp(i, j) queries in O(1).
+"""Text index answering batches of lcp queries by binary lifting.
 
-The index holds the suffix array, its inverse, the LCP table and a
-sparse-table range-minimum structure.  Construction is O(n log n) and
-all numpy: prefix doubling (Karp-Miller-Rosenberg) ranks the length-2^t
-factors, and the LCP table is read off those rank levels by binary
-lifting.  Queries use 1-based positions throughout, matching the rest
-of the package.  `mismatch_walk` is the one mismatch walk of the
-matchers: batched kangaroo rounds over all live windows at once.
+The index is the Karp-Miller-Rosenberg rank levels alone: level t
+names every length-2^t factor, built by prefix doubling in numpy up to
+the longest possible answer (the text length for `LcpIndex`, the
+pattern length m for `CrossLcpIndex`), so a batch of queries costs
+O(log m) gathers.  Positions are 1-based, as in the rest of the
+package.  `mismatch_walk` is the one mismatch walk of the matchers:
+batched kangaroo rounds over all live windows at once.
 """
 
 from __future__ import annotations
@@ -24,77 +24,49 @@ def _encode(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), dtype="<u4").astype(np.int32)
 
 
-def _suffix_array_lcp(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix array and LCP table by prefix doubling, O(n log n).
+def _rank_levels(codes: np.ndarray, cap: int) -> np.ndarray:
+    """KMR names of the length-2^t factors, for every 2^t <= cap.
 
-    Level t holds the int32 rank of every length-2^t factor (n < 2^31),
-    padded at index n with -1, the rank of the empty suffix.  Each
-    round sorts one combined int64 key (rank[i], rank[i + 2^t] + 1) and
-    stops once all keys differ.  For distinct positions, equal level-t
-    ranks mean a common prefix of length 2^t, so the lcp of each
-    adjacent pair (sa[r], sa[r+1]) is found by binary lifting down the
-    levels: add 2^t wherever the ranks at the current offset agree.
+    Level t holds an int32 name of every length-2^t factor (n < 2^31),
+    cut short at the text end, and is padded at index n with -1, the
+    name of the empty suffix.  Each round sorts one combined int64 key
+    (name[i], name[i + 2^t] + 1) and stops once all keys differ: then
+    no lcp of distinct positions reaches 2^(t+1).
     """
     n = len(codes)
     # one block, so rows never touched cost no memory and the levels
     # go back to the system at once when the block is freed
-    levels = np.empty((n.bit_length(), n + 1), dtype=np.int32)
+    levels = np.empty((max(cap, 1).bit_length(), n + 1), dtype=np.int32)
     rank = levels[0]
     rank[:n] = codes
     rank[n] = -1
-    t, k = 0, 1
-    while True:
+    t = 0
+    while t + 1 < len(levels):
+        k = 1 << t
         key = rank[:n].astype(np.int64)
         key <<= 32
         key[: n - k] += rank[k:n] + 1
-        sa = np.argsort(key)
-        key = key[sa]
+        order = np.argsort(key)
+        key = key[order]
         new = key[1:] != key[:-1]
         if new.all():
             break
-        t, k = t + 1, 2 * k
+        t += 1
         rank = levels[t]
         rank[n] = -1
-        rank[sa[0]] = 0
-        rank[sa[1:]] = np.cumsum(new, dtype=np.int32)
-    # the length-2k factors all differ, so every lcp is below 2k
-    del key, new
-    a, b = sa[:-1], sa[1:]
-    lcp = np.zeros(n - 1, dtype=np.int64)
-    for t in range(t, -1, -1):
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum(new, dtype=np.int32)
+    return levels[: t + 1]
+
+
+def _lift(levels: np.ndarray, a, b: np.ndarray) -> np.ndarray:
+    """lcp of the 0-based suffixes a != b, if below 2^len(levels): top
+    level down, add 2^t wherever the names at the current offsets agree."""
+    out = np.zeros(len(b), dtype=np.int64)
+    for t in range(len(levels) - 1, -1, -1):
         level = levels[t]
-        lcp += (level[a + lcp] == level[b + lcp]).astype(np.int64) << t
-    return sa, lcp
-
-
-class _SparseTable:
-    """Range-minimum structure: O(n log n) space, O(1) query.
-
-    Level k, the minima of all 2^k-long runs, is table[start[k]:], so
-    a batch of ranges of mixed lengths is answered by two gathers.
-    """
-
-    def __init__(self, values: np.ndarray):
-        n = len(values)
-        sizes = [n - (1 << k) + 1 for k in range(n.bit_length())]
-        self.start = np.cumsum([0] + sizes[:-1])
-        self.table = np.empty(sum(sizes), dtype=np.int64)
-        self.table[:n] = values
-        for k in range(1, len(sizes)):
-            prev = self.table[self.start[k - 1]:]
-            half = 1 << (k - 1)
-            np.minimum(prev[: sizes[k]], prev[half: half + sizes[k]],
-                       out=self.table[self.start[k]: self.start[k] + sizes[k]])
-
-    def query_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Minimum over each inclusive index range [lo, hi] of two parallel arrays."""
-        # frexp is exact on integers below 2^53, unlike log2 rounding
-        ks = np.frexp(hi - lo + 1)[1] - 1
-        base = self.start[ks]
-        out = self.table[base + lo]
-        base += hi + 1
-        base -= 1 << ks
-        return np.minimum(out, self.table[base], out=out)
+        out += (level[a + out] == level[b + out]) << t
+    return out
 
 
 class LcpIndex:
@@ -105,13 +77,7 @@ class LcpIndex:
             raise DomainError("cannot index an empty text")
         self.text = text
         self.n = len(text)
-        sa, lcp = _suffix_array_lcp(_encode(text))
-        self.suffix_array = sa
-        inverse = np.empty(self.n, dtype=np.int64)
-        inverse[sa] = np.arange(self.n)
-        self.inverse_sa = inverse
-        self._rmq = _SparseTable(lcp)
-        self.lcp_table = self._rmq.table[: self.n - 1]  # level 0
+        self.levels = _rank_levels(_encode(text), self.n)
 
     def lcp(self, i: int, j: int) -> int:
         """Length of the longest common prefix of text[i..n] and text[j..n]."""
@@ -128,17 +94,12 @@ class LcpIndex:
         if (i.size and not (1 <= i.min() and i.max() <= n)) or \
                 (len(js) and not (1 <= js.min() and js.max() <= n)):
             raise DomainError(f"lcp position out of range, n={n}")
-        if n == 1:
-            return np.ones(len(js), dtype=np.int64)
-        ri = self.inverse_sa[i - 1]
-        rj = self.inverse_sa[js - 1]
-        # j == i gives hi < lo, and may sit at the last rank: any valid
-        # range will do, its answer is replaced below
-        lo = np.minimum(np.minimum(ri, rj), n - 2)
-        hi = np.maximum(ri, rj, out=rj)
-        hi -= 1
-        out = self._rmq.query_batch(lo, np.maximum(hi, lo, out=hi))
-        return np.where(js == i, n - i + 1, out)
+        a = i - 1
+        same = js == i
+        # j == i is the whole suffix; its lift runs against the empty
+        # suffix, whose -1 pad never agrees, so it stays in the text
+        out = _lift(self.levels, a, np.where(same, n, js - 1))
+        return np.where(same, n - a, out)
 
 
 class CrossLcpIndex:
@@ -146,7 +107,8 @@ class CrossLcpIndex:
 
     Indexes the concatenation pattern + SEPARATOR + text; the separator
     is smaller than every user letter and never matches, so results are
-    automatically truncated at the end of the pattern.
+    automatically truncated at the end of the pattern.  No answer
+    exceeds m, so the index holds at most floor(log2 m) + 1 levels.
     """
 
     def __init__(self, pattern: str, text: str):
@@ -154,7 +116,7 @@ class CrossLcpIndex:
             raise DomainError("input contains the reserved separator character")
         self.m = len(pattern)
         self.n = len(text)
-        self._index = LcpIndex(pattern + SEPARATOR + text)
+        self.levels = _rank_levels(_encode(pattern + SEPARATOR + text), self.m)
 
     def cross_lcp(self, i: int, j: int) -> int:
         """lcp of pattern[i..m] and text[j..n]."""
@@ -162,7 +124,7 @@ class CrossLcpIndex:
             raise DomainError(f"pattern position out of range: {i}")
         if not (1 <= j <= self.n):
             raise DomainError(f"text position out of range: {j}")
-        return self._index.lcp(i, self.m + 1 + j)
+        return int(_lift(self.levels, i - 1, np.array([j + self.m]))[0])
 
     def cross_lcp_batch(self, i, js: np.ndarray) -> np.ndarray:
         """`cross_lcp(i, j)` for every j in `js`; `i` is one position or an array like `js`."""
@@ -172,7 +134,7 @@ class CrossLcpIndex:
             raise DomainError(f"pattern position out of range: {i.min()}..{i.max()}")
         if len(js) and not (1 <= js.min() and js.max() <= self.n):
             raise DomainError(f"text position out of range: {js.min()}..{js.max()}")
-        return self._index.lcp_batch(i, js + self.m + 1)
+        return _lift(self.levels, i - 1, js + self.m)
 
 
 # windows walked together: on the benchmark's 20k- and 30k-window jobs

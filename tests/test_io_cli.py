@@ -285,6 +285,26 @@ def test_cli_sdwc_is_not_an_algorithm(tmp_path, capsys):
                                 "--algo", "sdwc"])
 
 
+def test_cli_matchers_take_only_auto_or_naive(tmp_path, capsys):
+    # pm and wpm have no solver, so a solver choice is an input error
+    prof = tmp_path / "p.prof"
+    prof.write_text("PROFILE 2 ab\n3 0\n2 5\n")
+    text = tmp_path / "t.txt"
+    text.write_text("abba\n")
+    pwm = tmp_path / "t.pwm"
+    pwm.write_text(FIG_PWM)
+    for base in (["pm", "--profile", str(prof), "--text", str(text), "--Z", "7"],
+                 ["wpm", "--pattern", str(text), "--text", str(pwm), "--z", "4"]):
+        for algo in ("auto", "naive"):
+            assert cli.main(base + ["--algo", algo]) == 0
+        capsys.readouterr()
+        for algo in ("mim", "k=3", "k=x", "sdwc"):
+            assert cli.main(base + ["--algo", algo]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"um {base[0]}" in err and repr(algo) in err
+
+
 def test_cli_parse_error_names_its_file(tmp_path, capsys):
     good = gen(tmp_path, "a.pwm", "--kind", "pwm", "--seed", "1", "--length", "4")
     bad = tmp_path / "b.pwm"

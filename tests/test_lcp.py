@@ -20,7 +20,7 @@ texts = st.text(alphabet="ab", min_size=1, max_size=60)
 
 
 @given(texts, st.data())
-@settings(max_examples=200, deadline=None)  # first call pays jit warm-up
+@settings(max_examples=200, deadline=None)
 def test_lcp_matches_naive(text, data):
     idx = build_index(text)
     n = len(text)
@@ -39,15 +39,6 @@ def test_cross_lcp_matches_naive(pattern, text):
             assert idx.cross_lcp(i, j) == naive_lcp(pattern[i - 1:], text[j - 1:])
 
 
-def test_suffix_array_is_sorted():
-    rng = random.Random(5)
-    for _ in range(30):
-        text = "".join(rng.choice("ab") for _ in range(rng.randint(1, 80)))
-        idx = LcpIndex(text)
-        suffixes = [text[i:] for i in idx.suffix_array]
-        assert suffixes == sorted(suffixes)
-
-
 def _fibonacci_word(n):
     a, b = "a", "ab"
     while len(b) < n:
@@ -55,25 +46,57 @@ def _fibonacci_word(n):
     return b[:n]
 
 
-@pytest.mark.parametrize("text", [
-    "a" * 2000,
-    "ab" * 1000,
-    _fibonacci_word(2000),
-    "".join(random.Random(7).choice("ab" + SEPARATOR) for _ in range(2000)),
-    "a",
-    "ab",
-    "ba",
-    "aa",
-], ids=["a*2000", "ab*1000", "fibonacci", "random-with-separator", "a", "ab", "ba", "aa"])
-def test_suffix_array_and_lcp_table_every_doubling_level(text):
-    # periodic texts keep ranks tied until the factor length passes the
-    # text length, so the construction and the lcp lifting use every level
-    idx = LcpIndex(text)
-    suffixes = [text[i:] for i in idx.suffix_array]
-    assert suffixes == sorted(suffixes)
-    assert len(idx.lcp_table) == len(text) - 1
-    for r in range(len(text) - 1):
-        assert idx.lcp_table[r] == naive_lcp(suffixes[r], suffixes[r + 1])
+TEXTS = {
+    "a*2000": "a" * 2000,
+    "ab*1000": "ab" * 1000,
+    "fibonacci": _fibonacci_word(2000),
+    "random-with-separator": "".join(random.Random(7).choice("ab" + SEPARATOR)
+                                     for _ in range(2000)),
+    "a": "a",
+    "ab": "ab",
+    "ba": "ba",
+    "aa": "aa",
+}
+
+
+@pytest.mark.parametrize("text", list(TEXTS.values()), ids=list(TEXTS))
+def test_lcp_batch_every_doubling_level(text):
+    # periodic texts keep names tied until the factor length passes the
+    # text length, so the doubling and the lifting use every level
+    short = text[:300]
+    idx = LcpIndex(short)
+    js = np.arange(1, len(short) + 1)
+    for i in js.tolist():
+        assert idx.lcp_batch(i, js).tolist() == \
+            [naive_lcp(short[i - 1:], short[j - 1:]) for j in js.tolist()]
+    if len(text) > len(short):
+        i, j = np.random.default_rng(11).integers(1, len(text) + 1, size=(2, 20_000))
+        assert LcpIndex(text).lcp_batch(i, j).tolist() == \
+            [naive_lcp(text[a - 1:], text[b - 1:]) for a, b in zip(i.tolist(), j.tolist())]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+def test_cross_lcp_batch_at_the_level_cap(m):
+    # a cross index keeps floor(log2 m) + 1 levels; periodic patterns
+    # reach the longest answers, m itself, at every power-of-two edge
+    rng = random.Random(m)
+    texts = ["a" * 80, "ab" * 40, "".join(rng.choice("ab") for _ in range(80))]
+    for pattern in ("a" * m, ("ab" * m)[:m]):
+        for text in texts:
+            idx = CrossLcpIndex(pattern, text)
+            i, j = np.meshgrid(np.arange(1, m + 1), np.arange(1, len(text) + 1))
+            i, j = i.ravel(), j.ravel()
+            assert idx.cross_lcp_batch(i, j).tolist() == \
+                [naive_lcp(pattern[a - 1:], text[b - 1:]) for a, b in zip(i.tolist(), j.tolist())]
+
+
+def test_cross_index_levels_are_capped_at_the_pattern_length():
+    m, n = 10, 100_000
+    idx = CrossLcpIndex("a" * m, "a" * n)
+    held = idx.levels if idx.levels.base is None else idx.levels.base
+    assert len(idx.levels) <= held.shape[0] <= m.bit_length()
+    js = np.arange(1, n + 1)
+    assert idx.cross_lcp_batch(1, js).tolist() == np.minimum(m, n + 1 - js).tolist()
 
 
 def test_equal_positions_full_suffix():
