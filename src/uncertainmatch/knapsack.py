@@ -2,12 +2,12 @@
 
 Choose one item per class so that value and weight sums stay within
 two thresholds.  The solver runs the classic meet-in-the-middle
-search parameterized by the number of feasible choices: partial
-choices over prefixes and suffixes of the class sequence are
-generated online in value order, growth stops once ranks certify that
-no feasible solution can be missed, and each split index is finished
-with a linear two-class sweep.  Instance reductions shrink the class
-count to O(log A / log lambda) first.
+search parameterized by the number of feasible choices: the
+value-sorted partial-choice lists over prefixes and suffixes of the
+class sequence are grown by doubling their length, growth stops once
+ranks certify that no feasible solution can be missed, and each split
+index is finished with a vectorized two-class sweep.  Instance
+reductions shrink the class count to O(log A / log lambda) first.
 
 Witnesses are always reconstructed: items carry their original
 (class, item) origins through every reduction.
@@ -15,10 +15,12 @@ Witnesses are always reconstructed: items carry their original
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .capacity import check_enumeration
 from .errors import DomainError
@@ -122,6 +124,8 @@ def choice_sums(inst: KnapsackInstance, choice: Choice) -> tuple[int, int]:
 def is_feasible(inst: KnapsackInstance, choice: Choice) -> bool:
     if sorted(choice) != list(range(inst.n)):
         return False
+    if not all(0 <= ii < len(inst.classes[ci]) for ci, ii in choice.items()):
+        return False
     v, w = choice_sums(inst, choice)
     return v <= inst.V and w <= inst.W
 
@@ -181,136 +185,107 @@ def _rank(s: PartialChoice, inst: KnapsackInstance, key, sum_index: int) -> int:
 # ---------------------------------------------------------------------------
 # two-class base case
 
+# The search refuses items whose sums could reach 2**62 in magnitude
+# (parsed items stay below 2**40, NegLog units below 2**43), so every
+# sum fits in int64; thresholds are unbounded ints and are clipped to
+# +-2**62 before numpy sees them.
+_CLIP = 1 << 62
 
-def pareto_filter(entries):
-    """Drop entries dominated by one with smaller value and weight.
 
-    Input must be sorted by non-decreasing v; the result has strictly
-    increasing v and strictly decreasing w.
+def solve_two_class(first: np.ndarray, second: np.ndarray, V: int, W: int):
+    """Rows (a, b) of two (v, w, ...) int64 arrays with a feasible sum, or None.
+
+    `second` must be sorted by value; a is the first row of `first`
+    that fits.  Each row of `first` is paired with the lightest row of
+    `second` whose value fits: one searchsorted into the values and a
+    prefix minimum of the weights.
     """
-    out = []
-    for e in entries:
-        if out and out[-1][1] <= e[1]:
-            continue
-        while out and out[-1][0] == e[0] and out[-1][1] > e[1]:
-            out.pop()
-        if out and out[-1][1] <= e[1]:
-            continue
-        out.append(e)
-    return out
-
-
-def solve_two_class(class1, class2, V: int, W: int):
-    """Feasible pair from two v-sorted entry lists, or None.
-
-    Entries are (v, w, payload) tuples.  Each first item is paired
-    with the largest-value admissible second item, which after
-    domination filtering also minimizes weight.
-    """
-    for cls in (class1, class2):
-        for a, b in zip(cls, cls[1:]):
-            if a[0] > b[0]:
-                raise DomainError("solve_two_class requires lists sorted by value")
-    front2 = pareto_filter(class2)
-    if not front2:
+    v2 = second[:, 0]
+    if np.any(v2[1:] < v2[:-1]):
+        raise DomainError("solve_two_class requires the second list sorted by value")
+    if not len(first) or not len(second):
         return None
-    # front2 has strictly increasing v and strictly decreasing w
-    ptr = len(front2) - 1
-    for v1, w1, p1 in class1:
-        budget = V - v1
-        while ptr >= 0 and front2[ptr][0] > budget:
-            ptr -= 1
-        if ptr < 0:
-            break  # later entries of class1 only have larger v
-        v2, w2, p2 = front2[ptr]
-        if w1 + w2 <= W:
-            return (v1, w1, p1), (v2, w2, p2)
-    return None
+    V, W = (max(-_CLIP, min(t, _CLIP)) for t in (V, W))
+    fits = np.searchsorted(v2, V - first[:, 0], side="right")
+    lightest = np.minimum.accumulate(second[:, 1])
+    hits = np.flatnonzero((fits > 0) & (first[:, 1] + lightest[fits - 1] <= W))
+    if not len(hits):
+        return None
+    a = int(hits[0])
+    return a, int(np.argmin(second[: fits[a], 1]))
 
 
 # ---------------------------------------------------------------------------
-# online ranked prefix-list generation
+# ranked prefix lists, grown by doubling
+
+# Length every unfinished list reaches at the first step; later steps
+# double it.  Every step pays a fixed numpy overhead per list: on the
+# mck-solve benchmark jobs blocks of 8 to 32 were slower than 64, and
+# 64 to 256 measured alike.  A larger block only loosens the growth
+# bound max(FIRST_BLOCK, 4 sqrt(a lambda)) that the tests check.
+FIRST_BLOCK = 64
 
 
 class PrefixGenerator:
-    """Generates the value-sorted partial-choice lists L_0..L_n online.
+    """The value-sorted partial-choice lists L_0..L_n, grown by doubling.
 
-    L_j enumerates partial choices over classes 1..j ordered by
-    non-decreasing value; each step appends one element to every
-    unfinished list (j ascending), driven by one binary heap of
-    iterators per class.  List entries are
-    (v_sum, w_sum, index_into_previous_list, item_index).
+    L_j enumerates partial choices over classes 1..j by non-decreasing
+    value, ties by the value rank of the last item, then by the row of
+    L_{j-1}.  It is one int64 array of rows
+    (v_sum, w_sum, row of L_{j-1}, item index).  Every step doubles the
+    length r that the unfinished lists hold (FIRST_BLOCK at the first
+    step).  The r smallest rows of L_j pair the item of value rank i
+    only with the first r // i rows of L_{j-1}, so one stable argsort
+    over O(r log lambda) candidates finds them.
     """
 
     def __init__(self, classes):
-        self.classes = list(classes)
-        n = len(self.classes)
-        self.lists = [[(0, 0, -1, -1)]] + [[] for _ in range(n)]
-        self.complete = [True] + [False] * n
-        self.heaps = []
-        self.pending = []  # iterators waiting for the previous list to grow
-        for j, cls in enumerate(self.classes, start=1):
-            if j == 1:
-                heap = [(it.v, idx, 0) for idx, it in enumerate(cls)]
-                heapq.heapify(heap)
-                self.heaps.append(heap)
-                self.pending.append([])
-            else:
-                # L_{j-1} is still empty; park every iterator until it grows
-                self.heaps.append([])
-                self.pending.append([(idx, 0) for idx in range(len(cls))])
+        self.items = []  # per class: rows (v, w, item index) in value order
+        for cls in classes:
+            rows = np.array([(it.v, it.w, i) for i, it in enumerate(cls)], dtype=np.int64)
+            self.items.append(rows[np.argsort(rows[:, 0], kind="stable")])
+        self.lists = [np.array([[0, 0, -1, -1]], dtype=np.int64)]
+        self.lists += [np.empty((0, 4), dtype=np.int64) for _ in self.items]
+        self.complete = [True] + [False] * self.n
+        self.r = 0
 
     @property
     def n(self) -> int:
-        return len(self.classes)
+        return len(self.items)
 
     def all_complete(self) -> bool:
         return all(self.complete)
 
     def step(self) -> None:
-        """Append one element to each unfinished list, in increasing j."""
+        """Double r and extend each unfinished list to its r smallest rows."""
+        r = self.r = 2 * self.r if self.r else FIRST_BLOCK
         for j in range(1, self.n + 1):
             if self.complete[j]:
                 continue
-            prev = self.lists[j - 1]
-            heap = self.heaps[j - 1]
-            still_pending = []
-            for item_idx, pos in self.pending[j - 1]:
-                if pos < len(prev):
-                    heapq.heappush(heap, (prev[pos][0] + self.classes[j - 1][item_idx].v, item_idx, pos))
-                elif not self.complete[j - 1]:
-                    still_pending.append((item_idx, pos))
-                # else: iterator exhausted a completed list; drop it
-            self.pending[j - 1] = still_pending
-            if not heap:
-                if not still_pending:
-                    self.complete[j] = True
-                continue
-            value, item_idx, pos = heapq.heappop(heap)
-            item = self.classes[j - 1][item_idx]
-            self.lists[j].append((value, prev[pos][1] + item.w, pos, item_idx))
-            npos = pos + 1
-            if npos < len(prev):
-                heapq.heappush(heap, (prev[npos][0] + item.v, item_idx, npos))
-            elif not self.complete[j - 1]:
-                self.pending[j - 1].append((item_idx, npos))
-            if not heap and not self.pending[j - 1]:
-                self.complete[j] = True
+            prev, items = self.lists[j - 1], self.items[j - 1]
+            counts = np.minimum(r // np.arange(1, len(items) + 1), len(prev))
+            rank = np.repeat(np.arange(len(items)), counts)
+            row = np.arange(len(rank)) - np.repeat(np.cumsum(counts) - counts, counts)
+            v = prev[:, 0][row] + items[:, 0][rank]
+            keep = np.argsort(v, kind="stable")[:r]
+            rank, row = rank[keep], row[keep]
+            w = prev[:, 1][row] + items[:, 1][rank]
+            self.lists[j] = np.stack((v[keep], w, row, items[:, 2][rank]), axis=1)
+            self.complete[j] = self.complete[j - 1] and len(prev) * len(items) <= r
 
     def value_at(self, j: int, ell: int):
         """Value of the ell-th (1-based) element of L_j; inf past the end."""
         lst = self.lists[j]
         if ell <= len(lst):
-            return lst[ell - 1][0]
+            return int(lst[ell - 1, 0])
         return INFINITE
 
     def picks_of(self, j: int, index: int) -> list[tuple[int, int]]:
         """(class, item) picks of the index-th (0-based) element of L_j."""
         out = []
         while j > 0:
-            entry = self.lists[j][index]
-            out.append((j - 1, entry[3]))
-            index = entry[2]
+            _, _, index, item = self.lists[j][index].tolist()
+            out.append((j - 1, item))
             j -= 1
         out.reverse()
         return out
@@ -383,7 +358,6 @@ def prune_class(cls: tuple[Item, ...]) -> tuple[Item, ...]:
         size = len(items)
         by_v = sorted(it.v for it in items)
         by_w = sorted(it.w for it in items)
-        import bisect
         pivot = None
         for it in items:
             rv = bisect.bisect_right(by_v, it.v)
@@ -458,7 +432,7 @@ def reduce_instance(inst: KnapsackInstance) -> Reduction:
 class _Search:
     """One oriented meet-in-the-middle run over a reduced instance.
 
-    Grows the rank budget r step by step; once no split index can
+    Doubles the rank budget r step by step; once no split index can
     reach the value threshold (or everything is generated), the join
     phase sweeps every split with the two-class solver.
     """
@@ -473,28 +447,15 @@ class _Search:
         self.r = 0
         self.ell = 0
         self.stopped = False
-        if rank_limit_fn is not None:
-            # per-class value ranks, used to filter middle items for j > k
-            self.class_ranks = []
-            for cls in inst.classes:
-                by_v = sorted(it.v for it in cls)
-                import bisect
-                self.class_ranks.append(
-                    [bisect.bisect_right(by_v, it.v) for it in cls]
-                )
-
-    def _r_value(self, j: int, r: int):
-        """Value of the r-th element of the suffix list R_j (classes j..n)."""
-        return self.gen_r.value_at(self.inst.n - j + 1, r)
 
     def grow_step(self) -> bool:
-        """Advance r by one; returns True once growth has stopped."""
+        """Double r; returns True once growth has stopped."""
         if self.stopped:
             return True
-        self.r += 1
-        self.ell = self.ell_fn(self.r)
         self.gen_l.step()
         self.gen_r.step()
+        self.r = self.gen_l.r
+        self.ell = self.ell_fn(self.r)
         if self.gen_l.all_complete() and self.gen_r.all_complete():
             longest = max(len(lst) for lst in self.gen_l.lists + self.gen_r.lists)
             self.r = self.ell = longest
@@ -502,39 +463,33 @@ class _Search:
             return True
         n, V = self.inst.n, self.inst.V
         for j in range(n + 1):
-            left = self.gen_l.value_at(j, self.ell)
-            right = self._r_value(j + 1, self.r)
-            if left + right <= V:
+            # L_j's ell-th value plus the r-th value of the suffix list over classes j+1..n
+            if self.gen_l.value_at(j, self.ell) + self.gen_r.value_at(n - j, self.r) <= V:
                 return False
         self.stopped = True
         return True
 
     def join(self) -> Choice | None:
         inst = self.inst
-        n, V, W = inst.n, inst.V, inst.W
+        n = inst.n
         for j in range(1, n + 1):
             prev = self.gen_l.lists[j - 1][: self.ell]
-            cls = inst.classes[j - 1]
-            allowed = range(len(cls))
+            items = self.gen_l.items[j - 1]
             if self.rank_limit_fn is not None and j > self.front_k:
+                # the items of value rank at most the limit, ties counted
                 limit = self.rank_limit_fn(self.ell)
-                allowed = [
-                    idx for idx in allowed if self.class_ranks[j - 1][idx] <= limit
-                ]
-            streams = [
-                [(e[0] + cls[idx].v, e[1] + cls[idx].w, (t, idx)) for t, e in enumerate(prev)]
-                for idx in allowed
-            ]
-            class_a = list(heapq.merge(*streams, key=lambda e: e[0]))
+                if limit < len(items):
+                    items = items[: np.searchsorted(items[:, 0], items[limit, 0])]
+            # L_{j-1}[:ell] + C_j as one outer sum, rows ordered (item, row of prev)
+            pairs = items[:, None, :2] + prev[None, :, :2]
             suffix = self.gen_r.lists[n - j][: self.r]
-            class_b = [(e[0], e[1], t) for t, e in enumerate(suffix)]
-            res = solve_two_class(class_a, class_b, V, W)
-            if res is None:
+            hit = solve_two_class(pairs.reshape(-1, 2), suffix, inst.V, inst.W)
+            if hit is None:
                 continue
-            (_, _, (t, idx)), (_, _, rpos) = res
+            item, t = divmod(hit[0], len(prev))
             picks = dict(self.gen_l.picks_of(j - 1, t))
-            picks[j - 1] = idx
-            for rev_class, item_idx in self.gen_r.picks_of(n - j, rpos):
+            picks[j - 1] = int(items[item, 2])
+            for rev_class, item_idx in self.gen_r.picks_of(n - j, hit[1]):
                 picks[n - 1 - rev_class] = item_idx
             return picks
         return None
@@ -558,7 +513,7 @@ def _assemble(inst: KnapsackInstance, picks: Choice, fixed: tuple[Item, ...]) ->
     return _origins_to_choice(origins)
 
 
-def _run_lockstep(searches, reduced_inst, fixed, abort_r=None):
+def _run_lockstep(searches, fixed, abort_r=None):
     """Alternate single growth steps; the first stopped search decides.
 
     Returns (outcome, aborted): outcome is a Choice or None, aborted
@@ -578,17 +533,29 @@ def _run_lockstep(searches, reduced_inst, fixed, abort_r=None):
                 return None, True
 
 
+def _reduced(inst: KnapsackInstance) -> tuple[Choice | None, Reduction | None]:
+    """Run reduce_instance: (its answer, None) if it decided, else (None, it).
+
+    Raises DomainError when the items left could overflow int64 sums.
+    """
+    red = reduce_instance(inst)
+    if red.decided is None:
+        classes = red.instance.classes
+        if sum(max(max(abs(it.v), abs(it.w)) for it in cls) for cls in classes) >= _CLIP:
+            raise DomainError("item values and weights must sum to less than 2**62")
+        return None, red
+    return (_assemble(inst, {}, red.fixed) if red.decided else None), None
+
+
 def solve(inst: KnapsackInstance) -> Choice | None:
     """Feasible choice or None, in O(N + sqrt(a*lambda) log A) time.
 
     Runs the value-oriented and weight-oriented searches in
     deterministic lock-step; whichever stops growing first decides.
     """
-    red = reduce_instance(inst)
-    if red.decided is not None:
-        if not red.decided:
-            return None
-        return _assemble(KnapsackInstance((), 0, 0), {}, red.fixed)
+    answer, red = _reduced(inst)
+    if red is None:
+        return answer
     base = red.instance
     lam = max(base.lam, 1)
     ell_fn = lambda r: -(-r // lam)
@@ -596,7 +563,7 @@ def solve(inst: KnapsackInstance) -> Choice | None:
         _Search(base, ell_fn),
         _Search(base.swapped(), ell_fn),
     ]
-    outcome, _ = _run_lockstep(searches, base, red.fixed)
+    outcome, _ = _run_lockstep(searches, red.fixed)
     return outcome
 
 
@@ -610,11 +577,9 @@ def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
     """
     if k < 1:
         raise DomainError("k must be a positive integer")
-    red = reduce_instance(inst)
-    if red.decided is not None:
-        if not red.decided:
-            return None
-        return _assemble(KnapsackInstance((), 0, 0), {}, red.fixed)
+    answer, red = _reduced(inst)
+    if red is None:
+        return answer
     base = red.instance
     n = base.n
     lam = max(base.lam, 2)
@@ -633,7 +598,7 @@ def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
                 _Search(permuted, ell_fn, rank_limit_fn, kk),
                 _Search(permuted.swapped(), ell_fn, rank_limit_fn, kk),
             ]
-            outcome, aborted = _run_lockstep(searches, permuted, red.fixed, abort_r=abort_r)
+            outcome, aborted = _run_lockstep(searches, red.fixed, abort_r=abort_r)
             if aborted:
                 any_aborted = True
                 continue

@@ -1,7 +1,14 @@
+import contextlib
+import io as stdio
 import itertools
+import json
+import math
+import random
 
+import numpy as np
 import pytest
 
+from uncertainmatch import cli, io
 from uncertainmatch import knapsack as K
 from uncertainmatch.errors import CapacityError, DomainError
 
@@ -46,63 +53,77 @@ def test_rank_examples():
     assert K.rank_v(K.PartialChoice((0,), (0,)), inst) == 1
 
 
+def pairs(*rows):
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
 def test_solve_two_class():
-    c1 = [(1, 5, "a"), (3, 1, "b")]
-    c2 = [(2, 2, "c"), (4, 0, "d")]
+    c1 = pairs((1, 5), (3, 1))
+    c2 = pairs((2, 2), (4, 0))
     got = K.solve_two_class(c1, c2, 5, 3)
     assert got is not None
-    (v1, w1, p1), (v2, w2, p2) = got
-    assert v1 + v2 <= 5 and w1 + w2 <= 3
+    a, b = got
+    assert c1[a, 0] + c2[b, 0] <= 5 and c1[a, 1] + c2[b, 1] <= 3
     assert K.solve_two_class(c1, c2, 2, 100) is None
-    assert K.solve_two_class([(1, 1, "x")], [(2, 2, "y")], 3, 3) == \
-        ((1, 1, "x"), (2, 2, "y"))
+    got = K.solve_two_class(pairs((1, 1)), pairs((2, 2)), 3, 3)
+    assert got == (0, 0) and all(type(x) is int for x in got)
+    assert K.solve_two_class(pairs(), c2, 5, 5) is None
     with pytest.raises(DomainError):
-        K.solve_two_class([(3, 0, "a"), (1, 0, "b")], c2, 5, 5)
+        K.solve_two_class(c1, pairs((3, 0), (1, 0)), 5, 5)
 
 
 def test_solve_two_class_equals_pairing(rng):
     for _ in range(200):
-        c1 = sorted((rng.randint(0, 9), rng.randint(0, 9), i) for i in range(rng.randint(1, 6)))
-        c2 = sorted((rng.randint(0, 9), rng.randint(0, 9), i) for i in range(rng.randint(1, 6)))
+        # the first list may come in any order; the second must be value-sorted
+        c1 = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 6))]
+        c2 = sorted((rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 6)))
         V, W = rng.randint(0, 12), rng.randint(0, 12)
-        got = K.solve_two_class(c1, c2, V, W)
-        expect = any(a[0] + b[0] <= V and a[1] + b[1] <= W for a in c1 for b in c2)
-        assert (got is not None) == expect
+        got = K.solve_two_class(pairs(*c1), pairs(*c2), V, W)
+        fits = [any(a[0] + b[0] <= V and a[1] + b[1] <= W for b in c2) for a in c1]
+        assert (got is not None) == any(fits)
         if got:
-            (v1, w1, _), (v2, w2, _) = got
-            assert v1 + v2 <= V and w1 + w2 <= W
+            a, b = got
+            assert c1[a][0] + c2[b][0] <= V and c1[a][1] + c2[b][1] <= W
+            assert not any(fits[:a])  # a is the first row of c1 that fits
 
 
 def test_generator_example():
     gen = full_lists(K.make_instance([[(1, 0), (3, 0)], [(2, 0), (4, 0)]], 0, 0).classes)
-    assert [e[0] for e in gen.lists[2]] == [3, 5, 5, 7]
-    assert gen.lists[0] == [(0, 0, -1, -1)]
+    assert gen.lists[2][:, 0].tolist() == [3, 5, 5, 7]
+    assert gen.lists[0].tolist() == [[0, 0, -1, -1]]
     single = K.PrefixGenerator(K.make_instance([[(5, 7)]], 0, 0).classes)
     single.step()
-    assert [e[:2] for e in single.lists[1]] == [(5, 7)]
+    assert single.lists[1][:, :2].tolist() == [[5, 7]]
     assert single.all_complete()
-    single.step()  # stepping an exhausted generator is a no-op
+    single.step()  # stepping an exhausted generator leaves its lists alone
     assert len(single.lists[1]) == 1
 
 
-def test_generator_prefix_of_sorted_enumeration(rng):
-    for _ in range(100):
-        inst = random_knapsack(rng, max_n=4, max_lam=3)
-        expect = sorted(
-            sum(it.v for it in pick)
-            for pick in itertools.product(*inst.classes)
-        )
+def test_generator_prefix_of_sorted_enumeration(rng, monkeypatch):
+    for trial in range(100):
+        block = (1, 2, 3, K.FIRST_BLOCK)[trial % 4]
+        monkeypatch.setattr(K, "FIRST_BLOCK", block)
+        inst = random_knapsack(rng, max_n=5, max_lam=4)
         gen = K.PrefixGenerator(inst.classes)
-        steps = rng.randint(1, len(expect))
+        total = inst.num_choices()
+        steps = rng.randint(1, max(1, (total // block).bit_length() + 1))
         for _ in range(steps):
             gen.step()
-        got = [e[0] for e in gen.lists[inst.n]]
-        assert got == expect[: len(got)]
-        assert len(got) == min(steps, len(expect))
-        for t, e in enumerate(gen.lists[inst.n]):
-            picks = gen.picks_of(inst.n, t)
-            assert sum(inst.classes[c][i].v for c, i in picks) == e[0]
-            assert sum(inst.classes[c][i].w for c, i in picks) == e[1]
+        for j in range(inst.n + 1):
+            expect = sorted(
+                sum(it.v for it in pick) for pick in itertools.product(*inst.classes[:j])
+            )
+            got = gen.lists[j][:, 0].tolist()
+            assert got == expect[: len(got)]
+            assert len(got) == min(block * 2 ** (steps - 1), len(expect))
+            seen = set()
+            for t, e in enumerate(gen.lists[j].tolist()):
+                picks = gen.picks_of(j, t)
+                assert [c for c, _ in picks] == list(range(j))
+                assert sum(inst.classes[c][i].v for c, i in picks) == e[0]
+                assert sum(inst.classes[c][i].w for c, i in picks) == e[1]
+                seen.add(tuple(picks))
+            assert len(seen) == len(got)  # no partial choice listed twice
 
 
 def test_greedy_reduce():
@@ -279,3 +300,95 @@ def test_infeasible_below_minimum():
     inst = K.make_instance([[(3, 0), (5, 1)], [(4, 0)]], 6, 100)
     assert K.solve(inst) is None
     assert K.solve_k(inst, 1) is None
+
+
+def test_is_feasible_rejects_out_of_range_picks():
+    assert K.is_feasible(EXAMPLE, {0: 1, 1: 0})
+    assert not K.is_feasible(EXAMPLE, {0: -1, 1: 0})  # -1 must not wrap to the last item
+    assert not K.is_feasible(EXAMPLE, {0: 2, 1: 0})
+    assert not K.is_feasible(EXAMPLE, {0: 1})
+
+
+def test_search_refuses_int64_overflow():
+    # three classes of 2**61: the search would sum past int64
+    inst = K.make_instance([[(1 << 61, 0), (0, 1 << 61)]] * 3, 1 << 61, 1 << 62)
+    assert K.reduce_instance(inst).decided is None
+    with pytest.raises(DomainError):
+        K.solve(inst)
+
+
+def run_knapsack(tmp_path, inst, *argv):
+    path = tmp_path / "i.mck"
+    path.write_text(io.serialize_mck(inst))
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["knapsack", "--instance", str(path), *argv])
+    return rc, out.getvalue()
+
+
+def test_solvers_agree_past_int64(rng, tmp_path):
+    # negative item values, and thresholds far beyond int64 on either side
+    huge = 10 ** 30
+    answers = set()
+    for trial in range(200):
+        inst = random_knapsack(rng, max_n=5, max_lam=4)
+        classes = [[(it.v - 10, it.w - 10) for it in cls] for cls in inst.classes]
+        V = (huge, -huge, inst.V - 20)[trial % 3]
+        W = (huge, -huge, inst.W - 20)[trial // 3 % 3]
+        inst = K.make_instance(classes, V, W)
+        feasible = K.brute_force(inst) is not None
+        answers.add(feasible)
+        for choice in (K.solve(inst), K.solve_k(inst, 1), K.solve_k(inst, 2)):
+            assert (choice is not None) == feasible
+            if choice is not None:
+                assert K.is_feasible(inst, choice)
+        if trial % 10 == 0:
+            for argv in ((), ("--algo", "k=2")):
+                rc, out = run_knapsack(tmp_path, inst, *argv)
+                assert rc == (0 if feasible else 1)
+                assert out.startswith("YES" if feasible else "NO")
+    assert answers == {True, False}
+
+
+def test_cli_jsonl_witness_from_search(tmp_path):
+    # 12 classes of (a, 0), (0, a): a subset sum no reduction decides
+    nums = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    inst = K.make_instance([[(a, 0), (0, a)] for a in nums], 60, sum(nums) - 60)
+    assert K.reduce_instance(inst).decided is None
+    rc, out = run_knapsack(tmp_path, inst, "--format", "jsonl")
+    assert rc == 0
+    got = json.loads(out)
+    assert got["feasible"]
+    choice = {int(c) - 1: i - 1 for c, i in got["choice"].items()}
+    assert K.is_feasible(inst, choice)
+
+
+def test_growth_stops_within_bound(monkeypatch):
+    # the search that decides stops at r <= max(first block, 4 ceil(sqrt(a lambda))),
+    # a = min(A_V, A_W); a first block of 1 checks the doubling itself
+    stops = []
+    join = K._Search.join
+
+    def record(search):
+        stops.append(search.r)
+        return join(search)
+
+    monkeypatch.setattr(K._Search, "join", record)
+    for block in (1, K.FIRST_BLOCK):
+        monkeypatch.setattr(K, "FIRST_BLOCK", block)
+        rng = random.Random(block)
+        searched = 0
+        for _ in range(300):
+            inst = random_knapsack(rng, max_n=6, max_lam=4, v_hi=30, t_hi=120)
+            red = K.reduce_instance(inst)
+            stops.clear()
+            K.solve(inst)
+            if red.decided is not None:
+                assert not stops
+                continue
+            a_v, a_w = K.count_feasible(red.instance)
+            a = max(1, min(a_v, a_w))
+            bound = max(block, 4 * math.ceil(math.sqrt(a * red.instance.lam)))
+            assert len(stops) == 1 and stops[0] <= bound, (inst, stops, bound)
+            searched += 1
+        assert searched >= 100
