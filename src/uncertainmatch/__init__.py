@@ -24,7 +24,7 @@ from .knapsack import (
     solve,
     solve_k,
 )
-from .lcp import CrossLcpIndex, LcpIndex, build_cross_index, build_index
+from .lcp import CrossLcpIndex, build_cross_index
 from .profile import ScoringMatrix, count_matching_strings, profile_match, score
 from .sdwc import SdwcInstance
 from .weighted import (
@@ -46,7 +46,6 @@ __all__ = [
     "DomainError",
     "GwpmResult",
     "KnapsackInstance",
-    "LcpIndex",
     "ParseError",
     "ProbThreshold",
     "ScoringMatrix",
@@ -55,7 +54,6 @@ __all__ = [
     "WeightedSequence",
     "brute_force",
     "build_cross_index",
-    "build_index",
     "count_feasible",
     "count_matching_strings",
     "from_probabilities",

@@ -2,14 +2,10 @@
 
 Brute-force oracles refuse instances whose search space exceeds
 ``ENUMERATION_LIMIT`` choices, and parsers reject magnitudes that
-could make 64-bit window sums overflow.  The environment variable
-``UM_CAPACITY_OVERRIDE`` raises the enumeration guard for research
-runs.
+could make 64-bit window sums overflow.
 """
 
 from __future__ import annotations
-
-import os
 
 from .errors import CapacityError
 
@@ -21,17 +17,9 @@ MAX_ABS_MAGNITUDE = 1 << 40
 MAX_ITEMS = 1 << 20
 
 
-def enumeration_limit() -> int:
-    override = os.environ.get("UM_CAPACITY_OVERRIDE")
-    if override:
-        return max(ENUMERATION_LIMIT, int(override))
-    return ENUMERATION_LIMIT
-
-
 def check_enumeration(size: int, what: str) -> None:
-    limit = enumeration_limit()
-    if size > limit:
+    if size > ENUMERATION_LIMIT:
         raise CapacityError(
             f"{what}: search space of {size} exceeds the enumeration "
-            f"guard of {limit} (set UM_CAPACITY_OVERRIDE to raise it)"
+            f"guard of {ENUMERATION_LIMIT}"
         )

@@ -82,12 +82,7 @@ def _parse(parse, path: str):
 
 def _read_string(path: str) -> str:
     """A solid string file: comments stripped, lines concatenated."""
-    parts = []
-    for line in _read(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            parts.append(line)
-    return "".join(parts)
+    return "".join(line for _, line in io_mod._logical_lines(_read(path)))
 
 
 def _emit_positions(positions, fmt, witness_of=None):
@@ -238,8 +233,11 @@ def _gen(args) -> str:
 def _run_gen(args) -> int:
     content = _gen(args)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(content)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(content)
     return EXIT_OK

@@ -195,8 +195,6 @@ def knapsack_to_wc(inst: KnapsackInstance, normalize: bool = False) -> WcInstanc
 class _Occurrence:
     mismatches: tuple[int, ...]  # 1-based offsets into the pattern
     letters: str  # consensus letters at the mismatch offsets
-    alpha_rest: int  # NegLog of the window's heavy letters outside D
-    beta_rest: int  # NegLog of the pattern's heavy letters outside D
 
 
 @dataclass(frozen=True)
@@ -285,13 +283,13 @@ def gwpm(
         if not c:
             if a <= z_units and b <= z_units:
                 occ.append(p)
-                records[p] = _Occurrence((), "", a, b)
+                records[p] = _Occurrence((), "")
             continue
         mism = row[:c]
         witness = _solve_window(P, T, z, p, mism, a, b, algo, k)
         if witness is not None:
             occ.append(p)
-            records[p] = _Occurrence(tuple(mism), witness, a, b)
+            records[p] = _Occurrence(tuple(mism), witness)
     return GwpmResult(tuple(occ), m, heavy_t, records)
 
 

@@ -23,7 +23,7 @@ from . import neglog
 from .capacity import MAX_ABS_MAGNITUDE, MAX_ITEMS
 from .errors import ParseError
 from .knapsack import KnapsackInstance, make_instance
-from .profile import ScoringMatrix
+from .profile import _SCORE_LIMIT, ScoringMatrix
 from .weighted import WeightedSequence, first_invalid_row, from_probabilities
 
 
@@ -97,8 +97,8 @@ def parse_profile(text: str) -> ScoringMatrix:
             )
         row = tuple(_int(t, lines, "score") for t in tokens)
         for s in row:
-            if abs(s) >= MAX_ABS_MAGNITUDE:
-                raise ParseError(f"score magnitude {s} exceeds 2^40", lines.last)
+            if abs(s) >= _SCORE_LIMIT:
+                raise ParseError(f"score out of 32-bit range: {s}", lines.last)
         rows.append(row)
     lines.expect_end()
     return ScoringMatrix(alphabet, tuple(rows))

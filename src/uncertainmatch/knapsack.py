@@ -64,23 +64,11 @@ class KnapsackInstance:
     def lam(self) -> int:
         return max((len(c) for c in self.classes), default=0)
 
-    @property
-    def num_items(self) -> int:
-        return sum(len(c) for c in self.classes)
-
     def num_choices(self) -> int:
         out = 1
         for c in self.classes:
             out *= len(c)
         return out
-
-    def swapped(self) -> "KnapsackInstance":
-        """The symmetric instance with values and weights exchanged."""
-        return KnapsackInstance(
-            tuple(tuple(Item(it.w, it.v, it.origin) for it in cls) for cls in self.classes),
-            self.W,
-            self.V,
-        )
 
 
 def make_instance(class_items, V: int, W: int) -> KnapsackInstance:
@@ -226,6 +214,21 @@ def solve_two_class(first: np.ndarray, second: np.ndarray, V: int, W: int):
 FIRST_BLOCK = 64
 
 
+def oriented_rows(classes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each class as int64 rows in both orientations of the search.
+
+    The value orientation holds rows (v, w, item index) stable-sorted
+    on v; the weight orientation holds the same rows with v and w
+    swapped, stable-sorted on w, so ties keep the item order in both.
+    """
+    by_v, by_w = [], []
+    for cls in classes:
+        rows = np.array([(it.v, it.w, i) for i, it in enumerate(cls)], dtype=np.int64)
+        by_v.append(rows[np.argsort(rows[:, 0], kind="stable")])
+        by_w.append(rows[np.argsort(rows[:, 1], kind="stable")][:, [1, 0, 2]])
+    return by_v, by_w
+
+
 class PrefixGenerator:
     """The value-sorted partial-choice lists L_0..L_n, grown by doubling.
 
@@ -236,14 +239,12 @@ class PrefixGenerator:
     length r that the unfinished lists hold (FIRST_BLOCK at the first
     step).  The r smallest rows of L_j pair the item of value rank i
     only with the first r // i rows of L_{j-1}, so one stable argsort
-    over O(r log lambda) candidates finds them.
+    over O(r log lambda) candidates finds them.  `items` holds one
+    value-sorted row array per class, as `oriented_rows` builds them.
     """
 
-    def __init__(self, classes):
-        self.items = []  # per class: rows (v, w, item index) in value order
-        for cls in classes:
-            rows = np.array([(it.v, it.w, i) for i, it in enumerate(cls)], dtype=np.int64)
-            self.items.append(rows[np.argsort(rows[:, 0], kind="stable")])
+    def __init__(self, items):
+        self.items = items  # per class: rows (v, w, item index) in value order
         self.lists = [np.array([[0, 0, -1, -1]], dtype=np.int64)]
         self.lists += [np.empty((0, 4), dtype=np.int64) for _ in self.items]
         self.complete = [True] + [False] * self.n
@@ -432,18 +433,20 @@ def reduce_instance(inst: KnapsackInstance) -> Reduction:
 class _Search:
     """One oriented meet-in-the-middle run over a reduced instance.
 
+    `rows` holds each class's rows in one orientation of `oriented_rows`
+    and V, W are the thresholds of its first and second column.
     Doubles the rank budget r step by step; once no split index can
     reach the value threshold (or everything is generated), the join
     phase sweeps every split with the two-class solver.
     """
 
-    def __init__(self, inst: KnapsackInstance, ell_fn, rank_limit_fn=None, front_k: int = 0):
-        self.inst = inst
+    def __init__(self, rows, V: int, W: int, ell_fn, rank_limit_fn=None, front_k: int = 0):
+        self.n, self.V, self.W = len(rows), V, W
         self.ell_fn = ell_fn
         self.rank_limit_fn = rank_limit_fn
         self.front_k = front_k
-        self.gen_l = PrefixGenerator(inst.classes)
-        self.gen_r = PrefixGenerator(tuple(reversed(inst.classes)))
+        self.gen_l = PrefixGenerator(rows)
+        self.gen_r = PrefixGenerator(rows[::-1])
         self.r = 0
         self.ell = 0
         self.stopped = False
@@ -461,7 +464,7 @@ class _Search:
             self.r = self.ell = longest
             self.stopped = True
             return True
-        n, V = self.inst.n, self.inst.V
+        n, V = self.n, self.V
         for j in range(n + 1):
             # L_j's ell-th value plus the r-th value of the suffix list over classes j+1..n
             if self.gen_l.value_at(j, self.ell) + self.gen_r.value_at(n - j, self.r) <= V:
@@ -470,8 +473,7 @@ class _Search:
         return True
 
     def join(self) -> Choice | None:
-        inst = self.inst
-        n = inst.n
+        n = self.n
         for j in range(1, n + 1):
             prev = self.gen_l.lists[j - 1][: self.ell]
             items = self.gen_l.items[j - 1]
@@ -483,7 +485,7 @@ class _Search:
             # L_{j-1}[:ell] + C_j as one outer sum, rows ordered (item, row of prev)
             pairs = items[:, None, :2] + prev[None, :, :2]
             suffix = self.gen_r.lists[n - j][: self.r]
-            hit = solve_two_class(pairs.reshape(-1, 2), suffix, inst.V, inst.W)
+            hit = solve_two_class(pairs.reshape(-1, 2), suffix, self.V, self.W)
             if hit is None:
                 continue
             item, t = divmod(hit[0], len(prev))
@@ -513,9 +515,10 @@ def _assemble(inst: KnapsackInstance, picks: Choice, fixed: tuple[Item, ...]) ->
     return _origins_to_choice(origins)
 
 
-def _run_lockstep(searches, fixed, abort_r=None):
+def _run_lockstep(searches, inst, order, fixed, abort_r=None):
     """Alternate single growth steps; the first stopped search decides.
 
+    The searches run over the classes of `inst` taken in `order`.
     Returns (outcome, aborted): outcome is a Choice or None, aborted
     is True when every search exceeded the r cap before stopping.
     """
@@ -526,7 +529,8 @@ def _run_lockstep(searches, fixed, abort_r=None):
                 witness = search.join()
                 if witness is None:
                     return None, False
-                return _assemble(search.inst, witness, fixed), False
+                picks = {order[c]: item for c, item in witness.items()}
+                return _assemble(inst, picks, fixed), False
         if abort_r is not None:
             active = [s for s in active if s.r <= abort_r]
             if not active:
@@ -559,11 +563,12 @@ def solve(inst: KnapsackInstance) -> Choice | None:
     base = red.instance
     lam = max(base.lam, 1)
     ell_fn = lambda r: -(-r // lam)
+    by_v, by_w = oriented_rows(base.classes)
     searches = [
-        _Search(base, ell_fn),
-        _Search(base.swapped(), ell_fn),
+        _Search(by_v, base.V, base.W, ell_fn),
+        _Search(by_w, base.W, base.V, ell_fn),
     ]
-    outcome, _ = _run_lockstep(searches, red.fixed)
+    outcome, _ = _run_lockstep(searches, base, range(base.n), red.fixed)
     return outcome
 
 
@@ -584,6 +589,7 @@ def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
     n = base.n
     lam = max(base.lam, 2)
     kk = min(k, n)
+    by_v, by_w = oriented_rows(base.classes)
     while True:
         ell_fn = _power_ceil_fn(kk)
         rank_limit_fn = _root_floor_fn(kk)
@@ -591,14 +597,11 @@ def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
         any_aborted = False
         for front in itertools.combinations(range(n), kk):
             order = list(front) + [i for i in range(n) if i not in front]
-            permuted = KnapsackInstance(
-                tuple(base.classes[i] for i in order), base.V, base.W
-            )
             searches = [
-                _Search(permuted, ell_fn, rank_limit_fn, kk),
-                _Search(permuted.swapped(), ell_fn, rank_limit_fn, kk),
+                _Search([by_v[i] for i in order], base.V, base.W, ell_fn, rank_limit_fn, kk),
+                _Search([by_w[i] for i in order], base.W, base.V, ell_fn, rank_limit_fn, kk),
             ]
-            outcome, aborted = _run_lockstep(searches, red.fixed, abort_r=abort_r)
+            outcome, aborted = _run_lockstep(searches, base, order, red.fixed, abort_r)
             if aborted:
                 any_aborted = True
                 continue

@@ -1,12 +1,12 @@
-"""Text index answering batches of lcp queries by binary lifting.
+"""Text index answering batches of pattern-text lcp queries by binary lifting.
 
-The index is the Karp-Miller-Rosenberg rank levels alone: level t
-names every length-2^t factor, built by prefix doubling in numpy up to
-the longest possible answer (the text length for `LcpIndex`, the
-pattern length m for `CrossLcpIndex`), so a batch of queries costs
-O(log m) gathers.  Positions are 1-based, as in the rest of the
-package.  `mismatch_walk` is the one mismatch walk of the matchers:
-batched kangaroo rounds over all live windows at once.
+`CrossLcpIndex` is the Karp-Miller-Rosenberg rank levels alone over
+pattern + separator + text: level t names every length-2^t factor,
+built by prefix doubling in numpy up to the longest possible answer,
+the pattern length m, so a batch of queries costs O(log m) gathers.
+Positions are 1-based, as in the rest of the package.  `mismatch_walk`
+is the one mismatch walk of the matchers: batched kangaroo rounds over
+all live windows at once.
 """
 
 from __future__ import annotations
@@ -67,39 +67,6 @@ def _lift(levels: np.ndarray, a, b: np.ndarray) -> np.ndarray:
         level = levels[t]
         out += (level[a + out] == level[b + out]) << t
     return out
-
-
-class LcpIndex:
-    """Longest-common-prefix oracle over a fixed text (1-based)."""
-
-    def __init__(self, text: str):
-        if len(text) == 0:
-            raise DomainError("cannot index an empty text")
-        self.text = text
-        self.n = len(text)
-        self.levels = _rank_levels(_encode(text), self.n)
-
-    def lcp(self, i: int, j: int) -> int:
-        """Length of the longest common prefix of text[i..n] and text[j..n]."""
-        n = self.n
-        if not (1 <= i <= n) or not (1 <= j <= n):
-            raise DomainError(f"lcp position out of range: ({i}, {j}), n={n}")
-        return int(self.lcp_batch(i, [j])[0])
-
-    def lcp_batch(self, i, js: np.ndarray) -> np.ndarray:
-        """`lcp(i, j)` for every j in `js`; `i` is one position or an array like `js`."""
-        n = self.n
-        i = np.asarray(i, dtype=np.int64)
-        js = np.asarray(js, dtype=np.int64)
-        if (i.size and not (1 <= i.min() and i.max() <= n)) or \
-                (len(js) and not (1 <= js.min() and js.max() <= n)):
-            raise DomainError(f"lcp position out of range, n={n}")
-        a = i - 1
-        same = js == i
-        # j == i is the whole suffix; its lift runs against the empty
-        # suffix, whose -1 pad never agrees, so it stays in the text
-        out = _lift(self.levels, a, np.where(same, n, js - 1))
-        return np.where(same, n - a, out)
 
 
 class CrossLcpIndex:
@@ -169,10 +136,6 @@ def mismatch_walk(index: CrossLcpIndex, starts: np.ndarray, step) -> np.ndarray:
             ended.append(live[done])
             live, off = live[~done], off[~done]
     return np.sort(np.concatenate(ended))
-
-
-def build_index(text: str) -> LcpIndex:
-    return LcpIndex(text)
 
 
 def build_cross_index(pattern: str, text: str) -> CrossLcpIndex:

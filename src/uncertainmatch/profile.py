@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import enumeration_limit
 from .errors import CapacityError, DomainError
 from .lcp import _encode, build_cross_index, mismatch_walk
 
@@ -119,7 +118,7 @@ def _columns(alphabet: str, text: str) -> np.ndarray:
 def count_matching_strings(profile: ScoringMatrix, threshold: int) -> int:
     """Exact number of strings scoring at least `threshold` (NumStrings)."""
     m, sigma = profile.m, len(profile.alphabet)
-    limit = max(1 << 24, enumeration_limit())
+    limit = 1 << 24
     if sigma ** m > limit:
         raise CapacityError(
             f"count_matching_strings: {sigma}**{m} strings exceed the "

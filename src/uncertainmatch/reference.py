@@ -9,7 +9,7 @@ fixed-point domain so comparisons are bit-exact.
 from __future__ import annotations
 
 from . import neglog
-from .capacity import enumeration_limit
+from .capacity import ENUMERATION_LIMIT
 from .errors import CapacityError
 from .profile import ScoringMatrix, score
 from .weighted import ProbThreshold, WeightedSequence
@@ -43,9 +43,9 @@ def naive_wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[in
 
 def enumerate_solid_strings(x: WeightedSequence, z: ProbThreshold) -> list[tuple[str, int]]:
     """All strings matching `x` with probability >= 1/z, with their units."""
-    limit = max(1 << 16, enumeration_limit())
-    if not (z.display <= limit):
-        raise CapacityError(f"enumerate_solid_strings: z={z.display} exceeds guard {limit}")
+    if not (z.display <= ENUMERATION_LIMIT):
+        raise CapacityError(
+            f"enumerate_solid_strings: z={z.display} exceeds guard {ENUMERATION_LIMIT}")
     out: list[tuple[str, int]] = []
 
     def dfs(i: int, units: int, prefix: list[str]) -> None:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import neglog
-from .capacity import enumeration_limit
+from .capacity import ENUMERATION_LIMIT
 from .errors import CapacityError, DomainError
 from .lcp import SEPARATOR, build_cross_index, mismatch_walk
 
@@ -312,9 +312,9 @@ def maximal_solid_prefixes(x: WeightedSequence, z: ProbThreshold) -> list[str]:
     A prefix is maximal when no single-letter extension keeps the
     matching probability at or above 1/z.  There are at most z of them.
     """
-    limit = max(1 << 20, enumeration_limit())
-    if not (z.display <= limit):
-        raise CapacityError(f"maximal_solid_prefixes: z={z.display} exceeds guard {limit}")
+    if not (z.display <= ENUMERATION_LIMIT):
+        raise CapacityError(
+            f"maximal_solid_prefixes: z={z.display} exceeds guard {ENUMERATION_LIMIT}")
     results: list[str] = []
     n = x.n
 

@@ -227,6 +227,24 @@ def test_cli_gen_reversed_score_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_gen_unwritable_out(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "t.txt"):
+        assert_input_error(capsys, ["gen", "--kind", "text", "--seed", "1", "--out", str(out)])
+        assert cli.main(["gen", "--kind", "text", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_cli_profile_score_beyond_32_bits_names_its_line(tmp_path, capsys):
+    prof = tmp_path / "big.prof"
+    prof.write_text(f"PROFILE 2 ab\n1 2\n3 {2 ** 35}\n")
+    text = tmp_path / "t.txt"
+    text.write_text("ab\n")
+    argv = ["pm", "--profile", str(prof), "--text", str(text), "--Z", "0"]
+    assert_input_error(capsys, argv)
+    assert cli.main(argv) == 2
+    assert f"{prof}: line 3: " in capsys.readouterr().err
+
+
 def test_cli_non_utf8_input(tmp_path, capsys):
     bad = tmp_path / "bad.pwm"
     bad.write_bytes(b"PWM 1 ab\n\xff\xfe 0.5\n")

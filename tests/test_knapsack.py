@@ -17,8 +17,12 @@ from conftest import random_knapsack
 EXAMPLE = K.make_instance([[(1, 5), (3, 1)], [(2, 2), (4, 0)]], 5, 3)
 
 
+def value_lists(classes):
+    return K.PrefixGenerator(K.oriented_rows(classes)[0])
+
+
 def full_lists(classes):
-    gen = K.PrefixGenerator(classes)
+    gen = value_lists(classes)
     while not gen.all_complete():
         gen.step()
     return gen
@@ -91,7 +95,7 @@ def test_generator_example():
     gen = full_lists(K.make_instance([[(1, 0), (3, 0)], [(2, 0), (4, 0)]], 0, 0).classes)
     assert gen.lists[2][:, 0].tolist() == [3, 5, 5, 7]
     assert gen.lists[0].tolist() == [[0, 0, -1, -1]]
-    single = K.PrefixGenerator(K.make_instance([[(5, 7)]], 0, 0).classes)
+    single = value_lists(K.make_instance([[(5, 7)]], 0, 0).classes)
     single.step()
     assert single.lists[1][:, :2].tolist() == [[5, 7]]
     assert single.all_complete()
@@ -104,7 +108,7 @@ def test_generator_prefix_of_sorted_enumeration(rng, monkeypatch):
         block = (1, 2, 3, K.FIRST_BLOCK)[trial % 4]
         monkeypatch.setattr(K, "FIRST_BLOCK", block)
         inst = random_knapsack(rng, max_n=5, max_lam=4)
-        gen = K.PrefixGenerator(inst.classes)
+        gen = value_lists(inst.classes)
         total = inst.num_choices()
         steps = rng.randint(1, max(1, (total // block).bit_length() + 1))
         for _ in range(steps):
@@ -124,6 +128,17 @@ def test_generator_prefix_of_sorted_enumeration(rng, monkeypatch):
                 assert sum(inst.classes[c][i].w for c, i in picks) == e[1]
                 seen.add(tuple(picks))
             assert len(seen) == len(got)  # no partial choice listed twice
+
+
+def test_weight_orientation_is_the_swapped_instance(rng):
+    # the weight-oriented rows are the value-oriented rows of the
+    # instance with v and w exchanged, ties kept in item order
+    for _ in range(100):
+        inst = random_knapsack(rng, max_n=4, max_lam=5, v_hi=4)
+        swapped = [[(it.w, it.v) for it in cls] for cls in inst.classes]
+        by_w = K.oriented_rows(inst.classes)[1]
+        by_v = K.oriented_rows(K.make_instance(swapped, inst.W, inst.V).classes)[0]
+        assert [r.tolist() for r in by_w] == [r.tolist() for r in by_v]
 
 
 def test_greedy_reduce():

@@ -9,25 +9,10 @@ from uncertainmatch.errors import DomainError
 from uncertainmatch.lcp import (
     SEPARATOR,
     CrossLcpIndex,
-    LcpIndex,
     build_cross_index,
-    build_index,
     mismatch_walk,
     naive_lcp,
 )
-
-texts = st.text(alphabet="ab", min_size=1, max_size=60)
-
-
-@given(texts, st.data())
-@settings(max_examples=200, deadline=None)
-def test_lcp_matches_naive(text, data):
-    idx = build_index(text)
-    n = len(text)
-    i = data.draw(st.integers(1, n))
-    j = data.draw(st.integers(1, n))
-    assert idx.lcp(i, j) == naive_lcp(text[i - 1:], text[j - 1:])
-
 
 @given(st.text(alphabet="abc", min_size=1, max_size=30),
        st.text(alphabet="abc", min_size=1, max_size=30))
@@ -50,8 +35,6 @@ TEXTS = {
     "a*2000": "a" * 2000,
     "ab*1000": "ab" * 1000,
     "fibonacci": _fibonacci_word(2000),
-    "random-with-separator": "".join(random.Random(7).choice("ab" + SEPARATOR)
-                                     for _ in range(2000)),
     "a": "a",
     "ab": "ab",
     "ba": "ba",
@@ -61,17 +44,21 @@ TEXTS = {
 
 @pytest.mark.parametrize("text", list(TEXTS.values()), ids=list(TEXTS))
 def test_lcp_batch_every_doubling_level(text):
-    # periodic texts keep names tied until the factor length passes the
-    # text length, so the doubling and the lifting use every level
+    # with the pattern a prefix of a periodic text, names stay tied
+    # until the factor length passes m and answers reach m, so the
+    # doubling and the lifting use every level, up to 2^10 at m = 2000
     short = text[:300]
-    idx = LcpIndex(short)
-    js = np.arange(1, len(short) + 1)
-    for i in js.tolist():
-        assert idx.lcp_batch(i, js).tolist() == \
-            [naive_lcp(short[i - 1:], short[j - 1:]) for j in js.tolist()]
+    idx = CrossLcpIndex(short, short)
+    assert len(idx.levels) == len(short).bit_length()
+    i, j = np.meshgrid(np.arange(1, len(short) + 1), np.arange(1, len(short) + 1))
+    i, j = i.ravel(), j.ravel()
+    assert idx.cross_lcp_batch(i, j).tolist() == \
+        [naive_lcp(short[a - 1:], short[b - 1:]) for a, b in zip(i.tolist(), j.tolist())]
     if len(text) > len(short):
+        idx = CrossLcpIndex(text, text)
+        assert len(idx.levels) == 11
         i, j = np.random.default_rng(11).integers(1, len(text) + 1, size=(2, 20_000))
-        assert LcpIndex(text).lcp_batch(i, j).tolist() == \
+        assert idx.cross_lcp_batch(i, j).tolist() == \
             [naive_lcp(text[a - 1:], text[b - 1:]) for a, b in zip(i.tolist(), j.tolist())]
 
 
@@ -99,41 +86,26 @@ def test_cross_index_levels_are_capped_at_the_pattern_length():
     assert idx.cross_lcp_batch(1, js).tolist() == np.minimum(m, n + 1 - js).tolist()
 
 
-def test_equal_positions_full_suffix():
-    idx = build_index("banana")
-    assert idx.lcp(3, 3) == 4
-    assert idx.lcp(1, 1) == 6
-
-
-def test_lcp_batch_with_equal_positions():
-    for text in ("aa", "banana", "abab", "a"):
-        idx = build_index(text)
-        n = len(text)
-        js = np.arange(1, n + 1)
-        for i in range(1, n + 1):
-            assert idx.lcp_batch(i, js).tolist() == \
-                [naive_lcp(text[i - 1:], text[j - 1:]) for j in js.tolist()]
-        assert idx.lcp_batch(js, js).tolist() == (n + 1 - js).tolist()
-
-
 def test_repetitive_text():
-    idx = build_index("aaaa")
-    assert idx.lcp(1, 3) == 2
+    # the text end, not the pattern end, cuts this answer short
+    assert build_cross_index("aaaa", "aaaa").cross_lcp(1, 3) == 2
 
 
 def test_rejects_empty_and_out_of_range():
+    idx = build_cross_index("ab", "")
     with pytest.raises(DomainError):
-        build_index("")
-    idx = build_index("ab")
-    with pytest.raises(DomainError):
-        idx.lcp(0, 1)
-    with pytest.raises(DomainError):
-        idx.lcp(1, 3)
+        idx.cross_lcp(1, 1)
+    assert idx.cross_lcp_batch(1, np.empty(0, dtype=np.int64)).tolist() == []
+    idx = build_cross_index("ab", "abab")
+    for i, j in ((0, 1), (3, 1), (1, 0), (1, 5)):
+        with pytest.raises(DomainError):
+            idx.cross_lcp(i, j)
 
 
 def test_cross_index_rejects_separator():
-    with pytest.raises(DomainError):
-        CrossLcpIndex("a\x00b", "ab")
+    for pattern, text in (("a" + SEPARATOR + "b", "ab"), ("ab", SEPARATOR + "ab")):
+        with pytest.raises(DomainError):
+            CrossLcpIndex(pattern, text)
 
 
 def test_cross_lcp_truncates_at_pattern_end():
