@@ -1,8 +1,9 @@
-"""Explicit enumeration and magnitude guards.
+"""Explicit enumeration, memory and magnitude guards.
 
 Brute-force oracles refuse instances whose search space exceeds
-``ENUMERATION_LIMIT`` choices, and parsers reject magnitudes that
-could make 64-bit window sums overflow.
+``ENUMERATION_LIMIT`` choices, a meet-in-the-middle search refuses to
+grow its prefix lists past ``PREFIX_ROW_LIMIT`` rows, and parsers
+reject magnitudes that could make 64-bit window sums overflow.
 """
 
 from __future__ import annotations
@@ -10,6 +11,11 @@ from __future__ import annotations
 from .errors import CapacityError
 
 ENUMERATION_LIMIT = 1 << 20
+
+# Rows of 32 bytes that the prefix lists of one knapsack search may
+# hold (128 MiB).  The test suite peaks near 3 * 10**5 rows and the
+# mck-solve benchmark jobs below 10**5.
+PREFIX_ROW_LIMIT = 1 << 22
 
 # Magnitude bounds enforced at parse time: sums of up to 2**20 items
 # of absolute value below 2**40 stay within 64 bits.

@@ -9,13 +9,16 @@ Three whitespace-separated, line-oriented formats:
 
 Lines starting with `#` and blank lines are ignored.  Errors carry
 1-based line numbers of the original file (none when the input holds
-no content at all).  A PWM's rows are read into one float matrix and
-converted to NegLog units in one call.  Serialization is the exact
-inverse on files produced by the generator: parse then serialize is
-byte-identical.
+no content at all).  A PWM's rows are read into one float matrix by
+one pass of numpy's C row reader and converted to NegLog units in one
+call; the Python line walk runs only when that pass fails, to report
+the error and its line.  Serialization is the exact inverse on files
+produced by the generator: parse then serialize is byte-identical.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -71,11 +74,18 @@ def _float(token: str, lines: _Lines, what: str) -> float:
         raise ParseError(f"expected a number {what}, got {token!r}", lines.last) from None
 
 
-def _check_alphabet(alphabet: str, lines: _Lines) -> None:
+def _alphabet_error(alphabet: str) -> str | None:
     if len(set(alphabet)) != len(alphabet):
-        raise ParseError(f"alphabet has repeated letters: {alphabet!r}", lines.last)
+        return f"alphabet has repeated letters: {alphabet!r}"
     if any(c in alphabet for c in "#\x00\x01"):
-        raise ParseError("alphabet contains a reserved character", lines.last)
+        return "alphabet contains a reserved character"
+    return None
+
+
+def _check_alphabet(alphabet: str, lines: _Lines) -> None:
+    error = _alphabet_error(alphabet)
+    if error is not None:
+        raise ParseError(error, lines.last)
 
 
 def parse_profile(text: str) -> ScoringMatrix:
@@ -111,6 +121,51 @@ def serialize_profile(profile: ScoringMatrix) -> str:
 
 
 def parse_pwm(text: str) -> WeightedSequence:
+    """Read a PWM; its rows go through numpy's C row reader in one pass.
+
+    When that pass cannot stand (see `_read_pwm_matrix`), the line walk
+    `_parse_pwm_lines` reads the text again to name the error and its
+    file line.
+    """
+    read = _read_pwm_matrix(text)
+    if read is None:
+        return _parse_pwm_lines(text)
+    return from_probabilities(*read)
+
+
+def _read_pwm_matrix(text: str) -> tuple[str, np.ndarray] | None:
+    """(alphabet, n x sigma probabilities) of a well-formed PWM, or None.
+
+    None when the header is not valid, the reader rejects a token or
+    warns (a comment line among the rows is a rejected token), the rows
+    do not form exactly an n x sigma matrix, or a row is not a
+    sub-distribution.  The reader accepts no token that `float` rejects
+    and splits on the same whitespace as `str.split`, so whatever it
+    accepts the line walk reads the same.
+    """
+    lines = text.splitlines()
+    # the header is the first line that is neither blank nor a comment
+    k = next((k for k, raw in enumerate(lines) if raw.strip()[:1] not in ("", "#")), None)
+    if k is None:
+        return None
+    header = lines[k].split()
+    if len(header) != 3 or header[0] != "PWM" or _alphabet_error(header[2]):
+        return None
+    try:
+        n = int(header[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = np.loadtxt(lines[k + 1:], comments=None, ndmin=2, dtype=np.float64)
+    except (ValueError, Warning):
+        return None
+    if not (1 <= n < MAX_ITEMS) or probs.shape != (n, len(header[2])) \
+            or first_invalid_row(probs) is not None:
+        return None
+    return header[2], probs
+
+
+def _parse_pwm_lines(text: str) -> WeightedSequence:
+    """The line-by-line PWM reader: exact errors with file lines."""
     lines = _Lines(text)
     header = lines.next("PWM header").split()
     if len(header) != 3 or header[0] != "PWM":

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import check_enumeration
-from .errors import DomainError
+from .capacity import PREFIX_ROW_LIMIT, check_enumeration
+from .errors import CapacityError, DomainError
 
 INFINITE = math.inf
 
@@ -257,9 +257,17 @@ class PrefixGenerator:
     def all_complete(self) -> bool:
         return all(self.complete)
 
+    def next_r(self) -> int:
+        return 2 * self.r if self.r else FIRST_BLOCK
+
+    def rows_after_step(self) -> int:
+        """An upper bound on the rows all lists hold after the next step."""
+        r = self.next_r()
+        return sum(len(lst) if done else r for lst, done in zip(self.lists, self.complete))
+
     def step(self) -> None:
         """Double r and extend each unfinished list to its r smallest rows."""
-        r = self.r = 2 * self.r if self.r else FIRST_BLOCK
+        r = self.r = self.next_r()
         for j in range(1, self.n + 1):
             if self.complete[j]:
                 continue
@@ -452,9 +460,18 @@ class _Search:
         self.stopped = False
 
     def grow_step(self) -> bool:
-        """Double r; returns True once growth has stopped."""
+        """Double r; returns True once growth has stopped.
+
+        Raises CapacityError when the doubled lists could pass
+        PREFIX_ROW_LIMIT rows.
+        """
         if self.stopped:
             return True
+        rows = self.gen_l.rows_after_step() + self.gen_r.rows_after_step()
+        if rows > PREFIX_ROW_LIMIT:
+            raise CapacityError(
+                f"knapsack search: the prefix lists would grow to {rows} rows, "
+                f"past the memory guard of {PREFIX_ROW_LIMIT}")
         self.gen_l.step()
         self.gen_r.step()
         self.r = self.gen_l.r

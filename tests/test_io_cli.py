@@ -1,13 +1,19 @@
 import contextlib
 import io as stdio
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uncertainmatch
 from uncertainmatch import cli, io
-from uncertainmatch.errors import ParseError
+from uncertainmatch.errors import DomainError, ParseError
 from uncertainmatch.knapsack import make_instance
 from uncertainmatch.profile import ScoringMatrix
 
@@ -96,6 +102,116 @@ def test_pwm_row_errors_carry_file_lines():
     with pytest.raises(ParseError) as exc:
         io.parse_pwm("PWM 2 ab\n0.5 0.5\n0.5 1.5\n0.5 0.5\n")
     assert exc.value.line == 3
+
+
+GOOD_PWM = "PWM 3 ab\n0.5 0.5\n1.0 0.0\n0.25 0.75\n"
+# name -> PWM text; the C row reader and the line walk must agree on each
+PWM_EDGE_CASES = {
+    "plain": GOOD_PWM,
+    "crlf": GOOD_PWM.replace("\n", "\r\n"),
+    "tabs": GOOD_PWM.replace(" ", "\t"),
+    "whitespace_lines": "PWM 3 ab\n \t \n0.5 0.5\n   \n1.0 0.0\n0.25 0.75\n\n",
+    "nbsp": GOOD_PWM.replace("0.5 0.5", "0.5\xa00.5"),
+    "formfeed": GOOD_PWM.replace("0.5 0.5", "0.5\x0c0.5"),
+    "comment_lines": "# c\nPWM 3 ab\n0.5 0.5\n# c\n1.0 0.0\n0.25 0.75\n# c\n",
+    "trailing_comment": GOOD_PWM.replace("1.0 0.0", "1.0 0.0 # c"),
+    "nan": GOOD_PWM.replace("1.0 0.0", "nan 0.0"),
+    "inf": GOOD_PWM.replace("1.0 0.0", "inf 0.0"),
+    "underscore_valid": GOOD_PWM.replace("0.25 0.75", "0.2_5 0.75"),
+    "underscore_out_of_range": GOOD_PWM.replace("1.0 0.0", "1_0 0.0"),
+    "arabic_digit": GOOD_PWM.replace("1.0 0.0", "\u0661 0.0"),
+    "quotes": GOOD_PWM.replace("0.5 0.5", '"0.5" 0.5'),
+    "commas": GOOD_PWM.replace("0.5 0.5", "0.5,0.5"),
+    "nul": GOOD_PWM.replace("0.5 0.5", "0.5 0.5\x00"),
+    "too_many_rows": GOOD_PWM + "0.5 0.5\n",
+    "too_few_rows": GOOD_PWM.replace("PWM 3", "PWM 4"),
+    "too_many_tokens": GOOD_PWM.replace("1.0 0.0", "1.0 0.0 0.0"),
+    "too_few_tokens": GOOD_PWM.replace("1.0 0.0", "1.0"),
+    "row_sum": GOOD_PWM.replace("1.0 0.0", "0.7 0.7"),
+    "negative": GOOD_PWM.replace("1.0 0.0", "-0.5 0.5"),
+    "header_leading_zero": GOOD_PWM.replace("PWM 3", "PWM 03"),
+    "header_plus": GOOD_PWM.replace("PWM 3", "PWM +3"),
+    "header_zero": "PWM 0 ab\n",
+    "header_name": GOOD_PWM.replace("PWM", "PWX"),
+    "header_repeated_letters": GOOD_PWM.replace("ab", "aa"),
+    "header_only": "PWM 3 ab\n",
+    "one_column": "PWM 2 a\n0.5\n1\n",
+    "empty": "",
+    "blank_only": "\n \n",
+    "comment_only": "# c\n",
+}
+# the cases the C row reader decides alone; every other one is read by the line walk
+PWM_FAST_CASES = {"plain", "crlf", "tabs", "whitespace_lines", "nbsp", "header_leading_zero",
+                  "header_plus", "one_column"}
+
+
+def read_pwm_both(text):
+    """What `parse_pwm` and the line walk make of `text`: equal, or unequal."""
+    out = []
+    for parse in (io.parse_pwm, io._parse_pwm_lines):
+        try:
+            x = parse(text)
+            out.append((x.alphabet, x.units.tobytes(), x.probs.tobytes()))
+        except (ParseError, DomainError) as exc:
+            out.append((type(exc).__name__, str(exc), getattr(exc, "line", None)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PWM_EDGE_CASES))
+def test_pwm_reader_matches_line_walk(name):
+    text = PWM_EDGE_CASES[name]
+    fast, walk = read_pwm_both(text)
+    assert fast == walk
+    assert (io._read_pwm_matrix(text) is not None) == (name in PWM_FAST_CASES)
+
+
+@pytest.fixture(scope="module")
+def pwm_bases(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pwm")
+    for seed, alphabet in ((1, "ab"), (2, "acgt")):
+        assert cli.main(["gen", "--kind", "pwm", "--seed", str(seed), "--length", "6",
+                         "--alphabet", alphabet, "--out", str(root / alphabet)]) == 0
+    return [(root / a).read_text() for a in ("ab", "acgt")]
+
+
+PWM_MUTATIONS = ["comment", "blank", "spaces", "crlf", "tab", "formfeed", "drop", "add",
+                 "x", "1_0", "nan", "\u0661"]
+
+
+@st.composite
+def mutated_pwm(draw, base: str) -> str:
+    """A generated PWM after one to three line- or token-level edits."""
+    lines = base.splitlines()
+    end = "\n"
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(PWM_MUTATIONS))
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split(" ")
+        t = draw(st.integers(0, len(tokens) - 1))
+        if op in ("comment", "blank", "spaces"):
+            lines.insert(k, {"comment": "# c", "blank": "", "spaces": " \t "}[op])
+        elif op == "crlf":
+            end = "\r\n"
+        elif op in ("tab", "formfeed"):
+            lines[k] = lines[k].replace(" ", "\t" if op == "tab" else "\x0c", 1)
+        elif op == "drop":
+            del tokens[t]
+            lines[k] = " ".join(tokens)
+        elif op == "add":
+            tokens.insert(t, "0")
+            lines[k] = " ".join(tokens)
+        else:
+            tokens[t] = op
+            lines[k] = " ".join(tokens)
+    return end.join(lines) + end
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pwm_reader_matches_line_walk_on_mutations(pwm_bases, data):
+    text = data.draw(mutated_pwm(data.draw(st.sampled_from(pwm_bases))))
+    fast, walk = read_pwm_both(text)
+    assert fast == walk
 
 
 def test_empty_input_reports_no_line_zero():
@@ -197,6 +313,39 @@ def test_cli_knapsack(tmp_path, capsys):
     assert capsys.readouterr().out == "NO\n"
     assert cli.main(["knapsack", "--instance", str(bad), "--format", "jsonl"]) == 1
     assert json.loads(capsys.readouterr().out) == {"feasible": False, "choice": None}
+
+
+def test_cli_knapsack_memory_guard(tmp_path):
+    # 60 classes of 60 items: the prefix lists would outgrow memory long
+    # before the search stops, so `um knapsack` must refuse with status 2
+    inst = gen(tmp_path, "big.mck", "--kind", "mck", "--seed", "3", "--classes", "60",
+               "--lam", "60")
+    src = str(Path(uncertainmatch.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "uncertainmatch.cli", "knapsack",
+                           "--instance", str(inst)], capture_output=True, text=True,
+                          env=env, preexec_fn=cap_memory, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_cli_positions_written_whole(capsys):
+    cli._emit_positions([], "text")
+    cli._emit_positions([], "jsonl", str)
+    assert capsys.readouterr().out == ""
+    cli._emit_positions([3, 10], "text")
+    assert capsys.readouterr().out == "3\n10\n"
+    cli._emit_positions([3, 10], "text", lambda p: "ab")
+    assert capsys.readouterr().out == "3\tab\n10\tab\n"
+    cli._emit_positions([3], "jsonl", lambda p: "ab")
+    assert capsys.readouterr().out == '{"position": 3, "witness": "ab"}\n'
+    cli._emit_positions([3, 4], "jsonl")
+    assert capsys.readouterr().out == '{"position": 3}\n{"position": 4}\n'
 
 
 def test_cli_bad_input(tmp_path, capsys):
