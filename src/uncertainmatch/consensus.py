@@ -9,8 +9,9 @@ units stay within z in each (letters above z are left out).
 and for every `gwpm` window.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
-text: each window reduces to a consensus instance restricted to the
-few positions where the heavy strings mismatch.
+text: each window walks over the positions where the heavy strings
+mismatch, dropped as soon as an exact min-sum bound passes z, and
+reduces to a consensus instance restricted to those positions.
 """
 
 from __future__ import annotations
@@ -224,12 +225,14 @@ def gwpm(
 ) -> GwpmResult:
     """Positions p where some string matches both P and T[p..p+m-1].
 
-    An exact vectorized prefilter (`_window_prefilter`) first drops
-    windows that no string can match.  The rest walk together over the
-    heavy strings in batched kangaroo rounds (`mismatch_walk`), one lcp
-    query per live window and round, collecting the few offsets where
-    the heavy strings mismatch.  A window is dropped at its
-    (2 floor(log2 z) + 1)-th mismatch, since it cannot match; the
+    The windows walk together over the heavy strings in batched
+    kangaroo rounds (`mismatch_walk`), one lcp query per live window and
+    round, collecting the few offsets where the heavy strings mismatch.
+    Each window carries two lower bounds on the units of any string
+    matching it, one in P and one in the window: they start at the
+    heavy units and, at each mismatch, rise by the cheapest letter alive
+    in both rows.  A window is dropped once either bound passes z, or at
+    its (2 floor(log2 z) + 1)-th mismatch, since it cannot match; the
     others reduce to a consensus instance restricted to the mismatch
     set, solved by `algo`:
 
@@ -252,18 +255,36 @@ def gwpm(
         return GwpmResult((), m, heavy_t, {})
     budget = 2 * z.log2_floor
     z_units = z.units
-    starts = _window_prefilter(P, T, z_units)
-    if not len(starts):
+    inf, cap = neglog.INF, z_units + 1
+    common = [c for c in P.alphabet if c in T.alphabet]
+    # lower bounds on the units of any match in P and in each window,
+    # saturated at cap as in `wpm`; they start at the heavy units
+    heavy_sum_p = int(units_p.sum())
+    alpha_at = np.concatenate(([0], np.cumsum(np.minimum(units_t, cap))))
+    lo_t = np.minimum(alpha_at[m:] - alpha_at[:-m], cap)
+    starts = np.nonzero(lo_t <= z_units)[0]
+    if not common or heavy_sum_p > z_units or not len(starts):
         return GwpmResult((), m, heavy_t, {})
-    # up to budget + 1 mismatch offsets per window, found in batched
-    # kangaroo rounds; a window is dropped at its (budget + 1)-th
-    d = np.zeros((len(starts), budget + 1), dtype=np.int64)
+    lo_t = lo_t[starts]
+    lo_p = np.full(len(starts), heavy_sum_p)
+    pu = P.units[:, [P.alphabet.index(c) for c in common]]
+    tu = T.units[:, [T.alphabet.index(c) for c in common]]
+    # a window has at most m mismatches; the walk drops it at its
+    # (budget + 1)-th
+    d = np.zeros((len(starts), min(budget, m) + 1), dtype=np.int64)
     count = np.zeros(len(starts), dtype=np.int64)
 
     def step(w, f):
+        # where the heavy letters agree, the cheapest letter alive in both
+        # rows is the heavy one: a window that ends its walk holds the
+        # exact sums of its cheapest common letters, on each side
+        j = starts[w] + f
+        tp, tt = pu[f], tu[j]
+        lo_p[w] += np.minimum(np.where(tt < inf, tp, inf).min(axis=1) - units_p[f], cap - lo_p[w])
+        lo_t[w] += np.minimum(np.where(tp < inf, tt, inf).min(axis=1) - units_t[j], cap - lo_t[w])
         d[w, count[w]] = f
         count[w] += 1
-        return count[w] <= budget
+        return (count[w] <= budget) & (lo_p[w] <= z_units) & (lo_t[w] <= z_units)
 
     idx = build_cross_index(heavy_p, heavy_t)
     ended = mismatch_walk(idx, starts, step)
@@ -271,54 +292,20 @@ def gwpm(
     # heavy units of the window and of the pattern outside the
     # mismatches; a window left holds no empty (INF) row, so capping
     # the rows at z + 1 changes none of its sums
-    alive = np.arange(budget + 1) < count[:, None]
-    alpha_at = np.concatenate(([0], np.cumsum(np.minimum(units_t, z_units + 1))))
+    alive = np.arange(d.shape[1]) < count[:, None]
     alpha_rest = alpha_at[starts + m] - alpha_at[starts] \
         - np.where(alive, units_t[starts[:, None] + d], 0).sum(axis=1)
-    beta_rest = int(units_p.sum()) - np.where(alive, units_p[d], 0).sum(axis=1)
+    beta_rest = heavy_sum_p - np.where(alive, units_p[d], 0).sum(axis=1)
     occ = []
     records: dict[int, _Occurrence] = {}
     for p, row, c, a, b in zip((starts + 1).tolist(), (d + 1).tolist(), count.tolist(),
                                alpha_rest.tolist(), beta_rest.tolist()):
-        if not c:
-            if a <= z_units and b <= z_units:
-                occ.append(p)
-                records[p] = _Occurrence((), "")
-            continue
         mism = row[:c]
-        witness = _solve_window(P, T, z, p, mism, a, b, algo, k)
+        witness = _solve_window(P, T, z, p, mism, a, b, algo, k) if c else ""
         if witness is not None:
             occ.append(p)
             records[p] = _Occurrence(tuple(mism), witness)
     return GwpmResult(tuple(occ), m, heavy_t, records)
-
-
-def _window_prefilter(P: WeightedSequence, T: WeightedSequence, z_units: int) -> np.ndarray:
-    """0-based starts of the windows that pass the exact min-sum test.
-
-    A string matching both pruned P and window p takes at each offset i
-    a letter alive in both P[i] and T[p+i-1].  Its units in P are then
-    at least the sum over i of the cheapest such letter's units in P,
-    and likewise in T, so a window where either sum exceeds z has no
-    consensus.  Every entry is clamped at z + 1, as in `wpm`: a clamped
-    term alone sinks its window, and the sums stay inside int64.
-    """
-    letters = [c for c in P.alphabet if c in T.alphabet]
-    if not letters:
-        return np.empty(0, dtype=np.int64)
-    cap = z_units + 1
-    pu = np.minimum(P.units[:, [P.alphabet.index(c) for c in letters]], cap)
-    tu = np.minimum(T.units[:, [T.alphabet.index(c) for c in letters]], cap)
-    w = T.n - P.n + 1
-    min_p = np.zeros(w, dtype=np.int64)
-    min_t = np.zeros(w, dtype=np.int64)
-    for i in range(P.n):
-        tw = tu[i: i + w]
-        min_p += np.where(tw < cap, pu[i], cap).min(axis=1)
-        min_t += np.where(pu[i] < cap, tw, cap).min(axis=1)
-        np.minimum(min_p, cap, out=min_p)
-        np.minimum(min_t, cap, out=min_t)
-    return np.nonzero((min_p < cap) & (min_t < cap))[0]
 
 
 def _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import neglog
 from .capacity import MAX_ABS_MAGNITUDE, MAX_ITEMS
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .knapsack import KnapsackInstance, make_instance
 from .profile import _SCORE_LIMIT, ScoringMatrix
 from .weighted import WeightedSequence, first_invalid_row, from_probabilities
@@ -127,21 +127,19 @@ def parse_pwm(text: str) -> WeightedSequence:
     `_parse_pwm_lines` reads the text again to name the error and its
     file line.
     """
-    read = _read_pwm_matrix(text)
-    if read is None:
-        return _parse_pwm_lines(text)
-    return from_probabilities(*read)
+    x = _read_pwm_matrix(text)
+    return x if x is not None else _parse_pwm_lines(text)
 
 
-def _read_pwm_matrix(text: str) -> tuple[str, np.ndarray] | None:
-    """(alphabet, n x sigma probabilities) of a well-formed PWM, or None.
+def _read_pwm_matrix(text: str) -> WeightedSequence | None:
+    """The sequence of a well-formed PWM, or None.
 
     None when the header is not valid, the reader rejects a token or
     warns (a comment line among the rows is a rejected token), the rows
-    do not form exactly an n x sigma matrix, or a row is not a
-    sub-distribution.  The reader accepts no token that `float` rejects
-    and splits on the same whitespace as `str.split`, so whatever it
-    accepts the line walk reads the same.
+    do not form exactly an n x sigma matrix, or `from_probabilities`
+    finds a row that is not a sub-distribution.  The reader accepts no
+    token that `float` rejects and splits on the same whitespace as
+    `str.split`, so whatever it accepts the line walk reads the same.
     """
     lines = text.splitlines()
     # the header is the first line that is neither blank nor a comment
@@ -158,10 +156,12 @@ def _read_pwm_matrix(text: str) -> tuple[str, np.ndarray] | None:
             probs = np.loadtxt(lines[k + 1:], comments=None, ndmin=2, dtype=np.float64)
     except (ValueError, Warning):
         return None
-    if not (1 <= n < MAX_ITEMS) or probs.shape != (n, len(header[2])) \
-            or first_invalid_row(probs) is not None:
+    if not (1 <= n < MAX_ITEMS) or probs.shape != (n, len(header[2])):
         return None
-    return header[2], probs
+    try:
+        return from_probabilities(header[2], probs)
+    except DomainError:
+        return None
 
 
 def _parse_pwm_lines(text: str) -> WeightedSequence:

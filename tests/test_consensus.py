@@ -1,14 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from uncertainmatch import consensus, neglog
 from uncertainmatch import knapsack as K
-from uncertainmatch import neglog
 from uncertainmatch.consensus import (
     GWPM_ALGOS,
     WcInstance,
-    _window_prefilter,
     gwpm,
     gwpm_witness,
     knapsack_to_wc,
@@ -16,7 +16,7 @@ from uncertainmatch.consensus import (
     weighted_consensus,
 )
 from uncertainmatch.errors import DomainError
-from uncertainmatch.reference import naive_consensus
+from uncertainmatch.reference import hamming, naive_consensus
 from uncertainmatch.weighted import (
     ProbThreshold,
     WeightedSequence,
@@ -183,12 +183,12 @@ def test_gwpm_algo_variants_agree(rng):
         assert gwpm(p_seq, t_seq, z, algo="mim", k=1).occurrences == base
 
 
-def peaked_rows(rng, n, sigma="acgt"):
-    """Rows whose heavy letter holds 0.85-0.95 of the mass."""
+def peaked_rows(rng, n, sigma="acgt", lo=0.85, hi=0.95):
+    """Rows whose heavy letter holds lo to hi of the mass."""
     rows = []
     for _ in range(n):
         top, *rest = rng.sample(sigma, len(sigma))
-        heavy = rng.uniform(0.85, 0.95)
+        heavy = rng.uniform(lo, hi)
         rows.append({top: heavy, **{s: (1 - heavy) / len(rest) for s in rest}})
     return rows
 
@@ -230,6 +230,67 @@ def test_gwpm_at_sdwc_length_bound():
     assert solved > 0
 
 
+def noisy_copy(rng, rows, sigma="acgt"):
+    """The rows, with up to three of them replaced by random rows."""
+    out = [dict(r) for r in rows]
+    for i in rng.sample(range(len(rows)), rng.randint(0, 3)):
+        out[i] = random_rows(rng, 1, sigma)[0]
+    return out
+
+
+def test_gwpm_long_patterns_equal_per_window_naive():
+    # long peaked patterns with noisy copies planted in random texts:
+    # some copies occur, and some windows within the mismatch budget
+    # fail the min-sum test, so the bound drops them before the budget
+    rng = random.Random(2024)
+    found = bound_drops = 0
+    for m in (24, 48, 64):
+        for log2z in range(2, 7):
+            z = ProbThreshold.from_z(2 ** log2z)
+            pat_rows = peaked_rows(rng, m, lo=0.98, hi=0.998)
+            rows = random_rows(rng, 2 * m, "acgt")
+            for start in sorted(rng.sample(range(m + 1), 2)):
+                rows[start: start + m] = noisy_copy(rng, pat_rows)
+            p_seq = from_probabilities("acgt", pat_rows)
+            t_seq = from_probabilities("acgt", rows)
+            res = gwpm(p_seq, t_seq, z)
+            expect = []
+            for p in range(1, t_seq.n - m + 2):
+                win = window(t_seq, p, m)
+                if naive_consensus(p_seq, win, z) is not None:
+                    expect.append(p)
+                elif hamming(heavy_string(p_seq), heavy_string(win)) <= 2 * log2z \
+                        and not passes_min_sum(p_seq, t_seq, p, z):
+                    bound_drops += 1
+            assert list(res.occurrences) == expect
+            for p in res.occurrences:
+                w = gwpm_witness(res, p)
+                assert match_neglog(w, p_seq) <= z.units
+                assert match_neglog(w, window(t_seq, p, m)) <= z.units
+            found += len(expect)
+    assert found > 0
+    assert bound_drops > 0
+
+
+def test_gwpm_memory_does_not_grow_with_z():
+    # no window has more than m mismatches, so a huge z must not size
+    # the per-window mismatch table (2 log2 z + 1 columns would take
+    # tens of MB here)
+    rows = [{"c": 0.7, "a": 0.3} if i % 100 == 50 else {"a": 0.7, "c": 0.3}
+            for i in range(2003)]
+    p_seq = from_probabilities("acgt", rows[:4])
+    t_seq = from_probabilities("acgt", rows)
+    z = ProbThreshold.from_z(2.0 ** 1000)
+    tracemalloc.start()
+    try:
+        res = gwpm(p_seq, t_seq, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.occurrences == tuple(range(1, 2001))
+    assert peak < 8 * 2**20
+
+
 def test_gwpm_window_reweighting():
     # heavy letters differ at positions 1 and 2 only; the heavy "c" at
     # position 3 costs 0.515 bits in x, which only "gac" can afford, and
@@ -245,7 +306,7 @@ def test_gwpm_window_reweighting():
         assert gwpm(y, x, z, algo=algo).occurrences == ()
 
 
-def prefilter_rows(rng, n, z, sigma="acgt"):
+def min_sum_rows(rng, n, z, sigma="acgt"):
     """Random rows; some hold only letters below 1/z, so pruning empties them."""
     rows = random_rows(rng, n, sigma, allow_empty=True)
     for i in range(n):
@@ -256,22 +317,54 @@ def prefilter_rows(rng, n, z, sigma="acgt"):
     return from_probabilities(sigma, rows)
 
 
-def test_gwpm_prefilter_is_exact():
+def passes_min_sum(p_seq, t_seq, p, z):
+    """Whether window p passes the min-sum test that `gwpm` runs in its walk.
+
+    Any string matching both pruned P and the window takes at each
+    offset a letter alive in both rows, so its units in P are at least
+    the sum of the cheapest such letter's units in P, and likewise in
+    the window.  Where the rows share no letter no string matches.
+    """
+    P, T = prune(p_seq, z), prune(t_seq, z)
+    sum_p = sum_t = 0
+    for i in range(1, P.n + 1):
+        pairs = [(P.letter_units(i, c), T.letter_units(p + i - 1, c)) for c in P.alphabet]
+        pairs = [(u, v) for u, v in pairs if u < neglog.INF and v < neglog.INF]
+        if not pairs:
+            return False
+        sum_p += min(u for u, _ in pairs)
+        sum_t += min(v for _, v in pairs)
+    return sum_p <= z.units and sum_t <= z.units
+
+
+def test_gwpm_prefilter_is_exact(monkeypatch):
+    # windows that reach a solver, to check that the walk drops every
+    # window the min-sum test rejects
+    solved = []
+    solve_window = consensus._solve_window
+
+    def spy(P, T, z, p, *args):
+        solved.append(p)
+        return solve_window(P, T, z, p, *args)
+
+    monkeypatch.setattr(consensus, "_solve_window", spy)
     rng = random.Random(1974)
     rejected = 0
     for _ in range(240):
         z = ProbThreshold.from_z(2 ** rng.randint(1, 6))
         n = rng.randint(1, 14)
         m = rng.randint(1, min(5, n))
-        p_seq = prefilter_rows(rng, m, z)
-        t_seq = prefilter_rows(rng, n, z)
+        p_seq = min_sum_rows(rng, m, z)
+        t_seq = min_sum_rows(rng, n, z)
         expect = [
             p for p in range(1, n - m + 2)
             if naive_consensus(p_seq, window(t_seq, p, m), z) is not None
         ]
+        solved.clear()
         assert list(gwpm(p_seq, t_seq, z).occurrences) == expect
-        kept = set((_window_prefilter(prune(p_seq, z), prune(t_seq, z), z.units) + 1).tolist())
+        kept = {p for p in range(1, n - m + 2) if passes_min_sum(p_seq, t_seq, p, z)}
         assert set(expect) <= kept
+        assert set(solved) <= kept
         rejected += n - m + 1 - len(kept)
     assert rejected > 0
 
@@ -320,7 +413,7 @@ def test_gwpm_equals_per_window_naive_on_adversarial_texts(rng):
 def budget_window(kinds, q):
     """Pattern and text rows whose heavy letters differ at every offset
     with a kind.  A "p" or "t" mismatch costs exactly one bit in the
-    pattern or in the text.  An "x" mismatch costs the prefilter only
+    pattern or in the text.  An "x" mismatch costs the min-sum test only
     -log2(1 - q) bits on each side, but any letter there costs
     -log2(q) bits on one side."""
     rows = {"p": ({"a": 0.5, "b": 0.5}, {"b": 1.0}),  # heavy a (tie) against b
@@ -332,13 +425,13 @@ def budget_window(kinds, q):
 
 def test_gwpm_windows_at_the_mismatch_budget():
     # with z = 2^L the budget is 2L mismatches; the planted window at
-    # position 3 passes the prefilter, so the walk itself must keep
+    # position 3 passes the min-sum test, so the walk itself must keep
     # windows with 2L mismatches and drop those with 2L + 1
     for log2z in (1, 2, 3, 4):
         z = ProbThreshold.from_z(2 ** log2z)
         budget = 2 * log2z
         cases = [(["p"] * log2z + ["t"] * log2z, True)]
-        if log2z >= 3:  # below, 2L + 1 cheap mismatches fail the prefilter
+        if log2z >= 3:  # below, 2L + 1 cheap mismatches fail the min-sum test
             cases += [(["x"] * budget, False), (["x"] * (budget + 1), False)]
         for kinds, matches in cases:
             kinds = kinds + ["-"] * 3
@@ -347,7 +440,7 @@ def test_gwpm_windows_at_the_mismatch_budget():
             m = len(pat)
             p_seq = from_probabilities("abc", pat)
             t_seq = from_probabilities("abc", [{"c": 1.0}] * 2 + txt + [{"a": 1.0}] * 2)
-            assert 2 in _window_prefilter(prune(p_seq, z), prune(t_seq, z), z.units)
+            assert passes_min_sum(p_seq, t_seq, 3, z)
             res = gwpm(p_seq, t_seq, z)
             expect = [
                 p for p in range(1, t_seq.n - m + 2)

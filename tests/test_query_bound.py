@@ -113,7 +113,7 @@ def test_gwpm_queries_per_window(per_window):
 
 def test_gwpm_query_bound_is_reached(per_window):
     # heavy letters swapped at every offset, each swap nearly free for
-    # the prefilter: the window walks until its (budget + 1)-th mismatch
+    # the min-sum test: the window walks until its (budget + 1)-th mismatch
     rng = random.Random(2019)
     for log2z in (4, 8):
         z = ProbThreshold.from_z(2 ** log2z)
