@@ -193,10 +193,10 @@ def _gen(args) -> str:
     rng = random.Random(args.seed)
     kind = args.kind
     alphabet = args.alphabet
-    if not alphabet or len(set(alphabet)) != len(alphabet) or \
-            any(c.isspace() or c in "#\x00\x01" for c in alphabet):
-        raise DomainError(f"--alphabet {alphabet!r}: need distinct, non-blank, "
-                          "non-reserved letters")
+    try:
+        profile_mod.check_alphabet(alphabet)
+    except DomainError as exc:
+        raise DomainError(f"--alphabet {alphabet!r}: {exc}") from None
     if kind == "text":
         n = _gen_count(args, "length", 0)
         return "".join(rng.choice(alphabet) for _ in range(n)) + "\n"

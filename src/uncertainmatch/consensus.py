@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import knapsack, neglog
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .knapsack import KnapsackInstance, make_instance
 from .lcp import build_cross_index, mismatch_walk
 from .reference import naive_consensus
@@ -241,9 +241,23 @@ def gwpm(
       built as in `wc_to_knapsack`: letters above z are left out.  It beat the SDWC
       solver at every (z, m) measured, so `gwpm` does not offer SDWC.
     - ``naive``: the brute-force oracle.
+
+    At z = inf (1/z = 0) a window occurs when some string has nonzero
+    probability in it and in P; ``naive`` refuses z = inf, as its
+    oracle does.
     """
     if algo not in GWPM_ALGOS:
         raise DomainError(f"unknown gwpm algorithm {algo!r}")
+    unbounded = math.isinf(z.display)
+    if unbounded:
+        if algo == "naive":
+            raise CapacityError("gwpm: the naive oracle does not enumerate at z = inf")
+        # 1/z = 0: a string matches where all its letters are alive, so
+        # this is gwpm at z = 1 over the alive letters made free, with
+        # no mismatch budget; every sum stays small and exact
+        P, T = (WeightedSequence.from_units(
+            x.alphabet, np.where(x.units < neglog.INF, 0, neglog.INF)) for x in (P, T))
+        z = ProbThreshold.from_z(1)
     P = prune(P, z)
     T = prune(T, z)
     m, n = P.n, T.n
@@ -253,7 +267,7 @@ def gwpm(
     heavy_p, units_p = _heavy_with_filler(P)
     if m > n or (units_p >= neglog.INF).any():
         return GwpmResult((), m, heavy_t, {})
-    budget = 2 * z.log2_floor
+    budget = m if unbounded else 2 * z.log2_floor
     z_units = z.units
     inf, cap = neglog.INF, z_units + 1
     common = [c for c in P.alphabet if c in T.alphabet]

@@ -9,16 +9,23 @@ Three whitespace-separated, line-oriented formats:
 
 Lines starting with `#` and blank lines are ignored.  Errors carry
 1-based line numbers of the original file (none when the input holds
-no content at all).  A PWM's rows are read into one float matrix by
-one pass of numpy's C row reader and converted to NegLog units in one
-call; the Python line walk runs only when that pass fails, to report
-the error and its line.  Serialization is the exact inverse on files
-produced by the generator: parse then serialize is byte-identical.
+no content at all).  PROFILE and PWM files share one reader: one pass
+of numpy's C row reader reads the rows into one matrix (int64 scores,
+float probabilities), handed whole to `ScoringMatrix` or to
+`from_probabilities`; the Python line walk runs only when that pass
+fails, to report the error and its line.  The two formats differ only
+in what `_Table` holds: the header word, the number type, the test of
+a bad row and the constructor.  Serialization is the exact inverse on
+files produced by the generator: parse then serialize is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +33,7 @@ from . import neglog
 from .capacity import MAX_ABS_MAGNITUDE, MAX_ITEMS
 from .errors import DomainError, ParseError
 from .knapsack import KnapsackInstance, make_instance
-from .profile import _SCORE_LIMIT, ScoringMatrix
+from .profile import ScoringMatrix, check_alphabet, first_out_of_range
 from .weighted import WeightedSequence, first_invalid_row, from_probabilities
 
 
@@ -74,71 +81,70 @@ def _float(token: str, lines: _Lines, what: str) -> float:
         raise ParseError(f"expected a number {what}, got {token!r}", lines.last) from None
 
 
-def _alphabet_error(alphabet: str) -> str | None:
-    if len(set(alphabet)) != len(alphabet):
-        return f"alphabet has repeated letters: {alphabet!r}"
-    if any(c in alphabet for c in "#\x00\x01"):
-        return "alphabet contains a reserved character"
-    return None
+class _Table(NamedTuple):
+    """What a PROFILE file's reading does not share with a PWM file's."""
+
+    word: str  # header word
+    count: str  # the header's name of the row count
+    length: str  # the row count in its range error
+    entry: str  # one number of a row, in error messages
+    entries: str
+    token: Callable  # one token's number, or ParseError
+    dtype: type  # of numpy's one-pass read
+    ascii_only: bool  # rows with other letters skip that read
+    walk_dtype: type  # of the line walk's rows, exact for every number `token` returns
+    bad_row: Callable  # (0-based row, why) of the first row `build` refuses, or None
+    build: Callable  # (alphabet, rows) -> the object read
 
 
-def _check_alphabet(alphabet: str, lines: _Lines) -> None:
-    error = _alphabet_error(alphabet)
-    if error is not None:
-        raise ParseError(error, lines.last)
+# numpy's int64 reader can crash the interpreter on a non-ASCII token
+# (a segmentation fault on U+DBFCE in 4 of 5 runs, numpy 2.4) and reads
+# no non-ASCII digit, so profile rows that are not ASCII go to the walk
+_PROFILE = _Table("PROFILE", "m", "profile length", "score", "scores", _int, np.int64, True,
+                  object, first_out_of_range, ScoringMatrix)
+# `from_probabilities` is looked up at each call, so a tracer that
+# patches it sees every PWM build
+_PWM = _Table("PWM", "n", "sequence length", "probability", "probabilities", _float,
+              np.float64, False, np.float64, first_invalid_row,
+              lambda alphabet, rows: from_probabilities(alphabet, rows))
 
 
 def parse_profile(text: str) -> ScoringMatrix:
-    lines = _Lines(text)
-    header = lines.next("PROFILE header").split()
-    if len(header) != 3 or header[0] != "PROFILE":
-        raise ParseError("expected header `PROFILE <m> <alphabet>`", lines.last)
-    m = _int(header[1], lines, "length")
-    alphabet = header[2]
-    _check_alphabet(alphabet, lines)
-    if not (1 <= m < MAX_ITEMS):
-        raise ParseError(f"profile length {m} out of range [1, {MAX_ITEMS})", lines.last)
-    rows = []
-    for _ in range(m):
-        tokens = lines.next("a score row").split()
-        if len(tokens) != len(alphabet):
-            raise ParseError(
-                f"expected {len(alphabet)} scores, got {len(tokens)}", lines.last
-            )
-        row = tuple(_int(t, lines, "score") for t in tokens)
-        for s in row:
-            if abs(s) >= _SCORE_LIMIT:
-                raise ParseError(f"score out of 32-bit range: {s}", lines.last)
-        rows.append(row)
-    lines.expect_end()
-    return ScoringMatrix(alphabet, tuple(rows))
+    return _parse_table(text, _PROFILE)
 
 
 def serialize_profile(profile: ScoringMatrix) -> str:
     out = [f"PROFILE {profile.m} {profile.alphabet}"]
-    out.extend(" ".join(str(s) for s in row) for row in profile.scores)
+    out.extend(" ".join(map(str, row)) for row in profile.scores.tolist())
     return "\n".join(out) + "\n"
 
 
 def parse_pwm(text: str) -> WeightedSequence:
-    """Read a PWM; its rows go through numpy's C row reader in one pass.
+    return _parse_table(text, _PWM)
 
-    When that pass cannot stand (see `_read_pwm_matrix`), the line walk
-    `_parse_pwm_lines` reads the text again to name the error and its
-    file line.
+
+def _parse_table(text: str, fmt: _Table):
+    """Read a PROFILE or PWM file; its rows go through numpy's C row
+    reader in one pass.
+
+    When that pass cannot stand (see `_read_table`), the line walk
+    `_walk_table` reads the text again to name the error and its file
+    line.
     """
-    x = _read_pwm_matrix(text)
-    return x if x is not None else _parse_pwm_lines(text)
+    x = _read_table(text, fmt)
+    return x if x is not None else _walk_table(text, fmt)
 
 
-def _read_pwm_matrix(text: str) -> WeightedSequence | None:
-    """The sequence of a well-formed PWM, or None.
+def _read_table(text: str, fmt: _Table):
+    """The object of a well-formed file, or None.
 
-    None when the header is not valid, the reader rejects a token or
-    warns (a comment line among the rows is a rejected token), the rows
-    do not form exactly an n x sigma matrix, or `from_probabilities`
-    finds a row that is not a sub-distribution.  The reader accepts no
-    token that `float` rejects and splits on the same whitespace as
+    None when the header is not valid, a row is not ASCII where `fmt`
+    takes ASCII rows only, the reader rejects a token or warns (a
+    comment line among the rows is a rejected token), the rows do not
+    form exactly an n x sigma matrix, or `fmt.build` refuses them.  The
+    reader accepts no token that `fmt.token` rejects (its
+    integers are a subset of `int`'s: no `1_0`, no non-ASCII digits,
+    nothing past int64) and splits on the same whitespace as
     `str.split`, so whatever it accepts the line walk reads the same.
     """
     lines = text.splitlines()
@@ -147,62 +153,61 @@ def _read_pwm_matrix(text: str) -> WeightedSequence | None:
     if k is None:
         return None
     header = lines[k].split()
-    if len(header) != 3 or header[0] != "PWM" or _alphabet_error(header[2]):
+    if len(header) != 3 or header[0] != fmt.word or \
+            fmt.ascii_only and not all(map(str.isascii, islice(lines, k + 1, None))):
         return None
     try:
         n = int(header[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            probs = np.loadtxt(lines[k + 1:], comments=None, ndmin=2, dtype=np.float64)
-    except (ValueError, Warning):
-        return None
-    if not (1 <= n < MAX_ITEMS) or probs.shape != (n, len(header[2])):
-        return None
-    try:
-        return from_probabilities(header[2], probs)
-    except DomainError:
-        return None
+            rows = np.loadtxt(lines[k + 1:], comments=None, ndmin=2, dtype=fmt.dtype)
+        if 1 <= n < MAX_ITEMS and rows.shape == (n, len(header[2])):
+            return fmt.build(header[2], rows)
+    except (ValueError, Warning):  # a DomainError is a ValueError
+        pass
+    return None
 
 
-def _parse_pwm_lines(text: str) -> WeightedSequence:
-    """The line-by-line PWM reader: exact errors with file lines."""
+def _walk_table(text: str, fmt: _Table):
+    """The line-by-line reader: exact errors with file lines."""
     lines = _Lines(text)
-    header = lines.next("PWM header").split()
-    if len(header) != 3 or header[0] != "PWM":
-        raise ParseError("expected header `PWM <n> <alphabet>`", lines.last)
+    header = lines.next(f"{fmt.word} header").split()
+    if len(header) != 3 or header[0] != fmt.word:
+        raise ParseError(f"expected header `{fmt.word} <{fmt.count}> <alphabet>`", lines.last)
     n = _int(header[1], lines, "length")
     alphabet = header[2]
-    _check_alphabet(alphabet, lines)
+    try:
+        check_alphabet(alphabet)
+    except DomainError as exc:
+        raise ParseError(str(exc), lines.last) from None
     if not (1 <= n < MAX_ITEMS):
-        raise ParseError(f"sequence length {n} out of range [1, {MAX_ITEMS})", lines.last)
+        raise ParseError(f"{fmt.length} {n} out of range [1, {MAX_ITEMS})", lines.last)
     sigma = len(alphabet)
-    values: list[float] = []  # row-major, sigma per row
+    values: list = []  # row-major, sigma per row
     line_of: list[int] = []  # file line of each row, for error reports
 
-    def matrix():
-        # the rows read so far; ParseError at the first that is not a sub-distribution
-        probs = np.array(values[: len(line_of) * sigma], dtype=np.float64).reshape(-1, sigma)
-        bad = first_invalid_row(probs)
+    def table():
+        # the rows read so far; ParseError at the first that `fmt.build` refuses
+        rows = np.array(values[: len(line_of) * sigma], dtype=fmt.walk_dtype)
+        rows = rows.reshape(-1, sigma)
+        bad = fmt.bad_row(rows)
         if bad is not None:
             raise ParseError(bad[1], line_of[bad[0]])
-        return probs
+        return rows
 
     try:
         for _ in range(n):
-            tokens = lines.next("a probability row").split()
+            tokens = lines.next(f"a {fmt.entry} row").split()
             if len(tokens) != sigma:
-                raise ParseError(f"expected {sigma} probabilities, got {len(tokens)}", lines.last)
-            try:
-                values.extend(map(float, tokens))
-            except ValueError:
-                for t in tokens:
-                    _float(t, lines, "probability")
+                raise ParseError(f"expected {sigma} {fmt.entries}, got {len(tokens)}",
+                                 lines.last)
+            values.extend(fmt.token(t, lines, fmt.entry) for t in tokens)
             line_of.append(lines.last)
         lines.expect_end()
     except ParseError:
-        matrix()  # an earlier line's error comes first
+        table()  # an earlier line's error comes first
         raise
-    return from_probabilities(alphabet, matrix())
+    return fmt.build(alphabet, table())
 
 
 def serialize_pwm(x: WeightedSequence) -> str:

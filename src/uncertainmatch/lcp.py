@@ -18,6 +18,9 @@ from .errors import DomainError
 # Reserved sentinel used to join two texts; lexicographically below
 # every printable letter.  Parsers reject user input containing it.
 SEPARATOR = "\x00"
+# Placeholder letter for a weighted text's positions whose row became
+# empty after pruning; never equal to any user letter or the separator.
+EMPTY_ROW_FILLER = "\x01"
 
 
 def _encode(text: str) -> np.ndarray:

@@ -6,52 +6,110 @@ The matcher starts every window at the heavy string's score and walks
 all windows together through their mismatches with the heavy string,
 one batched lcp query per live window and round, abandoning a window
 as soon as its running score falls below the threshold.
+
+A `ScoringMatrix` is one read-only m x sigma int64 array, the table
+model `WeightedSequence` shares.  The one alphabet rule of both models
+(`check_alphabet`) and their one letter -> column lookup (`_columns`)
+live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .lcp import _encode, build_cross_index, mismatch_walk
+from .lcp import EMPTY_ROW_FILLER, SEPARATOR, _encode, build_cross_index, mismatch_walk
 
 _SCORE_LIMIT = 1 << 31  # per-entry scores are 32-bit; window sums fit in 64
+# letters no alphabet may hold besides whitespace: the file formats'
+# comment mark, the text index's separator and the empty-row filler
+RESERVED = "#" + SEPARATOR + EMPTY_ROW_FILLER
 
 
-@dataclass(frozen=True)
+def check_alphabet(alphabet: str) -> None:
+    """The one alphabet rule of profiles, weighted sequences, their file
+    formats and `um gen`: nonempty, distinct letters, none of them
+    whitespace or `RESERVED`.  DomainError otherwise."""
+    if not alphabet:
+        raise DomainError("alphabet is empty")
+    if len(set(alphabet)) != len(alphabet):
+        raise DomainError(f"alphabet has repeated letters: {alphabet!r}")
+    if any(c.isspace() or c in RESERVED for c in alphabet):
+        raise DomainError("alphabet contains a reserved character")
+
+
+def _columns(alphabet: str, text: str) -> np.ndarray:
+    """int32 column in `alphabet` of every letter of `text`; -1 for a letter not in it."""
+    codes = _encode(text)
+    letters = _encode(alphabet)
+    # int32, not int64: on a 30k-letter text the wider array raised the
+    # peak RSS of `um pm` by 0.6 MB
+    order = np.argsort(letters).astype(np.int32)
+    col = order[np.minimum(np.searchsorted(letters, codes, sorter=order), len(letters) - 1)]
+    col[letters[col] != codes] = -1
+    return col
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class ScoringMatrix:
-    """m x sigma table of signed integer scores."""
+    """m x sigma table of signed 32-bit integer scores.
 
-    alphabet: str
-    scores: tuple[tuple[int, ...], ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    `scores` is one read-only int64 array: entry [i, c] is the score of
+    letter `alphabet[c]` at 0-based position i.  Built from an integer
+    array, or from m rows of sigma integers in alphabet order.
+    """
 
-    def __post_init__(self):
-        if len(self.scores) == 0:
+    def __init__(self, alphabet: str, scores):
+        if len(scores) == 0:
             raise DomainError("scoring matrix must have at least one row")
-        sigma = len(self.alphabet)
-        if len(set(self.alphabet)) != sigma or sigma == 0:
-            raise DomainError("alphabet must be a nonempty set of distinct letters")
-        for row in self.scores:
-            if len(row) != sigma:
-                raise DomainError("every row must have one score per alphabet letter")
-            for s in row:
-                if abs(s) >= _SCORE_LIMIT:
-                    raise DomainError(f"score out of 32-bit range: {s}")
-        object.__setattr__(self, "_index", {c: k for k, c in enumerate(self.alphabet)})
+        check_alphabet(alphabet)
+        # Python ints past int64 stay exact as objects until checked
+        table = scores if isinstance(scores, np.ndarray) else np.array(scores, dtype=object)
+        if table.ndim != 2 or table.shape[1] != len(alphabet):
+            raise DomainError("every row must have one score per alphabet letter")
+        if table.dtype.kind not in "iu" and not all(isinstance(s, Integral) for s in table.flat):
+            raise DomainError("scores must be integers")
+        bad = first_out_of_range(table)
+        if bad is not None:
+            raise DomainError(bad[1])
+        self.alphabet = alphabet
+        self.scores = _read_only(table.astype(np.int64))
 
     @property
     def m(self) -> int:
-        return len(self.scores)
+        return self.scores.shape[0]
 
     def entry(self, i: int, letter: str) -> int:
         """Score of `letter` at 1-based position `i`."""
-        try:
-            return self.scores[i - 1][self._index[letter]]
-        except KeyError:
-            raise DomainError(f"letter {letter!r} not in alphabet {self.alphabet!r}") from None
+        k = self.alphabet.find(letter) if len(letter) == 1 else -1
+        if k < 0:
+            raise DomainError(f"letter {letter!r} not in alphabet {self.alphabet!r}")
+        return int(self.scores[i - 1, k])
+
+    def __eq__(self, other):
+        return isinstance(other, ScoringMatrix) and self.alphabet == other.alphabet \
+            and np.array_equal(self.scores, other.scores)
+
+    def __repr__(self):
+        return f"ScoringMatrix(m={self.m}, alphabet={self.alphabet!r})"
+
+
+def first_out_of_range(scores: np.ndarray) -> tuple[int, str] | None:
+    """The first 0-based row of an integer score table holding an entry
+    outside the 32-bit range, and why; None when no row does."""
+    bad = (scores >= _SCORE_LIMIT) | (scores <= -_SCORE_LIMIT)
+    rows = bad.any(axis=1)
+    if not rows.any():
+        return None
+    r = int(rows.argmax())
+    return r, f"score out of 32-bit range: {scores[r][bad[r]][0]}"
 
 
 def score(s: str, profile: ScoringMatrix) -> int:
@@ -63,11 +121,8 @@ def score(s: str, profile: ScoringMatrix) -> int:
 
 def heavy_string(profile: ScoringMatrix) -> str:
     """Per-position highest-scoring letter; ties go to the smallest alphabet index."""
-    out = []
-    for row in profile.scores:
-        best = max(range(len(row)), key=lambda k: (row[k], -k))
-        out.append(profile.alphabet[best])
-    return "".join(out)
+    letters = np.array(list(profile.alphabet))
+    return "".join(letters[profile.scores.argmax(axis=1)].tolist())
 
 
 def profile_match(profile: ScoringMatrix, text: str, threshold: int) -> list[int]:
@@ -84,7 +139,10 @@ def profile_match(profile: ScoringMatrix, text: str, threshold: int) -> list[int
     if m > n:
         return []
     col = _columns(profile.alphabet, text)
-    scores = np.array(profile.scores, dtype=np.int64)
+    if (col < 0).any():
+        c = text[int((col < 0).argmax())]
+        raise DomainError(f"text letter {c!r} not in alphabet {profile.alphabet!r}")
+    scores = profile.scores
     best = scores.max(axis=1)
     # window score = heavy score - losses; a loss sum stays below
     # m * 2^32, so capping the slack keeps a huge threshold exact
@@ -102,19 +160,6 @@ def profile_match(profile: ScoringMatrix, text: str, threshold: int) -> list[int
     return (mismatch_walk(idx, np.arange(n - m + 1), step) + 1).tolist()
 
 
-def _columns(alphabet: str, text: str) -> np.ndarray:
-    """int32 column in `alphabet` of every letter of `text`."""
-    codes = _encode(text)
-    letters = _encode(alphabet)
-    order = np.argsort(letters)
-    col = order[np.minimum(np.searchsorted(letters, codes, sorter=order), len(letters) - 1)]
-    bad = letters[col] != codes
-    if bad.any():
-        c = text[int(bad.argmax())]
-        raise DomainError(f"text letter {c!r} not in alphabet {alphabet!r}")
-    return col.astype(np.int32)
-
-
 def count_matching_strings(profile: ScoringMatrix, threshold: int) -> int:
     """Exact number of strings scoring at least `threshold` (NumStrings)."""
     m, sigma = profile.m, len(profile.alphabet)
@@ -126,7 +171,7 @@ def count_matching_strings(profile: ScoringMatrix, threshold: int) -> int:
         )
     # exact DP over achievable score sums; equivalent to full enumeration
     counts: dict[int, int] = {0: 1}
-    for row in profile.scores:
+    for row in profile.scores.tolist():
         nxt: dict[int, int] = {}
         for total, cnt in counts.items():
             for sc in row:

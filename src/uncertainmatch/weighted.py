@@ -27,11 +27,8 @@ import numpy as np
 from . import neglog
 from .capacity import ENUMERATION_LIMIT
 from .errors import CapacityError, DomainError
-from .lcp import SEPARATOR, build_cross_index, mismatch_walk
-
-# Placeholder letter for positions whose row became empty after
-# pruning; never equal to any user letter or the index separator.
-EMPTY_ROW_FILLER = "\x01"
+from .lcp import EMPTY_ROW_FILLER, build_cross_index, mismatch_walk
+from .profile import _columns, _read_only, check_alphabet
 
 ROW_SUM_SLACK = 1e-6
 
@@ -69,7 +66,7 @@ class WeightedSequence:
     """
 
     def __init__(self, alphabet: str, rows):
-        _check_alphabet(alphabet)
+        check_alphabet(alphabet)
         units = np.array(_table(alphabet, rows, neglog.INF), dtype=np.int64)
         units = units.reshape(-1, len(alphabet))
         self._set(alphabet, np.where(neglog.is_inf(units), neglog.INF, units), None)
@@ -81,7 +78,7 @@ class WeightedSequence:
         An absent letter must hold exactly `neglog.INF`; `probs`, if
         given, is the probability matrix the units were converted from.
         """
-        _check_alphabet(alphabet)
+        check_alphabet(alphabet)
         units = np.asarray(units, dtype=np.int64)
         if units.ndim != 2 or units.shape[1] != len(alphabet):
             raise DomainError(f"units matrix of shape {units.shape} for alphabet {alphabet!r}")
@@ -91,7 +88,6 @@ class WeightedSequence:
 
     def _set(self, alphabet, units, probs):
         self.alphabet = alphabet
-        self._column = {c: k for k, c in enumerate(alphabet)}
         self.units = _read_only(units)
         self.probs = None if probs is None else _read_only(probs)
 
@@ -125,8 +121,8 @@ class WeightedSequence:
 
     def letter_units(self, i: int, letter: str) -> int:
         """NegLog units of `letter` at 1-based position `i` (INF if absent)."""
-        k = self._column.get(letter)
-        return neglog.INF if k is None else int(self.units[i - 1, k])
+        k = self.alphabet.find(letter) if len(letter) == 1 else -1
+        return neglog.INF if k < 0 else int(self.units[i - 1, k])
 
     def heavy(self, i: int) -> str:
         """Most probable letter at 1-based position `i`; ties by alphabet order."""
@@ -148,12 +144,6 @@ class WeightedSequence:
         return f"WeightedSequence(n={self.n}, alphabet={self.alphabet!r})"
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
 def _table(alphabet: str, rows, absent) -> list:
     """Rows as lists in alphabet order.  A mapping row (letter -> value)
     leaves its missing letters at `absent`; any other row must already
@@ -173,13 +163,6 @@ def _table(alphabet: str, rows, absent) -> list:
             raise DomainError(f"row {idx}: expected {len(alphabet)} values, got {len(row)}")
         table.append(row)
     return table
-
-
-def _check_alphabet(alphabet: str) -> None:
-    if len(set(alphabet)) != len(alphabet) or not alphabet:
-        raise DomainError("alphabet must be a nonempty set of distinct letters")
-    if SEPARATOR in alphabet or EMPTY_ROW_FILLER in alphabet:
-        raise DomainError("alphabet contains a reserved character")
 
 
 def first_invalid_row(probs: np.ndarray) -> tuple[int, str] | None:
@@ -212,7 +195,7 @@ def from_probabilities(alphabet: str, rows) -> WeightedSequence:
     at most 1 (plus rounding slack).  The whole matrix goes through one
     `neglog.from_probabilities` call.
     """
-    _check_alphabet(alphabet)
+    check_alphabet(alphabet)
     sigma = len(alphabet)
     if not isinstance(rows, np.ndarray):
         rows = np.array(_table(alphabet, rows, 0.0), dtype=np.float64).reshape(-1, sigma)
@@ -294,7 +277,7 @@ def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
         return []
     ap = alphas[cand]
     # column of each pattern letter; -1 (read as INF) if not in the alphabet
-    cols = np.array([text.alphabet.find(c) for c in pattern], dtype=np.int64)
+    cols = _columns(text.alphabet, pattern)
 
     def step(w, f):
         j = cand[w] + f

@@ -15,7 +15,7 @@ from uncertainmatch.consensus import (
     wc_to_knapsack,
     weighted_consensus,
 )
-from uncertainmatch.errors import DomainError
+from uncertainmatch.errors import CapacityError, DomainError
 from uncertainmatch.reference import hamming, naive_consensus
 from uncertainmatch.weighted import (
     ProbThreshold,
@@ -454,3 +454,43 @@ def test_gwpm_windows_at_the_mismatch_budget():
                 w = gwpm_witness(res, p)
                 assert match_neglog(w, p_seq) <= z.units
                 assert match_neglog(w, window(t_seq, p, m)) <= z.units
+
+
+def test_gwpm_at_infinite_z_equals_per_window_consensus(rng):
+    # 1/z = 0: a window occurs when some string has nonzero probability
+    # in it and in the pattern.  Empty text rows used to sum past int64
+    # in the saturated heavy sums, and there is no mismatch budget.
+    z = ProbThreshold.from_z(math.inf)
+    for _ in range(150):
+        n = rng.randint(1, 25)
+        m = rng.randint(1, min(6, n))
+        p_seq = random_weighted(rng, m, allow_empty=rng.random() < 0.2)
+        rows = random_rows(rng, n, "acgt", allow_empty=True)
+        for i in rng.sample(range(n), min(n, 3)):
+            rows[i] = {}
+        t_seq = from_probabilities("acgt", rows)
+        res = gwpm(p_seq, t_seq, z)
+        expect = [
+            p for p in range(1, n - m + 2)
+            if weighted_consensus(p_seq, t_seq.factor(p, p + m - 1), z) is not None
+        ]
+        assert list(res.occurrences) == expect
+        assert gwpm(p_seq, t_seq, z, algo="mim").occurrences == res.occurrences
+        for p in res.occurrences:
+            w = gwpm_witness(res, p)
+            assert match_neglog(w, p_seq) < neglog.INF
+            assert match_neglog(w, t_seq.factor(p, p + m - 1)) < neglog.INF
+
+
+def test_gwpm_at_infinite_z_long_windows():
+    # the first window differs from the pattern's heavy letters at all
+    # 40 positions but shares a live letter at each: no budget may drop
+    # it; every other window holds an empty row
+    p_seq = from_probabilities("ab", [{"a": 0.5, "b": 0.5}] * 40)
+    rows = [{"b": 1.0}] * 40 + [{}] * 2 + [{"b": 1.0}] * 5
+    res = gwpm(p_seq, from_probabilities("ab", rows), ProbThreshold.from_z(math.inf))
+    assert res.occurrences == (1,)
+    assert gwpm_witness(res, 1) == "b" * 40
+    with pytest.raises(CapacityError):
+        gwpm(p_seq, from_probabilities("ab", rows), ProbThreshold.from_z(math.inf),
+             algo="naive")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from uncertainmatch.errors import CapacityError, DomainError
@@ -33,6 +34,8 @@ def test_heavy_string():
     assert heavy_string(TOY) == "ab"
     assert heavy_string(ScoringMatrix("ab", ((1, 1),))) == "a"  # tie
     assert heavy_string(ScoringMatrix("ab", ((-1, -2),))) == "a"
+    ties = ScoringMatrix("tgca", ((0, 2, 2, 1), (3, 3, 3, 3), (-2, -1, -2, -1)))
+    assert heavy_string(ties) == "gtg"
 
 
 def test_heavy_string_maximizes_score(rng):
@@ -157,3 +160,43 @@ def test_profile_match_threshold_above_heavy_score():
 def test_profile_match_rejects_letter_outside_alphabet():
     with pytest.raises(DomainError, match=r"text letter 'x' not in alphabet 'ab'"):
         profile_match(TOY, "abxab", 0)
+
+
+def test_scores_are_one_read_only_int64_matrix():
+    prof = ScoringMatrix("ab", ((3, 0), (2, 5)))
+    assert prof.scores.dtype == np.int64 and prof.scores.shape == (2, 2)
+    assert prof.scores.tolist() == [[3, 0], [2, 5]]
+    with pytest.raises(ValueError):
+        prof.scores[0, 0] = 1
+    assert prof == TOY == ScoringMatrix("ab", np.array([[3, 0], [2, 5]]))
+    assert prof != ScoringMatrix("ba", ((3, 0), (2, 5)))
+    assert prof != ScoringMatrix("ab", ((3, 0), (2, 4)))
+
+
+def test_scoring_matrix_rejects_non_integer_scores():
+    # int64 would truncate 1.5 to 1: profile_match would then miss
+    # window 1, which the naive scorer reads as 1.5 + 1.5 = 3
+    for rows in (((1.5, 0), (0, 1.5)), ((1.0, 0), (0, 1)), (("1", 0), (0, 1)),
+                 ((None, 0), (0, 1)), np.array([[1.5, 0.0], [0.0, 1.5]])):
+        with pytest.raises(DomainError, match="scores must be integers"):
+            ScoringMatrix("ab", rows)
+
+
+def test_scoring_matrix_rejects_scores_beyond_32_bits():
+    for s in (2 ** 31, -2 ** 31, 2 ** 63, -2 ** 63, 2 ** 64, -2 ** 70, 10 ** 30):
+        for rows in (((1, s), (0, 1)), ((-1, 0), (s, 1))):
+            with pytest.raises(DomainError, match=f"score out of 32-bit range: {s}$"):
+                ScoringMatrix("ab", rows)
+    for table in (np.array([[1, 2 ** 63]], dtype=np.uint64),
+                  np.array([[1, -2 ** 63]], dtype=np.int64)):
+        with pytest.raises(DomainError, match="score out of 32-bit range"):
+            ScoringMatrix("ab", table)
+    edge = ScoringMatrix("ab", ((2 ** 31 - 1, 1 - 2 ** 31),))
+    assert edge.scores.tolist() == [[2 ** 31 - 1, 1 - 2 ** 31]]
+
+
+def test_scoring_matrix_rejects_bad_shapes():
+    for rows in ((), ((1, 2), (3,)), ((1, 2, 3),), ((1,),), (1, 2)):
+        with pytest.raises(DomainError):
+            ScoringMatrix("ab", rows)
+
