@@ -6,8 +6,16 @@ search parameterized by the number of feasible choices: the
 value-sorted partial-choice lists over prefixes and suffixes of the
 class sequence are grown by doubling their length, growth stops once
 ranks certify that no feasible solution can be missed, and each split
-index is finished with a vectorized two-class sweep.  Instance
-reductions shrink the class count to O(log A / log lambda) first.
+index is finished with a vectorized two-class sweep.  `solve` and
+`solve_k` share one lock-step loop and differ only in the class
+orders they try and in k, from which each search derives its rank
+budgets as exact integer roots (`_iroot`), so no budget can overflow
+a float.
+
+Instance reductions shrink the class count to O(log A / log lambda)
+first: greedy commitment, then one rank test (`_may_fit`) on the
+second-smallest gaps and, for lambda >= 3**6, class merging and the
+same test on the ceil(lambda^(1/3))-th gaps of the large classes.
 
 Witnesses are always reconstructed: items carry their original
 (class, item) origins through every reduction.
@@ -19,6 +27,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -335,9 +344,27 @@ def greedy_reduce(inst: KnapsackInstance) -> tuple[KnapsackInstance, tuple[Item,
     return KnapsackInstance(tuple(kept), V, W), tuple(fixed)
 
 
-def _second_smallest_delta(values: list[int]) -> int:
-    s = sorted(values)
-    return s[1] - s[0]
+def _may_fit(classes, tested, t: int, V: int, W: int) -> bool:
+    """The rank test: False when no choice of `classes` fits V and W.
+
+    A choice that picks, in half of the `tested` classes, an item at or
+    past the t-th smallest value has a value of at least the class
+    minima plus the smallest half of the t-th gaps (t-th smallest minus
+    smallest); likewise for weights.  When V and W are both below these
+    bounds, a feasible choice needs a tested class whose item is below
+    the t-th smallest in value and in weight, which the callers'
+    reductions have ruled out.
+    """
+    half = (len(tested) + 1) // 2
+    for key, cap in ((attrgetter("v"), V), (attrgetter("w"), W)):
+        gaps = []
+        for cls in tested:
+            s = sorted(map(key, cls))
+            gaps.append(s[t - 1] - s[0])
+        gaps.sort()
+        if sum(min(map(key, cls)) for cls in classes) + sum(gaps[:half]) <= cap:
+            return True
+    return False
 
 
 def reduce_n_log(inst: KnapsackInstance) -> Reduction:
@@ -345,14 +372,8 @@ def reduce_n_log(inst: KnapsackInstance) -> Reduction:
     reduced, fixed = greedy_reduce(inst)
     if reduced.n == 0:
         return Reduction(None, fixed, reduced.V >= 0 and reduced.W >= 0)
-    v_min_sum = sum(min(it.v for it in cls) for cls in reduced.classes)
-    w_min_sum = sum(min(it.w for it in cls) for cls in reduced.classes)
-    half = (reduced.n + 1) // 2
-    delta_v = sorted(_second_smallest_delta([it.v for it in cls]) for cls in reduced.classes)
-    delta_w = sorted(_second_smallest_delta([it.w for it in cls]) for cls in reduced.classes)
-    dv_mid = sum(delta_v[:half])
-    dw_mid = sum(delta_w[:half])
-    if v_min_sum + dv_mid <= reduced.V or w_min_sum + dw_mid <= reduced.W:
+    classes = reduced.classes
+    if _may_fit(classes, classes, 2, reduced.V, reduced.W):
         return Reduction(reduced, fixed, None)
     return Reduction(None, fixed, False)
 
@@ -405,37 +426,36 @@ def reduce_instance(inst: KnapsackInstance) -> Reduction:
         small = [i for i, c in enumerate(classes) if len(c) <= root]
         if len(small) < 2:
             break
-        i, j = small[0], small[1]
-        merged = prune_class(_merge_classes(classes[i], classes[j]))
-        classes[i] = merged
+        i, j = small[:2]
+        classes[i] = prune_class(_merge_classes(classes[i], classes[j]))
         del classes[j]
     big = [c for c in classes if len(c) > root]
-    rest = [c for c in classes if len(c) <= root]
-    classes = big + rest
-    k = len(big)
+    classes = big + [c for c in classes if len(c) <= root]
     reduced = KnapsackInstance(tuple(classes), base.V, base.W)
-    if k == 0:
-        return Reduction(reduced, first.fixed, None)
-    t = 1
-    while t ** 3 < lam:
-        t += 1  # smallest integer with t**3 >= lambda, i.e. ceil(lambda^(1/3))
-    half = (k + 1) // 2
-    delta_v = sorted(
-        sorted(it.v for it in cls)[t - 1] - min(it.v for it in cls) for cls in big
-    )
-    delta_w = sorted(
-        sorted(it.w for it in cls)[t - 1] - min(it.w for it in cls) for cls in big
-    )
-    v_min_sum = sum(min(it.v for it in cls) for cls in classes)
-    w_min_sum = sum(min(it.w for it in cls) for cls in classes)
-    if v_min_sum + sum(delta_v[:half]) <= reduced.V or \
-            w_min_sum + sum(delta_w[:half]) <= reduced.W:
+    t = _iroot(lam - 1, 3) + 1  # ceil(lambda^(1/3))
+    if not big or _may_fit(classes, big, t, base.V, base.W):
         return Reduction(reduced, first.fixed, None)
     return Reduction(None, first.fixed, False)
 
 
 # ---------------------------------------------------------------------------
 # meet-in-the-middle search
+
+
+def _iroot(x: int, k: int) -> int:
+    """The largest t with t**k <= x, for ints x >= 0 and k >= 1.
+
+    Integer Newton steps from 2**ceil(bits / k), which is above the
+    root, decrease to it; no float is involved, so x may be any size.
+    """
+    if x < 2:
+        return x
+    t = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * t + x // t ** (k - 1)) // k
+        if s >= t:
+            return t
+        t = s
 
 
 class _Search:
@@ -446,13 +466,16 @@ class _Search:
     Doubles the rank budget r step by step; once no split index can
     reach the value threshold (or everything is generated), the join
     phase sweeps every split with the two-class solver.
+
+    `k` = 0 is `solve`: each prefix list joins its first
+    ell = ceil(r / lam) rows.  `k` >= 1 is `solve_k` with the k front
+    classes first in `rows`: ell is the smallest integer with
+    ell**(k+1) >= r**k, and each later class joins only its items of
+    value rank at most floor(ell^(1/k)).
     """
 
-    def __init__(self, rows, V: int, W: int, ell_fn, rank_limit_fn=None, front_k: int = 0):
-        self.n, self.V, self.W = len(rows), V, W
-        self.ell_fn = ell_fn
-        self.rank_limit_fn = rank_limit_fn
-        self.front_k = front_k
+    def __init__(self, rows, V: int, W: int, lam: int, k: int = 0):
+        self.n, self.V, self.W, self.lam, self.k = len(rows), V, W, lam, k
         self.gen_l = PrefixGenerator(rows)
         self.gen_r = PrefixGenerator(rows[::-1])
         self.r = 0
@@ -474,8 +497,9 @@ class _Search:
                 f"past the memory guard of {PREFIX_ROW_LIMIT}")
         self.gen_l.step()
         self.gen_r.step()
-        self.r = self.gen_l.r
-        self.ell = self.ell_fn(self.r)
+        r = self.r = self.gen_l.r
+        k = self.k
+        self.ell = _iroot(r ** k - 1, k + 1) + 1 if k else -(-r // self.lam)
         if self.gen_l.all_complete() and self.gen_r.all_complete():
             longest = max(len(lst) for lst in self.gen_l.lists + self.gen_r.lists)
             self.r = self.ell = longest
@@ -491,14 +515,13 @@ class _Search:
 
     def join(self) -> Choice | None:
         n = self.n
+        limit = _iroot(self.ell, self.k) if self.k else INFINITE
         for j in range(1, n + 1):
             prev = self.gen_l.lists[j - 1][: self.ell]
             items = self.gen_l.items[j - 1]
-            if self.rank_limit_fn is not None and j > self.front_k:
+            if j > self.k and limit < len(items):
                 # the items of value rank at most the limit, ties counted
-                limit = self.rank_limit_fn(self.ell)
-                if limit < len(items):
-                    items = items[: np.searchsorted(items[:, 0], items[limit, 0])]
+                items = items[: np.searchsorted(items[:, 0], items[limit, 0])]
             # L_{j-1}[:ell] + C_j as one outer sum, rows ordered (item, row of prev)
             pairs = items[:, None, :2] + prev[None, :, :2]
             suffix = self.gen_r.lists[n - j][: self.r]
@@ -532,14 +555,21 @@ def _assemble(inst: KnapsackInstance, picks: Choice, fixed: tuple[Item, ...]) ->
     return _origins_to_choice(origins)
 
 
-def _run_lockstep(searches, inst, order, fixed, abort_r=None):
-    """Alternate single growth steps; the first stopped search decides.
+def _run_lockstep(inst, order, fixed, oriented, k: int = 0):
+    """Run both oriented searches in lock-step; the first stopped one decides.
 
-    The searches run over the classes of `inst` taken in `order`.
-    Returns (outcome, aborted): outcome is a Choice or None, aborted
-    is True when every search exceeded the r cap before stopping.
+    The searches run over the classes of `inst` taken in `order`;
+    `oriented` is `oriented_rows(inst.classes)` and `k` is passed to
+    `_Search`.  Returns (outcome, aborted): outcome is a Choice or
+    None, aborted is True when, with k >= 1, both searches passed
+    r = lambda**(k+1) before stopping.
     """
-    active = list(searches)
+    lam = inst.lam  # at least 2: greedy_reduce commits every one-item class
+    by_v, by_w = oriented
+    active = [
+        _Search([by_v[i] for i in order], inst.V, inst.W, lam, k),
+        _Search([by_w[i] for i in order], inst.W, inst.V, lam, k),
+    ]
     while True:
         for search in active:
             if search.grow_step():
@@ -548,8 +578,8 @@ def _run_lockstep(searches, inst, order, fixed, abort_r=None):
                     return None, False
                 picks = {order[c]: item for c, item in witness.items()}
                 return _assemble(inst, picks, fixed), False
-        if abort_r is not None:
-            active = [s for s in active if s.r <= abort_r]
+        if k:
+            active = [s for s in active if s.r <= lam ** (k + 1)]
             if not active:
                 return None, True
 
@@ -578,15 +608,7 @@ def solve(inst: KnapsackInstance) -> Choice | None:
     if red is None:
         return answer
     base = red.instance
-    lam = max(base.lam, 1)
-    ell_fn = lambda r: -(-r // lam)
-    by_v, by_w = oriented_rows(base.classes)
-    searches = [
-        _Search(by_v, base.V, base.W, ell_fn),
-        _Search(by_w, base.W, base.V, ell_fn),
-    ]
-    outcome, _ = _run_lockstep(searches, base, range(base.n), red.fixed)
-    return outcome
+    return _run_lockstep(base, range(base.n), red.fixed, oriented_rows(base.classes))[0]
 
 
 def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
@@ -604,55 +626,18 @@ def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
         return answer
     base = red.instance
     n = base.n
-    lam = max(base.lam, 2)
     kk = min(k, n)
-    by_v, by_w = oriented_rows(base.classes)
+    oriented = oriented_rows(base.classes)
     while True:
-        ell_fn = _power_ceil_fn(kk)
-        rank_limit_fn = _root_floor_fn(kk)
-        abort_r = lam ** (kk + 1)
         any_aborted = False
         for front in itertools.combinations(range(n), kk):
             order = list(front) + [i for i in range(n) if i not in front]
-            searches = [
-                _Search([by_v[i] for i in order], base.V, base.W, ell_fn, rank_limit_fn, kk),
-                _Search([by_w[i] for i in order], base.W, base.V, ell_fn, rank_limit_fn, kk),
-            ]
-            outcome, aborted = _run_lockstep(searches, base, order, red.fixed, abort_r)
-            if aborted:
-                any_aborted = True
-                continue
+            outcome, aborted = _run_lockstep(base, order, red.fixed, oriented, kk)
             if outcome is not None:
                 return outcome
+            any_aborted |= aborted
         if not any_aborted:
             return None
         if kk >= n:
             raise AssertionError("escalation cannot abort with all classes in front")
         kk += 1
-
-
-def _power_ceil_fn(k: int):
-    def ell(r: int) -> int:
-        # smallest integer e with e**(k+1) >= r**k
-        target = r ** k
-        e = max(1, round(target ** (1.0 / (k + 1))))
-        while e ** (k + 1) < target:
-            e += 1
-        while e > 1 and (e - 1) ** (k + 1) >= target:
-            e -= 1
-        return e
-
-    return ell
-
-
-def _root_floor_fn(k: int):
-    def limit(ell: int) -> int:
-        # largest integer t with t**k <= ell
-        t = max(1, round(ell ** (1.0 / k)))
-        while t ** k > ell:
-            t -= 1
-        while (t + 1) ** k <= ell:
-            t += 1
-        return t
-
-    return limit

@@ -58,6 +58,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _row(table: np.ndarray, i: int) -> np.ndarray:
+    """Row `i` (1-based) of `table`; DomainError outside 1..len(table)."""
+    if not 1 <= i <= len(table):
+        raise DomainError(f"position {i} outside 1..{len(table)}")
+    return table[i - 1]
+
+
 class ScoringMatrix:
     """m x sigma table of signed 32-bit integer scores.
 
@@ -91,7 +98,7 @@ class ScoringMatrix:
         k = self.alphabet.find(letter) if len(letter) == 1 else -1
         if k < 0:
             raise DomainError(f"letter {letter!r} not in alphabet {self.alphabet!r}")
-        return int(self.scores[i - 1, k])
+        return int(_row(self.scores, i)[k])
 
     def __eq__(self, other):
         return isinstance(other, ScoringMatrix) and self.alphabet == other.alphabet \

@@ -28,7 +28,7 @@ from . import neglog
 from .capacity import ENUMERATION_LIMIT
 from .errors import CapacityError, DomainError
 from .lcp import EMPTY_ROW_FILLER, build_cross_index, mismatch_walk
-from .profile import _columns, _read_only, check_alphabet
+from .profile import _columns, _read_only, _row, check_alphabet
 
 ROW_SUM_SLACK = 1e-6
 
@@ -121,12 +121,13 @@ class WeightedSequence:
 
     def letter_units(self, i: int, letter: str) -> int:
         """NegLog units of `letter` at 1-based position `i` (INF if absent)."""
+        row = _row(self.units, i)
         k = self.alphabet.find(letter) if len(letter) == 1 else -1
-        return neglog.INF if k < 0 else int(self.units[i - 1, k])
+        return neglog.INF if k < 0 else int(row[k])
 
     def heavy(self, i: int) -> str:
         """Most probable letter at 1-based position `i`; ties by alphabet order."""
-        row = self.units[i - 1]
+        row = _row(self.units, i)
         k = int(row.argmin())
         if row[k] >= neglog.INF:
             raise DomainError(f"position {i} has no letters with nonzero probability")

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uncertainmatch import cli, io
 from uncertainmatch import knapsack as K
@@ -407,3 +409,43 @@ def test_growth_stops_within_bound(monkeypatch):
             assert len(stops) == 1 and stops[0] <= bound, (inst, stops, bound)
             searched += 1
         assert searched >= 100
+
+
+@given(st.integers(0, 10 ** 60), st.integers(1, 12))
+def test_iroot_is_the_integer_root(x, k):
+    t = K._iroot(x, k)
+    assert t ** k <= x < (t + 1) ** k
+
+
+def test_iroot_at_exact_powers():
+    for k in range(1, 13):
+        for t in (1, 2, 3, 7, 10 ** 5, 2 ** 64 + 1, 3 ** 90):
+            assert K._iroot(t ** k, k) == t
+            assert K._iroot(t ** k - 1, k) == t - 1
+            if k > 1:
+                assert K._iroot(t ** k + 1, k) == t
+    assert K._iroot(0, 5) == 0
+
+
+def subset_sum_80():
+    """80 classes of (a, 0), (0, a): r**80 outgrows a float long before the guard."""
+    rng = random.Random(3)
+    nums = [rng.randint(2 ** 20, 2 ** 30) for _ in range(80)]
+    V = sum(nums) // 2
+    return K.make_instance([[(a, 0), (0, a)] for a in nums], V, sum(nums) - V)
+
+
+def test_solve_k_rank_budget_past_float_range():
+    with pytest.raises(CapacityError):
+        K.solve_k(subset_sum_80(), 80)
+
+
+def test_cli_knapsack_rank_budget_past_float_range(tmp_path):
+    path = tmp_path / "i.mck"
+    path.write_text(io.serialize_mck(subset_sum_80()))
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["knapsack", "--instance", str(path), "--algo", "k=80"])
+    assert rc == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

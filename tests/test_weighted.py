@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from uncertainmatch import io, neglog
 from uncertainmatch.errors import CapacityError, DomainError
+from uncertainmatch.profile import ScoringMatrix
 from uncertainmatch.reference import enumerate_solid_strings, hamming, naive_wpm
 from uncertainmatch.weighted import (
     ProbThreshold,
@@ -314,3 +315,20 @@ def test_wpm_infinite_threshold_with_empty_rows():
     empty = from_probabilities("ab", [{}] * 8)
     assert wpm("aa", empty, z) == naive_wpm("aa", empty, z) == list(range(1, 8))
     assert wpm("x", empty, z) == naive_wpm("x", empty, z) == list(range(1, 9))
+
+
+def test_positions_outside_one_to_n_refused():
+    # position 0 and negative positions must not wrap to rows from the end
+    profile = ScoringMatrix("ab", ((3, 0), (2, 5)))
+    x = from_probabilities("ab", [{"a": 0.75, "b": 0.25}, {"b": 1.0}])
+    assert [profile.entry(i, "b") for i in (1, 2)] == [0, 5]
+    assert [x.heavy(i) for i in (1, 2)] == ["a", "b"]
+    assert x.letter_units(2, "a") == neglog.INF
+    for i in (0, -1, -2, 3, 10):
+        with pytest.raises(DomainError, match="outside 1..2"):
+            profile.entry(i, "a")
+        with pytest.raises(DomainError, match="outside 1..2"):
+            x.heavy(i)
+        for letter in "ab?":
+            with pytest.raises(DomainError, match="outside 1..2"):
+                x.letter_units(i, letter)
