@@ -39,24 +39,28 @@ def parse_z(token: str) -> ProbThreshold:
 
 
 def parse_algo(token: str) -> tuple[str, int | None]:
+    """`--algo` as (auto, naive or mim, None) or ("k", k) for k=<int>, k >= 1."""
     if token in ("auto", "naive", "mim"):
         return token, None
-    if token.startswith("k="):
-        try:
-            k = int(token[2:])
-        except ValueError:
-            raise ParseError(f"invalid algorithm {token!r}") from None
-        if k < 1:
-            raise ParseError("k must be a positive integer")
-        return "k", k
-    raise ParseError(f"unknown algorithm {token!r}")
+    try:
+        k = int(token[2:]) if token.startswith("k=") else 0
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise ParseError(f"unknown algorithm {token!r}")
+    return "k", k
 
 
-def _matcher_algo(args) -> str:
-    """`--algo` of pm and wpm, which have no solver to choose."""
-    if args.algo not in ("auto", "naive"):
-        raise ParseError(f"um {args.subcommand} takes --algo auto or naive, not {args.algo!r}")
-    return args.algo
+def _algo(args) -> tuple[str, int | None]:
+    """`--algo` by `parse_algo`, refused unless the subcommand lists it in `args.algos`."""
+    try:
+        algo, k = parse_algo(args.algo)
+    except ParseError:
+        algo, k = None, None
+    if ("k=<int>" if algo == "k" else algo) not in args.algos:
+        raise ParseError(f"um {args.subcommand} takes --algo "
+                         f"{' | '.join(args.algos)}, not {args.algo!r}")
+    return algo, k
 
 
 def _read(path: str) -> str:
@@ -101,32 +105,26 @@ def _emit_positions(positions, fmt, witness_of=None):
 
 
 def _run_pm(args) -> int:
-    algo = _matcher_algo(args)
+    naive = _algo(args)[0] == "naive"
     prof = _parse(io_mod.parse_profile, args.profile)
     text = _read_string(args.text)
-    if algo == "naive":
-        occ = reference.naive_profile_match(prof, text, args.Z)
-    else:
-        occ = profile_mod.profile_match(prof, text, args.Z)
-    _emit_positions(occ, args.format)
+    match = reference.naive_profile_match if naive else profile_mod.profile_match
+    _emit_positions(match(prof, text, args.Z), args.format)
     return EXIT_OK
 
 
 def _run_wpm(args) -> int:
-    algo = _matcher_algo(args)
+    naive = _algo(args)[0] == "naive"
     z = parse_z(args.z)
     pattern = _read_string(args.pattern)
     text = _parse(io_mod.parse_pwm, args.text)
-    if algo == "naive":
-        occ = reference.naive_wpm(pattern, text, z)
-    else:
-        occ = weighted.wpm(pattern, text, z)
-    _emit_positions(occ, args.format)
+    match = reference.naive_wpm if naive else weighted.wpm
+    _emit_positions(match(pattern, text, z), args.format)
     return EXIT_OK
 
 
 def _run_consensus(args) -> int:
-    algo, k = parse_algo(args.algo)
+    algo, k = _algo(args)
     z = parse_z(args.z)
     x = _parse(io_mod.parse_pwm, args.x)
     y = _parse(io_mod.parse_pwm, args.y)
@@ -143,7 +141,7 @@ def _run_consensus(args) -> int:
 
 
 def _run_gwpm(args) -> int:
-    algo, k = parse_algo(args.algo)
+    algo, k = _algo(args)
     z = parse_z(args.z)
     p = _parse(io_mod.parse_pwm, args.pattern)
     t = _parse(io_mod.parse_pwm, args.text)
@@ -154,7 +152,7 @@ def _run_gwpm(args) -> int:
 
 
 def _run_knapsack(args) -> int:
-    algo, k = parse_algo(args.algo)
+    algo, k = _algo(args)
     inst = _parse(io_mod.parse_mck, args.instance)
     if algo == "naive":
         choice = knapsack_mod.brute_force(inst)
@@ -249,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="um", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, algos="auto | naive | mim | k=<int>"):
-        p.add_argument("--algo", default="auto", help=algos)
+    def common(p, algos=("auto", "naive", "mim", "k=<int>")):
+        p.set_defaults(algos=algos)
+        p.add_argument("--algo", default="auto", help=" | ".join(algos))
         p.add_argument("--format", default="text", choices=("text", "jsonl"))
 
     p = sub.add_parser("pm", help="profile matching on a solid text")
@@ -258,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--Z", required=True, type=int, help="score threshold")
-    common(p, "auto | naive")
+    common(p, ("auto", "naive"))
 
     p = sub.add_parser("wpm", help="solid pattern in a weighted text")
     p.set_defaults(run=_run_wpm)
     p.add_argument("--pattern", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--z", required=True, help="probability threshold (decimal or 2^<int>)")
-    common(p, "auto | naive")
+    common(p, ("auto", "naive"))
 
     p = sub.add_parser("consensus", help="weighted consensus of two sequences")
     p.set_defaults(run=_run_consensus)

@@ -53,6 +53,14 @@ class WcInstance:
                 f"sequences must have equal length, got {self.X.n} and {self.Y.n}"
             )
 
+    @property
+    def n(self) -> int:
+        return self.X.n
+
+    @property
+    def lam(self) -> int:
+        return max(self.X.lam, self.Y.lam)
+
 
 def wc_to_knapsack(
     X: WeightedSequence, Y: WeightedSequence, z: ProbThreshold

@@ -162,21 +162,12 @@ def count_feasible(inst: KnapsackInstance) -> tuple[int, int]:
 
 def rank_v(s: PartialChoice, inst: KnapsackInstance) -> int:
     """Number of same-domain partial choices with value sum <= v(S)."""
-    return _rank(s, inst, lambda it: it.v, 0)
-
-
-def _rank(s: PartialChoice, inst: KnapsackInstance, key, sum_index: int) -> int:
-    size = 1
-    for ci in s.domain:
-        size *= len(inst.classes[ci])
-    check_enumeration(size, "partial-choice rank")
-    bound = s.sums(inst)[sum_index]
-    count = 0
-    for picks in itertools.product(*(range(len(inst.classes[ci])) for ci in s.domain)):
-        total = sum(key(inst.classes[ci][ii]) for ci, ii in zip(s.domain, picks))
-        if total <= bound:
-            count += 1
-    return count
+    classes = [inst.classes[ci] for ci in s.domain]
+    check_enumeration(math.prod(map(len, classes)), "partial-choice rank")
+    bound = s.sums(inst)[0]
+    return sum(
+        sum(it.v for it in picks) <= bound for picks in itertools.product(*classes)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ fixed-point domain so comparisons are bit-exact.
 from __future__ import annotations
 
 from . import neglog
-from .capacity import ENUMERATION_LIMIT
-from .errors import CapacityError
+from .capacity import check_enumeration
 from .profile import ScoringMatrix, score
 from .weighted import ProbThreshold, WeightedSequence
 
@@ -43,9 +42,7 @@ def naive_wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[in
 
 def enumerate_solid_strings(x: WeightedSequence, z: ProbThreshold) -> list[tuple[str, int]]:
     """All strings matching `x` with probability >= 1/z, with their units."""
-    if not (z.display <= ENUMERATION_LIMIT):
-        raise CapacityError(
-            f"enumerate_solid_strings: z={z.display} exceeds guard {ENUMERATION_LIMIT}")
+    check_enumeration(z.display, "enumerate_solid_strings")
     out: list[tuple[str, int]] = []
 
     def dfs(i: int, units: int, prefix: list[str]) -> None:

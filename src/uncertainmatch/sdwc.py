@@ -6,17 +6,19 @@ Every consensus string splits into a light solid prefix of one
 sequence, a single letter, a run of letters heavy in the other
 sequence, and a light solid suffix; the solver enumerates the light
 parts (there are few), fills the heavy runs along a hierarchy of
-basic intervals, and meets prefix and suffix lists with a linear
-two-pointer sweep.
+basic intervals, and meets prefix and suffix lists with the knapsack's
+two-class join (`knapsack.solve_two_class`).
 """
 
 from __future__ import annotations
 
-import heapq
-import math
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
-from . import consensus, neglog
+import numpy as np
+
+from . import consensus, knapsack, neglog
 from .errors import DomainError
 from .weighted import ProbThreshold, WeightedSequence, match_neglog
 
@@ -30,34 +32,21 @@ class SolidFactorRep:
     p2: int
 
 
-@dataclass(frozen=True)
-class SdwcInstance:
-    X: WeightedSequence
-    Y: WeightedSequence
-    z: ProbThreshold
+class SdwcInstance(consensus.WcInstance):
+    """A consensus instance that is short, has lambda <= z and dissimilar heavy strings."""
 
     def __post_init__(self):
+        super().__post_init__()
         X, Y, z = self.X, self.Y, self.z
-        if X.n != Y.n:
-            raise DomainError("sequences must have equal length")
         if X.n > 2 * z.log2_floor:
             raise DomainError(
                 f"length {X.n} exceeds the 2*floor(log2 z) = {2 * z.log2_floor} bound"
             )
-        lam = max(X.lam, Y.lam)
-        if lam > z.display:
-            raise DomainError(f"lambda = {lam} exceeds z = {z.display}")
+        if self.lam > z.display:
+            raise DomainError(f"lambda = {self.lam} exceeds z = {z.display}")
         for i in range(1, X.n + 1):
             if X.heavy(i) == Y.heavy(i):
                 raise DomainError(f"heavy strings agree at position {i}")
-
-    @property
-    def n(self) -> int:
-        return self.X.n
-
-    @property
-    def lam(self) -> int:
-        return max(self.X.lam, self.Y.lam)
 
 
 def light_prefixes(
@@ -110,8 +99,8 @@ def light_prefixes(
                     # even the heaviest non-heavy letter fails; later
                     # elements have smaller probability, so give up on B_i
                     break
-            streams.extend(lst for lst in per_letter if lst)
-        B[k] = list(heapq.merge(*streams, key=lambda r: r.p1))
+            streams.extend(per_letter)
+        B[k] = sorted(itertools.chain.from_iterable(streams), key=attrgetter("p1"))
     return B
 
 
@@ -134,9 +123,7 @@ def _orient(rep: SolidFactorRep, primary_is_x: bool) -> SolidFactorRep:
 
 def _thresholds(inst: SdwcInstance) -> tuple[int, int]:
     """(zl_units, zr_units) with zl + zr = z so that z_l * z_r >= z."""
-    lam = max(inst.lam, 1)
-    lam_units = round(math.log2(lam) * neglog.SCALE) if lam > 1 else 0
-    zr = (inst.z.units + lam_units + 1) // 2
+    zr = (inst.z.units + neglog.from_z(max(inst.lam, 1)) + 1) // 2
     zl = max(inst.z.units - zr, 0)
     return zl, zr
 
@@ -145,36 +132,29 @@ def build_L_R(inst: SdwcInstance, U: str, V: str):
     """Prefix lists L_1..L_{n+1} and suffix lists R_1..R_{n+1}.
 
     L_i: light sqrt(lambda/z)-solid prefixes of U of length i-1
-    extended by one letter at i, kept when common 1/z-solid, sorted by
-    probability in U.  R_i: common 1/z-solid suffixes of length n-i+1
-    light 1/sqrt(z lambda)-solid in V, sorted by probability in V.
-    All reps are absolute: p1 in X, p2 in Y.
+    extended by one letter at i, kept when common 1/z-solid.  R_i:
+    common 1/z-solid suffixes of length n-i+1 light 1/sqrt(z lambda)-solid
+    in V.  All reps are absolute: p1 in X, p2 in Y.  The lists are in
+    no particular order; `meet` sorts what it joins.
     """
     X, Y, z = inst.X, inst.Y, inst.z
     n = inst.n
     zl_units, zr_units = _thresholds(inst)
     u_seq, u_other = (X, Y) if U == "X" else (Y, X)
     v_seq, v_other = (X, Y) if V == "X" else (Y, X)
-    u_key = (lambda r: r.p1) if U == "X" else (lambda r: r.p2)
-    v_key = (lambda r: r.p1) if V == "X" else (lambda r: r.p2)
 
     Bp = light_prefixes(u_seq, u_other, z, zl_units)
     L: list[list[SolidFactorRep]] = [[] for _ in range(n + 2)]
     for i in range(1, n + 1):
         base = [_orient(r, U == "X") for r in Bp[i - 1]]
-        streams = []
         for s, _ in X.sorted_rows[i - 1]:
             ux = X.letter_units(i, s)
             uy = Y.letter_units(i, s)
-            lst = [
+            L[i] += [
                 SolidFactorRep(r.letters + s, r.p1 + ux, r.p2 + uy)
                 for r in base
                 if r.p1 + ux <= z.units and r.p2 + uy <= z.units
             ]
-            if lst:
-                streams.append(lst)
-        L[i] = list(heapq.merge(*streams, key=u_key))
-    L[n + 1] = []
 
     Bs = light_suffixes(v_seq, v_other, z, zr_units)
     R: list[list[SolidFactorRep]] = [[] for _ in range(n + 2)]
@@ -200,7 +180,8 @@ def star_lists(inst: SdwcInstance, L, R, U: str, V: str):
 
     Layer 0 equals L_a / R_a; a parent list extends its left child's
     prefixes (prepends its right child's suffixes) with letters heavy
-    in V and merges with the other child.
+    in V and adds the other child's list.  U is unused: it names the
+    orientation as in `build_L_R`, and the lists keep no order.
     """
     X, Y = inst.X, inst.Y
     n = inst.n
@@ -209,8 +190,6 @@ def star_lists(inst: SdwcInstance, L, R, U: str, V: str):
     hv = [v_seq.heavy(i) for i in range(1, n + 1)]
     hv_x = [X.letter_units(i, hv[i - 1]) for i in range(1, n + 1)]
     hv_y = [Y.letter_units(i, hv[i - 1]) for i in range(1, n + 1)]
-    u_key = (lambda r: r.p1) if U == "X" else (lambda r: r.p2)
-    v_key = (lambda r: r.p1) if V == "X" else (lambda r: r.p2)
 
     l_star = {}
     r_star = {}
@@ -233,7 +212,7 @@ def star_lists(inst: SdwcInstance, L, R, U: str, V: str):
                 for r in l_star[(a, c)]
                 if r.p1 + add_x <= z_units and r.p2 + add_y <= z_units
             ]
-            l_star[(a, b)] = list(heapq.merge(ext, l_star[(c + 1, b)], key=u_key))
+            l_star[(a, b)] = ext + l_star[(c + 1, b)]
             pseg = "".join(hv[a - 1: c])
             pre_x = sum(hv_x[a - 1: c])
             pre_y = sum(hv_y[a - 1: c])
@@ -242,7 +221,7 @@ def star_lists(inst: SdwcInstance, L, R, U: str, V: str):
                 for r in r_star[(c + 1, b)]
                 if r.p1 + pre_x <= z_units and r.p2 + pre_y <= z_units
             ]
-            r_star[(a, b)] = list(heapq.merge(r_star[(a, c)], ext2, key=v_key))
+            r_star[(a, b)] = r_star[(a, c)] + ext2
         j += 1
     return l_star, r_star
 
@@ -250,42 +229,21 @@ def star_lists(inst: SdwcInstance, L, R, U: str, V: str):
 def meet(L, R, z: ProbThreshold) -> str | None:
     """Concatenation of a prefix from L and a suffix from R solid in both.
 
-    Dominated elements are dropped (someone else is more probable on
-    both sides), then a two-pointer sweep pairs each prefix with the
-    most probable admissible suffix.
+    The two-class knapsack join with V = W = z's units: each list is
+    ordered by (p1, p2), and the first prefix that has a partner is
+    paired with its partner of least p2.
     """
     for lst in (L, R):
         if lst and len({len(r.letters) for r in lst}) != 1:
             raise DomainError("meet requires uniform factor lengths per list")
     if not L or not R:
         return None
-    z_units = z.units
-
-    def front(lst):
-        out = []
-        for r in sorted(lst, key=lambda r: (r.p1, r.p2)):
-            if out and out[-1].p2 <= r.p2:
-                continue
-            while out and out[-1].p1 == r.p1 and out[-1].p2 > r.p2:
-                out.pop()
-            if out and out[-1].p2 <= r.p2:
-                continue
-            out.append(r)
-        return out
-
-    left = front(L)
-    right = front(R)
-    ptr = len(right) - 1
-    for l in left:  # p1 ascending, so the suffix budget only shrinks
-        budget = z_units - l.p1
-        while ptr >= 0 and right[ptr].p1 > budget:
-            ptr -= 1
-        if ptr < 0:
-            return None
-        r = right[ptr]
-        if l.p2 + r.p2 <= z_units:
-            return l.letters + r.letters
-    return None
+    left, right = (sorted(lst, key=attrgetter("p1", "p2")) for lst in (L, R))
+    hit = knapsack.solve_two_class(
+        np.array([(r.p1, r.p2) for r in left], dtype=np.int64),
+        np.array([(r.p1, r.p2) for r in right], dtype=np.int64),
+        z.units, z.units)
+    return None if hit is None else left[hit[0]].letters + right[hit[1]].letters
 
 
 def solve(inst: SdwcInstance) -> str | None:
@@ -299,7 +257,7 @@ def solve(inst: SdwcInstance) -> str | None:
     if n == 0:
         return ""
     z_units = inst.z.units
-    top_layer = max(0, (n).bit_length())
+    top_layer = n.bit_length()
     for U in ("X", "Y"):
         for V in ("X", "Y"):
             L, R = build_L_R(inst, U, V)

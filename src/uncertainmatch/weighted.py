@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from . import neglog
-from .capacity import ENUMERATION_LIMIT
-from .errors import CapacityError, DomainError
+from .capacity import check_enumeration
+from .errors import DomainError
 from .lcp import EMPTY_ROW_FILLER, build_cross_index, mismatch_walk
 from .profile import _columns, _read_only, _row, check_alphabet
 
@@ -134,7 +134,9 @@ class WeightedSequence:
         return self.alphabet[k]
 
     def factor(self, i: int, j: int) -> "WeightedSequence":
-        """The weighted factor spanning 1-based positions i..j."""
+        """The weighted factor spanning 1-based positions i..j, 1 <= i <= j <= n."""
+        if not 1 <= i <= j <= self.n:
+            raise DomainError(f"factor {i}..{j} outside 1..{self.n}")
         return WeightedSequence.from_units(self.alphabet, self.units[i - 1: j])
 
     def __eq__(self, other):
@@ -296,9 +298,7 @@ def maximal_solid_prefixes(x: WeightedSequence, z: ProbThreshold) -> list[str]:
     A prefix is maximal when no single-letter extension keeps the
     matching probability at or above 1/z.  There are at most z of them.
     """
-    if not (z.display <= ENUMERATION_LIMIT):
-        raise CapacityError(
-            f"maximal_solid_prefixes: z={z.display} exceeds guard {ENUMERATION_LIMIT}")
+    check_enumeration(z.display, "maximal_solid_prefixes")
     results: list[str] = []
     n = x.n
 

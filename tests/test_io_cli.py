@@ -661,10 +661,13 @@ def test_cli_consensus_auto_is_meet_in_the_middle(tmp_path, capsys, monkeypatch)
 def test_cli_sdwc_is_not_an_algorithm(tmp_path, capsys):
     x = tmp_path / "x.pwm"
     x.write_text(FIG_PWM)
-    assert_input_error(capsys, ["consensus", "--x", str(x), "--y", str(x), "--z", "4",
-                                "--algo", "sdwc"])
-    assert_input_error(capsys, ["gwpm", "--pattern", str(x), "--text", str(x), "--z", "4",
-                                "--algo", "sdwc"])
+    for base in (["consensus", "--x", str(x), "--y", str(x), "--z", "4"],
+                 ["gwpm", "--pattern", str(x), "--text", str(x), "--z", "4"]):
+        for algo in ("sdwc", "k=0", "k=x"):
+            assert_input_error(capsys, base + ["--algo", algo])
+            assert cli.main(base + ["--algo", algo]) == 2
+            err = capsys.readouterr().err
+            assert f"um {base[0]}" in err and repr(algo) in err
 
 
 def test_cli_matchers_take_only_auto_or_naive(tmp_path, capsys):

@@ -332,3 +332,8 @@ def test_positions_outside_one_to_n_refused():
         for letter in "ab?":
             with pytest.raises(DomainError, match="outside 1..2"):
                 x.letter_units(i, letter)
+    # nor may a factor be an empty or an overlong slice
+    assert x.factor(1, 2) == x and x.factor(2, 2).heavy(1) == "b"
+    for i, j in ((0, 1), (2, 1), (1, 3), (0, 0), (-1, 2), (3, 3), (2, 10)):
+        with pytest.raises(DomainError, match="outside 1..2"):
+            x.factor(i, j)
