@@ -3,7 +3,8 @@
 Subcommands: pm (profile matching), wpm (weighted pattern matching),
 consensus, gwpm, knapsack, and gen (seeded instance generator).
 Occurrence positions are 1-based; exit status is 0 on success, 1 when
-the answer is NONE/NO, 2 on malformed input.
+the answer is NONE/NO, 2 on malformed input or when a memory guard or
+the memory itself runs out.
 """
 
 from __future__ import annotations
@@ -306,6 +307,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ParseError, DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -5,13 +5,15 @@ matching both with probability at least 1/z.  Finding one is a
 two-threshold Multichoice Knapsack problem over NegLog units: one
 class per position, one item per letter alive in both sequences whose
 units stay within z in each (letters above z are left out).
-`_classes` is the one builder of those classes, for `wc_to_knapsack`
-and for every `gwpm` window.
+`_classes` builds those classes as item lists, for `wc_to_knapsack`
+and for each `gwpm` window that needs a search.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
 mismatch, dropped as soon as an exact min-sum bound passes z, and
-reduces to a consensus instance restricted to those positions.
+reduces to a consensus instance restricted to those positions.  The
+windows' instances are built as padded arrays and decided together
+by one batched reduction (`knapsack.reduce_batch`) before any search.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import knapsack, neglog
 from .errors import CapacityError, DomainError
 from .knapsack import KnapsackInstance, make_instance
-from .lcp import build_cross_index, mismatch_walk
+from .lcp import WALK_BLOCK, build_cross_index, mismatch_walk
 from .reference import naive_consensus
 from .weighted import (
     ProbThreshold,
@@ -244,11 +246,16 @@ def gwpm(
     others reduce to a consensus instance restricted to the mismatch
     set, solved by `algo`:
 
-    - ``auto`` or ``mim``: meet-in-the-middle knapsack (`knapsack.solve`,
-      or `knapsack.solve_k` when `k` is given), over knapsack classes
-      built as in `wc_to_knapsack`: letters above z are left out.  It beat the SDWC
-      solver at every (z, m) measured, so `gwpm` does not offer SDWC.
-    - ``naive``: the brute-force oracle.
+    - ``auto`` or ``mim``: the instances of all windows, in blocks of
+      `WALK_BLOCK`, go through one batched pass of the knapsack
+      reductions (`_reduce_windows`: greedy commitment, then the rank
+      test), which answers NO, or YES with the greedy witness, for most
+      of them.  Each window left runs the meet-in-the-middle knapsack
+      (`knapsack.solve`, or `knapsack.solve_k` when `k` is given) over
+      the classes of `wc_to_knapsack`: letters above z are left out.
+      It beat the SDWC solver at every (z, m) measured, so `gwpm` does
+      not offer SDWC.
+    - ``naive``: the brute-force oracle, window by window.
 
     At z = inf (1/z = 0) a window occurs when some string has nonzero
     probability in it and in P; ``naive`` refuses z = inf, as its
@@ -256,6 +263,8 @@ def gwpm(
     """
     if algo not in GWPM_ALGOS:
         raise DomainError(f"unknown gwpm algorithm {algo!r}")
+    if k is not None and k < 1:
+        raise DomainError("k must be a positive integer")
     unbounded = math.isinf(z.display)
     if unbounded:
         if algo == "naive":
@@ -318,16 +327,60 @@ def gwpm(
     alpha_rest = alpha_at[starts + m] - alpha_at[starts] \
         - np.where(alive, units_t[starts[:, None] + d], 0).sum(axis=1)
     beta_rest = heavy_sum_p - np.where(alive, units_p[d], 0).sum(axis=1)
+    # windows with mismatches: decided by the knapsack reductions in
+    # blocks; those left, and every window under ``naive``, go to a solver
+    state = np.where(count > 0, -1, 1)  # 1 occurs, 0 does not, -1 to solve
+    picked = np.zeros(d.shape, dtype=str)
+    todo = np.flatnonzero(count)
+    if algo != "naive":
+        for first in range(0, len(todo), WALK_BLOCK):
+            b = todo[first: first + WALK_BLOCK]
+            state[b], picked[b] = _reduce_windows(P, T, z, starts[b], d[b], count[b],
+                                                  alpha_rest[b], beta_rest[b])
     occ = []
     records: dict[int, _Occurrence] = {}
-    for p, row, c, a, b in zip((starts + 1).tolist(), (d + 1).tolist(), count.tolist(),
-                               alpha_rest.tolist(), beta_rest.tolist()):
-        mism = row[:c]
-        witness = _solve_window(P, T, z, p, mism, a, b, algo, k) if c else ""
-        if witness is not None:
-            occ.append(p)
-            records[p] = _Occurrence(tuple(mism), witness)
+    for w in np.flatnonzero(state).tolist():
+        p, c = int(starts[w]) + 1, int(count[w])
+        mism = (d[w, :c] + 1).tolist()
+        if state[w] > 0:
+            witness = "".join(picked[w, :c])
+        else:
+            witness = _solve_window(P, T, z, p, mism, int(alpha_rest[w]), int(beta_rest[w]),
+                                    algo, k)
+            if witness is None:
+                continue
+        occ.append(p)
+        records[p] = _Occurrence(tuple(mism), witness)
     return GwpmResult(tuple(occ), m, heavy_t, records)
+
+
+def _reduce_windows(P, T, z, starts, d, count, alpha_rest, beta_rest):
+    """`knapsack.reduce_batch` on the consensus instances of windows: (state, letters).
+
+    Window w (0-based start starts[w]) has the mismatch offsets
+    d[w, :count[w]], count[w] >= 1.  Its classes are those `_classes`
+    builds, padded to (windows, D, sigma) arrays straight off the
+    units: each row of P in `sorted_rows` order, T read through P's
+    letters (INF where T lacks one), beta_rest and alpha_rest on the
+    first class, a letter alive where both its units stay within z.  A
+    class past count[w] holds one free item, which greedy commits.
+    state[w] is 1 (greedy found a witness; letters[w, :count[w]] holds
+    it), 0 (no consensus) or -1 (left to a solver).
+    """
+    order = np.argsort(P.units, axis=1, kind="stable")[d]
+    col = np.array([T.alphabet.find(c) for c in P.alphabet])[order]
+    vw = np.stack((np.take_along_axis(P.units[d], order, axis=2),
+                   np.where(col >= 0, T.units[(starts[:, None] + d)[:, :, None], col], neglog.INF)))
+    vw[:, :, 0] += np.stack((beta_rest, alpha_rest))[:, :, None]
+    pad = np.arange(d.shape[1]) >= count[:, None]
+    alive = (vw <= z.units).all(axis=0) & ~pad[:, :, None]
+    alive[pad, 0] = True
+    vw[:, ~alive] = neglog.INF  # above every item and every gap: units stay below 2**43
+    vw[:, pad, 0] = 0
+    state, picks = knapsack.reduce_batch(vw, alive, np.full((2, len(starts)), z.units), neglog.INF)
+    state[~alive.any(axis=2).all(axis=1)] = 0  # a class with no letter
+    slot = np.take_along_axis(order, np.maximum(picks, 0)[:, :, None], axis=2)[:, :, 0]
+    return state, np.array(list(P.alphabet))[slot]
 
 
 def _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k):

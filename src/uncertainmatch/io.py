@@ -161,6 +161,7 @@ def _read_table(text: str, fmt: _Table):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(lines[k + 1:], comments=None, ndmin=2, dtype=fmt.dtype)
+        del lines  # one string per line: free them before the build
         if 1 <= n < MAX_ITEMS and rows.shape == (n, len(header[2])):
             return fmt.build(header[2], rows)
     except (ValueError, Warning):  # a DomainError is a ValueError

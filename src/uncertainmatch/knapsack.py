@@ -16,6 +16,9 @@ Instance reductions shrink the class count to O(log A / log lambda)
 first: greedy commitment, then one rank test (`_may_fit`) on the
 second-smallest gaps and, for lambda >= 3**6, class merging and the
 same test on the ceil(lambda^(1/3))-th gaps of the large classes.
+Greedy commitment and the rank test run on padded numpy arrays of
+many instances at once (`reduce_batch`, which `gwpm` feeds with all
+its windows); one instance is a batch of one.
 
 Witnesses are always reconstructed: items carry their original
 (class, item) origins through every reduction.
@@ -27,7 +30,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -317,56 +319,107 @@ class Reduction:
     decided: bool | None  # True = YES, False = NO, None = instance remains
 
 
+def _item_arrays(classes, V: int, W: int):
+    """One instance as `reduce_batch` takes it: (vw, alive, caps, top).
+
+    vw is (2, 1, n, lambda), alive (1, n, lambda) and caps (2, 1).  They
+    are int64, with thresholds clipped to +-2**62 (which changes no
+    comparison) and top = 2**62, while n times the largest item
+    magnitude stays below 2**60, so no sum the reductions form can
+    overflow; Python ints (dtype object) otherwise.
+    """
+    flat = [x for cls in classes for it in cls for x in (it.v, it.w)]
+    bound = len(classes) * max(map(abs, flat), default=0)
+    if bound < 1 << 60:
+        dtype, top = np.int64, _CLIP
+        V, W = (max(-_CLIP, min(t, _CLIP)) for t in (V, W))
+    else:
+        dtype, top = object, 2 * bound + 1
+    size = max((len(c) for c in classes), default=1)
+    alive = np.arange(size) < np.array([len(c) for c in classes], dtype=np.int64)[:, None]
+    vw = np.full((len(classes), size, 2), top, dtype=dtype)
+    vw[alive] = np.array(flat, dtype=dtype).reshape(-1, 2)
+    return vw.transpose(2, 0, 1)[:, None], alive[None], np.array([[V], [W]], dtype=dtype), top
+
+
+def _greedy_picks(vw, alive) -> np.ndarray:
+    """Greedy commitment over padded classes, dead slots at top.
+
+    vw is (2, B, n, S): values and weights.  Per class, the slot of its
+    first item that minimizes both value and weight, or -1 where no
+    item does.
+    """
+    double = alive & (vw == vw.min(axis=3, keepdims=True)).all(axis=0)
+    return np.where(double.any(axis=2), double.argmax(axis=2), -1)
+
+
+def _may_fit(vw, classes, tested, t: int, caps, top) -> np.ndarray:
+    """The rank test on B instances: False where no choice of `classes` fits.
+
+    vw is (2, B, n, S), values and weights with dead slots at `top`;
+    `classes` and `tested` are (B, n) masks, caps the (2, B) value and
+    weight thresholds.  A choice that picks, in half of the `tested`
+    classes, an item at or past the t-th smallest value has a value of
+    at least the class minima plus the smallest half of the t-th gaps
+    (t-th smallest minus smallest); likewise for weights.  When both
+    thresholds are below these bounds, a feasible choice needs a tested
+    class whose item is below the t-th smallest in value and in weight,
+    which the callers' reductions have ruled out.  Tested classes hold
+    at least t items.
+    """
+    s = np.sort(vw, axis=3)
+    gaps = np.sort(np.where(tested, s[..., min(t, s.shape[3]) - 1] - s[..., 0], top), axis=2)
+    low = np.arange(tested.shape[1]) < (tested.sum(axis=1, keepdims=True) + 1) // 2
+    bound = np.where(classes, s[..., 0], 0).sum(axis=2) + np.where(low, gaps, 0).sum(axis=2)
+    return (bound <= caps).any(axis=0)
+
+
+def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray]:
+    """`reduce_n_log`'s decision for B instances at once: (decided, picks).
+
+    Instance b's class c holds the items vw[:, b, c, s] (value, weight)
+    where alive[b, c, s], in slot order, at least one; every dead slot
+    holds `top`, which is above every item and every difference of two
+    items; caps holds the (2, B) value and weight thresholds.
+    decided[b] is 1 (YES: the greedy picks are a feasible choice), 0
+    (NO) or -1 (the rank test leaves a search); picks[b, c] is the slot
+    greedy commits in class c, or -1.
+    """
+    picks = _greedy_picks(vw, alive)
+    kept = picks < 0
+    # a committed item holds both minima of its class
+    caps = caps - np.where(kept, 0, vw.min(axis=3)).sum(axis=2)
+    decided = np.where(kept.any(axis=1), np.where(_may_fit(vw, kept, kept, 2, caps, top), -1, 0),
+                       (caps >= 0).all(axis=0))
+    return decided, picks
+
+
+def _commit(inst: KnapsackInstance, picks) -> tuple[KnapsackInstance, tuple[Item, ...]]:
+    """The instance without the classes `picks` commits, and the committed items."""
+    picks = picks.tolist()
+    fixed = tuple(cls[i] for cls, i in zip(inst.classes, picks) if i >= 0)
+    kept = tuple(cls for cls, i in zip(inst.classes, picks) if i < 0)
+    V = inst.V - sum(it.v for it in fixed)
+    W = inst.W - sum(it.w for it in fixed)
+    return KnapsackInstance(kept, V, W), fixed
+
+
 def greedy_reduce(inst: KnapsackInstance) -> tuple[KnapsackInstance, tuple[Item, ...]]:
     """Commit classes owning an item that minimizes both value and weight."""
-    kept = []
-    fixed = []
-    V, W = inst.V, inst.W
-    for cls in inst.classes:
-        v_min = min(it.v for it in cls)
-        w_min = min(it.w for it in cls)
-        double = next((it for it in cls if it.v == v_min and it.w == w_min), None)
-        if double is not None:
-            fixed.append(double)
-            V -= double.v
-            W -= double.w
-        else:
-            kept.append(cls)
-    return KnapsackInstance(tuple(kept), V, W), tuple(fixed)
-
-
-def _may_fit(classes, tested, t: int, V: int, W: int) -> bool:
-    """The rank test: False when no choice of `classes` fits V and W.
-
-    A choice that picks, in half of the `tested` classes, an item at or
-    past the t-th smallest value has a value of at least the class
-    minima plus the smallest half of the t-th gaps (t-th smallest minus
-    smallest); likewise for weights.  When V and W are both below these
-    bounds, a feasible choice needs a tested class whose item is below
-    the t-th smallest in value and in weight, which the callers'
-    reductions have ruled out.
-    """
-    half = (len(tested) + 1) // 2
-    for key, cap in ((attrgetter("v"), V), (attrgetter("w"), W)):
-        gaps = []
-        for cls in tested:
-            s = sorted(map(key, cls))
-            gaps.append(s[t - 1] - s[0])
-        gaps.sort()
-        if sum(min(map(key, cls)) for cls in classes) + sum(gaps[:half]) <= cap:
-            return True
-    return False
+    vw, alive, _, _ = _item_arrays(inst.classes, inst.V, inst.W)
+    return _commit(inst, _greedy_picks(vw, alive)[0])
 
 
 def reduce_n_log(inst: KnapsackInstance) -> Reduction:
-    """Shrink to n <= 2 log2(A) classes or decide the answer outright."""
-    reduced, fixed = greedy_reduce(inst)
-    if reduced.n == 0:
-        return Reduction(None, fixed, reduced.V >= 0 and reduced.W >= 0)
-    classes = reduced.classes
-    if _may_fit(classes, classes, 2, reduced.V, reduced.W):
+    """Shrink to n <= 2 log2(A) classes or decide the answer outright.
+
+    `reduce_batch` on this one instance.
+    """
+    decided, picks = reduce_batch(*_item_arrays(inst.classes, inst.V, inst.W))
+    reduced, fixed = _commit(inst, picks[0])
+    if decided[0] < 0:
         return Reduction(reduced, fixed, None)
-    return Reduction(None, fixed, False)
+    return Reduction(None, fixed, bool(decided[0]))
 
 
 def prune_class(cls: tuple[Item, ...]) -> tuple[Item, ...]:
@@ -424,7 +477,9 @@ def reduce_instance(inst: KnapsackInstance) -> Reduction:
     classes = big + [c for c in classes if len(c) <= root]
     reduced = KnapsackInstance(tuple(classes), base.V, base.W)
     t = _iroot(lam - 1, 3) + 1  # ceil(lambda^(1/3))
-    if not big or _may_fit(classes, big, t, base.V, base.W):
+    vw, alive, caps, top = _item_arrays(classes, base.V, base.W)
+    tested = np.arange(len(classes))[None, :] < len(big)
+    if not big or _may_fit(vw, np.ones_like(tested), tested, t, caps, top)[0]:
         return Reduction(reduced, first.fixed, None)
     return Reduction(None, first.fixed, False)
 

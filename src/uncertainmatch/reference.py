@@ -41,21 +41,37 @@ def naive_wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[in
 
 
 def enumerate_solid_strings(x: WeightedSequence, z: ProbThreshold) -> list[tuple[str, int]]:
-    """All strings matching `x` with probability >= 1/z, with their units."""
+    """All strings matching `x` with probability >= 1/z, with their units.
+
+    Depth first, letters in `sorted_rows` order at each position; the
+    stack holds one letter iterator per position, so any length runs
+    without recursion.
+    """
     check_enumeration(z.display, "enumerate_solid_strings")
+    if x.n == 0:
+        return [("", 0)]
+    rows = x.sorted_rows
     out: list[tuple[str, int]] = []
-
-    def dfs(i: int, units: int, prefix: list[str]) -> None:
-        if i == x.n:
-            out.append(("".join(prefix), units))
-            return
-        for letter, u in x.sorted_rows[i]:
-            if units + u <= z.units:
-                prefix.append(letter)
-                dfs(i + 1, units + u, prefix)
+    prefix: list[str] = []
+    units = [0]  # units[i]: the units of prefix[:i]
+    stack = [iter(rows[0])]
+    while stack:
+        i = len(stack) - 1
+        for letter, u in stack[-1]:
+            if units[i] + u <= z.units:
+                break
+        else:  # position i is exhausted: step back to i - 1
+            stack.pop()
+            if prefix:
                 prefix.pop()
-
-    dfs(0, 0, [])
+                units.pop()
+            continue
+        if i + 1 == x.n:
+            out.append(("".join(prefix) + letter, units[i] + u))
+        else:
+            prefix.append(letter)
+            units.append(units[i] + u)
+            stack.append(iter(rows[i + 1]))
     return out
 
 

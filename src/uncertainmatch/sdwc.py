@@ -175,13 +175,12 @@ def basic_intervals(n: int) -> list[tuple[int, int, int]]:
         j += 1
 
 
-def star_lists(inst: SdwcInstance, L, R, U: str, V: str):
+def star_lists(inst: SdwcInstance, L, R, V: str):
     """L*_{a,b} and R*_{a,b} over all basic intervals, as (a, b) dicts.
 
     Layer 0 equals L_a / R_a; a parent list extends its left child's
     prefixes (prepends its right child's suffixes) with letters heavy
-    in V and adds the other child's list.  U is unused: it names the
-    orientation as in `build_L_R`, and the lists keep no order.
+    in V and adds the other child's list.  The lists keep no order.
     """
     X, Y = inst.X, inst.Y
     n = inst.n
@@ -261,7 +260,7 @@ def solve(inst: SdwcInstance) -> str | None:
     for U in ("X", "Y"):
         for V in ("X", "Y"):
             L, R = build_L_R(inst, U, V)
-            l_star, r_star = star_lists(inst, L, R, U, V)
+            l_star, r_star = star_lists(inst, L, R, V)
 
             def rec(a: int, b: int, j: int) -> str | None:
                 if a >= b or j == 0:

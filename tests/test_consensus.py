@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from uncertainmatch import consensus, neglog
@@ -338,18 +339,24 @@ def passes_min_sum(p_seq, t_seq, p, z):
 
 
 def test_gwpm_prefilter_is_exact(monkeypatch):
-    # windows that reach a solver, to check that the walk drops every
-    # window the min-sum test rejects
+    # windows handed to the batch reduction or to a solver, to check
+    # that the walk drops every window the min-sum test rejects
     solved = []
     solve_window = consensus._solve_window
+    reduce_windows = consensus._reduce_windows
 
-    def spy(P, T, z, p, *args):
+    def spy_solve(P, T, z, p, *args):
         solved.append(p)
         return solve_window(P, T, z, p, *args)
 
-    monkeypatch.setattr(consensus, "_solve_window", spy)
+    def spy_reduce(P, T, z, starts, *args):
+        solved.extend((starts + 1).tolist())
+        return reduce_windows(P, T, z, starts, *args)
+
+    monkeypatch.setattr(consensus, "_solve_window", spy_solve)
+    monkeypatch.setattr(consensus, "_reduce_windows", spy_reduce)
     rng = random.Random(1974)
-    rejected = 0
+    rejected = spied = 0
     for _ in range(240):
         z = ProbThreshold.from_z(2 ** rng.randint(1, 6))
         n = rng.randint(1, 14)
@@ -366,7 +373,68 @@ def test_gwpm_prefilter_is_exact(monkeypatch):
         assert set(expect) <= kept
         assert set(solved) <= kept
         rejected += n - m + 1 - len(kept)
-    assert rejected > 0
+        spied += len(solved)
+    assert rejected > 0 and spied > 0
+
+
+def random_units(rng, n, sigma, unit, top):
+    """n rows of `sigma` letters: 1 to all of them alive (the rest
+    INF), each at a multiple of `unit` up to `top` units, so many tie."""
+    out = np.full((n, sigma), neglog.INF)
+    for i in range(n):
+        for c in rng.sample(range(sigma), rng.choice([1, 2, 3, sigma, sigma])):
+            out[i, c] = unit * rng.randint(0, top)
+    return out
+
+
+def test_reduce_windows_equals_reduce_instance():
+    # each batch decision against reduce_instance on the window's
+    # `_classes` instance.  P's "t" is missing from T, T's "u" from P;
+    # units tie often, rows hold INF letters, one letter or letters
+    # above z; some T rows copy P's, so greedy decides YES; one batch
+    # mixes windows of every mismatch count up to m
+    rng = random.Random(16)
+    unit = neglog.SCALE // 2
+    outcomes = []
+    for _ in range(80):
+        z = ProbThreshold.from_z(2 ** rng.randint(1, 4))
+        top = 2 * z.log2_floor + 1  # in half bits: some letters pass z
+        m, n = rng.randint(1, 6), rng.randint(6, 20)
+        pu = random_units(rng, m, 4, unit, top)
+        tu = random_units(rng, n, 4, unit, top)
+        for j in range(n):
+            if rng.random() < 0.3:
+                tu[j, :3] = pu[rng.randrange(m), :3]  # acg, as P holds them
+        P = WeightedSequence.from_units("acgt", pu)
+        T = WeightedSequence.from_units("acgu", tu)
+        B = rng.randint(1, 12)
+        starts = np.array([rng.randint(0, n - m) for _ in range(B)])
+        count = np.array([rng.randint(1, m) for _ in range(B)])
+        d = np.zeros((B, m + rng.randint(0, 1)), dtype=np.int64)
+        for w in range(B):
+            d[w, :count[w]] = sorted(rng.sample(range(m), count[w]))
+        alpha = np.array([unit * rng.randint(0, 2) for _ in range(B)])
+        beta = np.array([unit * rng.randint(0, 2) for _ in range(B)])
+        state, picked = consensus._reduce_windows(P, T, z, starts, d, count, alpha, beta)
+        for w in range(B):
+            offs = d[w, :count[w]].tolist()
+            built = consensus._classes([P.sorted_rows[f] for f in offs],
+                                       [T.units[starts[w] + f].tolist() for f in offs],
+                                       T.alphabet, z.units, int(beta[w]), int(alpha[w]))
+            if built is None:
+                outcomes.append("empty")
+                assert state[w] == 0
+                continue
+            classes, letters = built
+            inst = K.make_instance(classes, z.units, z.units)
+            red = K.reduce_instance(inst)
+            outcomes.append({None: "search", False: "no", True: "yes"}[red.decided])
+            assert state[w] == {None: -1, False: 0, True: 1}[red.decided]
+            if red.decided:
+                choice = K.solve(inst)
+                assert "".join(picked[w, :count[w]]) == \
+                    "".join(letters[ci][choice[ci]] for ci in range(len(offs)))
+    assert {outcomes.count(o) > 10 for o in ("empty", "search", "no", "yes")} == {True}
 
 
 def test_gwpm_edge_cases():
@@ -379,6 +447,16 @@ def test_gwpm_edge_cases():
     assert res.occurrences == (1,)
     with pytest.raises(DomainError):
         gwpm_witness(res, 2)
+
+
+def test_gwpm_refuses_k_below_one():
+    # refused at entry, whether or not any window reaches a solver
+    x = fig_sequence()
+    z = ProbThreshold.from_z(4)
+    for text in (x, from_probabilities("ab", [{"b": 1.0}] * 4)):
+        for k in (0, -1):
+            with pytest.raises(DomainError):
+                gwpm(x, text, z, k=k)
 
 
 def fibonacci_word(n):

@@ -183,7 +183,7 @@ def test_star_lists_are_valid_factors(rng):
         for U in ("X", "Y"):
             for V in ("X", "Y"):
                 L, R = build_L_R(inst, U, V)
-                l_star, r_star = star_lists(inst, L, R, U, V)
+                l_star, r_star = star_lists(inst, L, R, V)
                 for (a, b), lst in l_star.items():
                     for r in lst:
                         k = len(r.letters)
