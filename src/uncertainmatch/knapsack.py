@@ -3,10 +3,12 @@
 Choose one item per class so that value and weight sums stay within
 two thresholds.  The solver runs the classic meet-in-the-middle
 search parameterized by the number of feasible choices: the
-value-sorted partial-choice lists over prefixes and suffixes of the
-class sequence are grown by doubling their length, growth stops once
-ranks certify that no feasible solution can be missed, and each split
-index is finished with a vectorized two-class sweep.  `solve` and
+value-sorted partial-choice lists over suffixes of the class sequence
+are grown by doubling their length r, those over prefixes only to the
+ell rows the search reads of them (`PrefixGenerator.step` takes the
+target length), growth stops once ranks certify that no feasible
+solution can be missed, and each split index is finished with a
+vectorized two-class sweep.  `solve` and
 `solve_k` share one lock-step loop and differ only in the class
 orders they try and in k, from which each search derives its rank
 budgets as exact integer roots (`_iroot`), so no budget can overflow
@@ -29,6 +31,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,13 +209,15 @@ def solve_two_class(first: np.ndarray, second: np.ndarray, V: int, W: int):
 
 
 # ---------------------------------------------------------------------------
-# ranked prefix lists, grown by doubling
+# ranked prefix lists, grown to a target length
 
-# Length every unfinished list reaches at the first step; later steps
-# double it.  Every step pays a fixed numpy overhead per list: on the
-# mck-solve benchmark jobs blocks of 8 to 32 were slower than 64, and
-# 64 to 256 measured alike.  A larger block only loosens the growth
-# bound max(FIRST_BLOCK, 4 sqrt(a lambda)) that the tests check.
+# Length the search grows its suffix lists to at the first step; later
+# steps double it.  On the mck-solve benchmark jobs (series of 20
+# in-process cycle pairs, seeds 104729 and 1), 32 was 5-6% slower than
+# 64, and 128 was 5-7% faster, winning 15, 19 and 19 of 20 pairs in
+# three series.  64 is kept: a different block changes the number of
+# grow steps of every search, and a larger one loosens the growth bound
+# max(FIRST_BLOCK, 4 sqrt(a lambda)) that the tests check.
 FIRST_BLOCK = 64
 
 
@@ -232,16 +237,19 @@ def oriented_rows(classes) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 class PrefixGenerator:
-    """The value-sorted partial-choice lists L_0..L_n, grown by doubling.
+    """The value-sorted partial-choice lists L_0..L_n, grown on demand.
 
     L_j enumerates partial choices over classes 1..j by non-decreasing
     value, ties by the value rank of the last item, then by the row of
     L_{j-1}.  It is one int64 array of rows
-    (v_sum, w_sum, row of L_{j-1}, item index).  Every step doubles the
-    length r that the unfinished lists hold (FIRST_BLOCK at the first
-    step).  The r smallest rows of L_j pair the item of value rank i
-    only with the first r // i rows of L_{j-1}, so one stable argsort
-    over O(r log lambda) candidates finds them.  `items` holds one
+    (v_sum, w_sum, row of L_{j-1}, item index), and `sizes[j]` is the
+    number of rows of the whole list, the product of the first j class
+    sizes.  `step(target)` extends every list to its first
+    min(target, sizes[j]) rows; a list is always a prefix of the same
+    order, so any target sequence yields the same rows.  The target
+    smallest rows of L_j pair the item of value rank i only with the
+    first target // i rows of L_{j-1}, so one stable argsort over
+    O(target log lambda) candidates finds them.  `items` holds one
     value-sorted row array per class, as `oriented_rows` builds them.
     """
 
@@ -249,40 +257,44 @@ class PrefixGenerator:
         self.items = items  # per class: rows (v, w, item index) in value order
         self.lists = [np.array([[0, 0, -1, -1]], dtype=np.int64)]
         self.lists += [np.empty((0, 4), dtype=np.int64) for _ in self.items]
-        self.complete = [True] + [False] * self.n
-        self.r = 0
+        self.sizes = list(itertools.accumulate((len(c) for c in items), operator.mul, initial=1))
 
     @property
     def n(self) -> int:
         return len(self.items)
 
-    def all_complete(self) -> bool:
-        return all(self.complete)
+    def rows_at(self, target: int) -> int:
+        """The rows all lists hold once grown to `target`."""
+        return sum(min(target, size) for size in self.sizes)
 
-    def next_r(self) -> int:
-        return 2 * self.r if self.r else FIRST_BLOCK
+    def step(self, target: int) -> None:
+        """Extend each list to its first `target` rows, or all of them.
 
-    def rows_after_step(self) -> int:
-        """An upper bound on the rows all lists hold after the next step."""
-        r = self.next_r()
-        return sum(len(lst) if done else r for lst, done in zip(self.lists, self.complete))
-
-    def step(self) -> None:
-        """Double r and extend each unfinished list to its r smallest rows."""
-        r = self.r = self.next_r()
+        The candidate (item rank, row of L_{j-1}) arrays depend only on
+        the class size and the length of L_{j-1}, so classes that share
+        both share one build.
+        """
+        built = {}
         for j in range(1, self.n + 1):
-            if self.complete[j]:
+            if len(self.lists[j]) >= min(target, self.sizes[j]):
                 continue
             prev, items = self.lists[j - 1], self.items[j - 1]
-            counts = np.minimum(r // np.arange(1, len(items) + 1), len(prev))
-            rank = np.repeat(np.arange(len(items)), counts)
-            row = np.arange(len(rank)) - np.repeat(np.cumsum(counts) - counts, counts)
+            key = len(items), len(prev)
+            if key not in built:
+                counts = np.minimum(target // np.arange(1, len(items) + 1), len(prev))
+                rank = np.repeat(np.arange(len(items)), counts)
+                row = np.arange(len(rank)) - np.repeat(np.cumsum(counts) - counts, counts)
+                built[key] = rank, row
+            rank, row = built[key]
+            # gathers from column views: prev[row, 0] is twice as slow
             v = prev[:, 0][row] + items[:, 0][rank]
-            keep = np.argsort(v, kind="stable")[:r]
+            keep = v.argsort(kind="stable")[:target]
             rank, row = rank[keep], row[keep]
-            w = prev[:, 1][row] + items[:, 1][rank]
-            self.lists[j] = np.stack((v[keep], w, row, items[:, 2][rank]), axis=1)
-            self.complete[j] = self.complete[j - 1] and len(prev) * len(items) <= r
+            out = self.lists[j] = np.empty((len(keep), 4), dtype=np.int64)
+            out[:, 0] = v[keep]
+            out[:, 1] = prev[:, 1][row] + items[:, 1][rank]
+            out[:, 2] = row
+            out[:, 3] = items[:, 2][rank]
 
     def value_at(self, j: int, ell: int):
         """Value of the ell-th (1-based) element of L_j; inf past the end."""
@@ -509,9 +521,12 @@ class _Search:
 
     `rows` holds each class's rows in one orientation of `oriented_rows`
     and V, W are the thresholds of its first and second column.
-    Doubles the rank budget r step by step; once no split index can
-    reach the value threshold (or everything is generated), the join
-    phase sweeps every split with the two-class solver.
+    Doubles the rank budget r step by step, from FIRST_BLOCK: the
+    suffix lists (`gen_r`) grow to r rows and the prefix lists
+    (`gen_l`) to the ell rows the search reads of them.  Once no split
+    index can reach the value threshold, or r reaches the number of
+    choices (then both sides hold every row and r = ell = that number),
+    the join phase sweeps every split with the two-class solver.
 
     `k` = 0 is `solve`: each prefix list joins its first
     ell = ceil(r / lam) rows.  `k` >= 1 is `solve_k` with the k front
@@ -524,6 +539,7 @@ class _Search:
         self.n, self.V, self.W, self.lam, self.k = len(rows), V, W, lam, k
         self.gen_l = PrefixGenerator(rows)
         self.gen_r = PrefixGenerator(rows[::-1])
+        self.choices = self.gen_l.sizes[-1]
         self.r = 0
         self.ell = 0
         self.stopped = False
@@ -531,30 +547,32 @@ class _Search:
     def grow_step(self) -> bool:
         """Double r; returns True once growth has stopped.
 
-        Raises CapacityError when the doubled lists could pass
+        Raises CapacityError when the grown lists would pass
         PREFIX_ROW_LIMIT rows.
         """
         if self.stopped:
             return True
-        rows = self.gen_l.rows_after_step() + self.gen_r.rows_after_step()
+        r = 2 * self.r if self.r else FIRST_BLOCK
+        k = self.k
+        ell = _iroot(r ** k - 1, k + 1) + 1 if k else -(-r // self.lam)
+        whole = self.choices <= r
+        left = r if whole else ell
+        rows = self.gen_l.rows_at(left) + self.gen_r.rows_at(r)
         if rows > PREFIX_ROW_LIMIT:
             raise CapacityError(
                 f"knapsack search: the prefix lists would grow to {rows} rows, "
                 f"past the memory guard of {PREFIX_ROW_LIMIT}")
-        self.gen_l.step()
-        self.gen_r.step()
-        r = self.r = self.gen_l.r
-        k = self.k
-        self.ell = _iroot(r ** k - 1, k + 1) + 1 if k else -(-r // self.lam)
-        if self.gen_l.all_complete() and self.gen_r.all_complete():
-            longest = max(len(lst) for lst in self.gen_l.lists + self.gen_r.lists)
-            self.r = self.ell = longest
+        self.gen_l.step(left)
+        self.gen_r.step(r)
+        if whole:
+            self.r = self.ell = self.choices
             self.stopped = True
             return True
+        self.r, self.ell = r, ell
         n, V = self.n, self.V
         for j in range(n + 1):
             # L_j's ell-th value plus the r-th value of the suffix list over classes j+1..n
-            if self.gen_l.value_at(j, self.ell) + self.gen_r.value_at(n - j, self.r) <= V:
+            if self.gen_l.value_at(j, ell) + self.gen_r.value_at(n - j, r) <= V:
                 return False
         self.stopped = True
         return True

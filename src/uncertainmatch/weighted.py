@@ -297,22 +297,33 @@ def maximal_solid_prefixes(x: WeightedSequence, z: ProbThreshold) -> list[str]:
 
     A prefix is maximal when no single-letter extension keeps the
     matching probability at or above 1/z.  There are at most z of them.
+    Letters go in `sorted_rows` order at each position; the stack holds
+    one letter iterator per position, so any length runs without
+    recursion.
     """
     check_enumeration(z.display, "maximal_solid_prefixes")
+    rows = x.sorted_rows
     results: list[str] = []
-    n = x.n
-
-    def dfs(i: int, units: int, prefix: list[str]) -> None:
-        extended = False
-        if i < n:
-            for letter, u in x.sorted_rows[i]:
-                if units + u <= z.units:
-                    prefix.append(letter)
-                    dfs(i + 1, units + u, prefix)
-                    prefix.pop()
-                    extended = True
-        if not extended:
-            results.append("".join(prefix))
-
-    dfs(0, 0, [])
+    prefix: list[str] = []
+    units = [0]  # units[i]: the units of prefix[:i]
+    extended = [False]  # extended[i]: prefix[:i] has a solid extension
+    stack = [iter(rows[0] if x.n else ())]
+    while stack:
+        i = len(stack) - 1
+        for letter, u in stack[-1]:
+            if units[i] + u <= z.units:
+                break
+        else:  # position i is exhausted: report a maximal prefix, step back
+            stack.pop()
+            if not extended.pop():
+                results.append("".join(prefix))
+            if prefix:
+                prefix.pop()
+                units.pop()
+            continue
+        extended[i] = True
+        prefix.append(letter)
+        units.append(units[i] + u)
+        extended.append(False)
+        stack.append(iter(rows[i + 1] if i + 1 < x.n else ()))
     return results

@@ -3,6 +3,7 @@ import io as stdio
 import itertools
 import json
 import math
+import operator
 import random
 
 import numpy as np
@@ -25,8 +26,7 @@ def value_lists(classes):
 
 def full_lists(classes):
     gen = value_lists(classes)
-    while not gen.all_complete():
-        gen.step()
+    gen.step(gen.sizes[-1])
     return gen
 
 
@@ -98,30 +98,38 @@ def test_generator_example():
     assert gen.lists[2][:, 0].tolist() == [3, 5, 5, 7]
     assert gen.lists[0].tolist() == [[0, 0, -1, -1]]
     single = value_lists(K.make_instance([[(5, 7)]], 0, 0).classes)
-    single.step()
+    single.step(K.FIRST_BLOCK)
     assert single.lists[1][:, :2].tolist() == [[5, 7]]
-    assert single.all_complete()
-    single.step()  # stepping an exhausted generator leaves its lists alone
-    assert len(single.lists[1]) == 1
+    assert single.sizes == [1, 1]
+    before = single.lists[1]
+    single.step(2 * K.FIRST_BLOCK)  # stepping a whole list leaves it alone
+    assert single.lists[1] is before
 
 
-def test_generator_prefix_of_sorted_enumeration(rng, monkeypatch):
+def test_generator_prefix_of_sorted_enumeration(rng):
+    # targets as the search passes them: doubling r from a first block,
+    # divided by lam and rounded up (ceil(r/3) is rarely a power of two);
+    # classes of mixed sizes share the candidate arrays of one step
     for trial in range(100):
         block = (1, 2, 3, K.FIRST_BLOCK)[trial % 4]
-        monkeypatch.setattr(K, "FIRST_BLOCK", block)
-        inst = random_knapsack(rng, max_n=5, max_lam=4)
+        lam = rng.choice((1, 3, 4))
+        inst = random_knapsack(rng, max_n=6, max_lam=4)
         gen = value_lists(inst.classes)
         total = inst.num_choices()
         steps = rng.randint(1, max(1, (total // block).bit_length() + 1))
-        for _ in range(steps):
-            gen.step()
+        targets = [-(-block * 2 ** s // lam) for s in range(steps)]
+        for target in targets:
+            gen.step(target)
+        whole = full_lists(inst.classes)
         for j in range(inst.n + 1):
             expect = sorted(
                 sum(it.v for it in pick) for pick in itertools.product(*inst.classes[:j])
             )
             got = gen.lists[j][:, 0].tolist()
             assert got == expect[: len(got)]
-            assert len(got) == min(block * 2 ** (steps - 1), len(expect))
+            assert len(got) == min(targets[-1], len(expect)) == min(targets[-1], gen.sizes[j])
+            # the same rows, ties included, as the whole list's prefix
+            assert gen.lists[j].tolist() == whole.lists[j][: len(got)].tolist()
             seen = set()
             for t, e in enumerate(gen.lists[j].tolist()):
                 picks = gen.picks_of(j, t)
@@ -409,6 +417,89 @@ def test_growth_stops_within_bound(monkeypatch):
             assert len(stops) == 1 and stops[0] <= bound, (inst, stops, bound)
             searched += 1
         assert searched >= 100
+
+
+def list_lengths(sizes, r, ell):
+    """Rows of each prefix and suffix list after a grow step to r (ell on the prefix side)."""
+    prefix = list(itertools.accumulate(sizes, operator.mul, initial=1))
+    suffix = list(itertools.accumulate(reversed(sizes), operator.mul, initial=1))
+    left = r if prefix[-1] <= r else ell
+    return [min(left, p) for p in prefix], [min(r, s) for s in suffix]
+
+
+def test_grow_step_lengths(rng, monkeypatch):
+    # after each step L_j holds min(ell, P_j) rows and the suffix list over
+    # classes j+1..n min(r, S_j), with P_j and S_j the prefix and suffix
+    # products of the class sizes; once r reaches P_n both sides are whole
+    for trial in range(120):
+        block = (1, 2, K.FIRST_BLOCK)[trial % 3]
+        monkeypatch.setattr(K, "FIRST_BLOCK", block)
+        inst = random_knapsack(rng, max_n=8, max_lam=5, v_hi=30, t_hi=150)
+        sizes = [len(c) for c in inst.classes]
+        k = trial // 3 % 3
+        search = K._Search(K.oriented_rows(inst.classes)[0], inst.V, inst.W, inst.lam, k)
+        r = block
+        while True:
+            stopped = search.grow_step()
+            left, right = list_lengths(sizes, r, search.ell)
+            assert [len(lst) for lst in search.gen_l.lists] == left
+            assert [len(lst) for lst in search.gen_r.lists] == right
+            if inst.num_choices() <= r:
+                assert stopped and search.r == search.ell == inst.num_choices()
+            else:
+                assert search.r == r
+            if stopped:
+                break
+            r *= 2
+
+
+def test_small_instance_stops_after_one_step(monkeypatch):
+    # 2 * 3 * 4 = 24 choices fit in the first block: one step of each
+    # generator per search, then a join over whole lists
+    inst = K.make_instance([[(5, 1), (1, 5)], [(2, 2), (3, 1), (1, 3)],
+                            [(4, 0), (0, 4), (2, 2), (3, 3)]], 7, 7)
+    assert inst.num_choices() <= K.FIRST_BLOCK
+    search = K._Search(K.oriented_rows(inst.classes)[0], 10 ** 6, 10 ** 6, inst.lam)
+    assert search.grow_step()
+    assert search.r == search.ell == 24
+    assert len(search.gen_l.lists[3]) == len(search.gen_r.lists[3]) == 24
+    steps = []
+    step = K.PrefixGenerator.step
+    monkeypatch.setattr(K.PrefixGenerator, "step",
+                        lambda gen, target: steps.append(target) or step(gen, target))
+    assert K.reduce_instance(inst).instance.num_choices() == 24
+    choice = K.solve(inst)
+    assert steps == [K.FIRST_BLOCK, K.FIRST_BLOCK]
+    assert K.brute_force(inst) is not None and K.is_feasible(inst, choice)
+
+
+def test_memory_guard_counts_the_rows_held(monkeypatch):
+    # the guard raises at the step whose lists would pass the limit, and
+    # at no earlier step: the prefix side counts ell rows, the suffix side r
+    rng = random.Random(18)
+    nums = [rng.randint(1, 10 ** 6) for _ in range(18)]
+    V = sum(nums) // 2
+    inst = K.make_instance([[(a, 0), (0, a)] for a in nums], V, sum(nums) - V)
+    rows = K.oriented_rows(inst.classes)[0]
+
+    def steps_within(limit):
+        monkeypatch.setattr(K, "PREFIX_ROW_LIMIT", limit)
+        search = K._Search(rows, inst.V, inst.W, inst.lam)
+        held = []
+        try:
+            while True:
+                stopped = search.grow_step()
+                held.append(sum(map(len, search.gen_l.lists + search.gen_r.lists)))
+                if stopped:
+                    return held, True
+        except CapacityError:
+            return held, False
+
+    held, _ = steps_within(1 << 40)
+    assert len(held) >= 4 and held == sorted(set(held))
+    for i, rows_held in enumerate(held):
+        assert steps_within(rows_held - 1) == (held[:i], False)
+        assert steps_within(rows_held)[0][: i + 1] == held[: i + 1]
 
 
 @given(st.integers(0, 10 ** 60), st.integers(1, 12))

@@ -242,6 +242,12 @@ def test_maximal_solid_prefixes_forced():
     assert maximal_solid_prefixes(x, ProbThreshold.from_z(1)) == ["ab"]
 
 
+def test_maximal_solid_prefixes_deep():
+    # one solid string of 3,000 letters: the enumeration must not recurse per position
+    x = from_probabilities("a", [{"a": 1.0}] * 3000)
+    assert maximal_solid_prefixes(x, ProbThreshold.from_z(1)) == ["a" * 3000]
+
+
 def test_maximal_solid_prefix_count_bound(rng):
     for _ in range(200):
         z = ProbThreshold.from_z(rng.choice([2, 4, 8, 32, 128]))
