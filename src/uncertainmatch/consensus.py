@@ -3,17 +3,18 @@
 A consensus of two equal-length weighted sequences is a single string
 matching both with probability at least 1/z.  Finding one is a
 two-threshold Multichoice Knapsack problem over NegLog units: one
-class per position, one item per letter alive in both sequences whose
-units stay within z in each (letters above z are left out).
-`_classes` builds those classes as item lists, for `wc_to_knapsack`
-and for each `gwpm` window that needs a search.
+class per position, one item per letter present in both sequences
+whose units stay within z in each (letters above z are left out).
+One builder, `_window_classes`, makes those classes as padded arrays
+straight off the units, for any number of windows at once;
+`wc_to_knapsack` is its one window over all positions.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
 mismatch, dropped as soon as an exact min-sum bound passes z, and
 reduces to a consensus instance restricted to those positions.  The
-windows' instances are built as padded arrays and decided together
-by one batched reduction (`knapsack.reduce_batch`) before any search.
+windows' classes are built block by block and decided together by
+one batched reduction (`knapsack.reduce_batch`) before any search.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import string as _string
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -70,51 +72,70 @@ def wc_to_knapsack(
     """Knapsack view of a consensus instance, plus per-class letters.
 
     Item values are NegLog units in X, weights units in Y; both
-    thresholds are the units of z.  A class holds the letters alive in
-    both sequences whose units stay within z in each (a letter above z
-    fits no choice).  A position with no such letter has an empty
-    class, reported as (None, []): the answer is NO outright.
+    thresholds are the units of z.  Class i holds, in X's order at i
+    (by units, ties in alphabet order), the letters present in both
+    sequences whose units stay within z in each (a letter above z fits
+    no choice).  A position with no such letter has an empty class,
+    reported as (None, []): the answer is NO outright.  Built as one
+    `_window_classes` window over all positions.
     """
     if X.n != Y.n:
         raise DomainError("sequences must have equal length")
-    built = _classes(X.sorted_rows, Y.units.tolist(), Y.alphabet, z.units)
-    if built is None:
-        return None, []
-    classes, letters = built
-    return make_instance(classes, z.units, z.units), letters
+    zero = np.zeros(1, dtype=np.int64)
+    vw, alive, order = _window_classes(X, Y, z, zero, np.arange(X.n)[None], np.array([X.n]),
+                                       zero, zero)
+    return _instance(vw[:, 0], alive[0], order[0], X.alphabet, z.units)
 
 
-def _classes(rows_x, rows_y, alphabet_y: str, z_units: int, add_x: int = 0, add_y: int = 0):
-    """Knapsack classes of aligned rows, with their letters; None if one is empty.
+def _window_classes(P, T, z, starts, d, count, alpha_rest, beta_rest):
+    """Consensus classes of windows as padded arrays: (vw, alive, order).
 
-    `rows_x` are X's (letter, units) rows by units, ties in alphabet
-    order (`sorted_rows`), and `rows_y` are Y's units rows as lists in
-    `alphabet_y` order.  A class takes, in that order, every letter
-    alive in Y whose units stay within z in both sequences, after
-    add_x and add_y are added to the first row.
+    Window w (0-based start starts[w]) has the positions d[w, :count[w]]
+    of P, aligned with T at starts[w] + d; class c of window w is
+    position d[w, c].  Its slots take P's letters by units, ties in
+    alphabet order: order[w, c] holds their indices in P.alphabet.
+    vw[0] and vw[1] hold the units of those letters in P and in T (T
+    read through P's letters), beta_rest and alpha_rest added to the
+    first class.  A letter is alive where it is present in both rows
+    and both its units stay within z; dead slots hold `neglog.INF`.  A
+    class past count[w] holds one free item in slot 0.
     """
-    inf = neglog.INF
+    order = np.argsort(P.units, axis=1, kind="stable")[d]
+    col = np.array([T.alphabet.find(c) for c in P.alphabet])[order]
+    vw = np.stack((np.take_along_axis(P.units[d], order, axis=2),
+                   np.where(col >= 0, T.units[(starts[:, None] + d)[:, :, None], col], neglog.INF)))
+    pad = np.arange(d.shape[1]) >= count[:, None]
+    # presence first: at z = inf an absent letter's INF is within z
+    alive = (vw < neglog.INF).all(axis=0) & ~pad[:, :, None]
+    vw[:, :, :1] += np.stack((beta_rest, alpha_rest))[:, :, None, None]
+    alive &= (vw <= z.units).all(axis=0)
+    alive[pad, 0] = True
+    vw[:, ~alive] = neglog.INF  # above every item and every gap: units stay below 2**43
+    vw[:, pad, 0] = 0
+    return vw, alive, order
+
+
+def _instance(vw, alive, order, alphabet: str, z_units: int):
+    """One window's classes as (KnapsackInstance, letters), or (None, []) if one is empty.
+
+    vw (2, D, sigma), alive and order (D, sigma) are one window's first
+    D classes as `_window_classes` builds them; both thresholds are
+    z_units.
+    """
     classes = []
     letters: list[list[str]] = []
-    for row_x, row_y in zip(rows_x, rows_y):
-        cls = []
-        cls_letters = []
-        for s, u in row_x:
-            c = alphabet_y.find(s)
-            w = row_y[c] if c >= 0 else inf
-            if w < inf and u + add_x <= z_units and w + add_y <= z_units:
-                cls.append((u + add_x, w + add_y))
-                cls_letters.append(s)
-        if not cls:
-            return None
-        classes.append(cls)
-        letters.append(cls_letters)
-        add_x = add_y = 0
-    return classes, letters
+    for v, w, a, o in zip(*vw.tolist(), alive.tolist(), order.tolist()):
+        if not any(a):
+            return None, []
+        classes.append(list(compress(zip(v, w), a)))
+        letters.append([alphabet[c] for c in compress(o, a)])
+    return make_instance(classes, z_units, z_units), letters
 
 
-def _solve(inst: KnapsackInstance, letters: list[list[str]], k: int | None) -> str | None:
-    """The consensus letters of a knapsack solution, or None."""
+def _solve(inst: KnapsackInstance | None, letters: list[list[str]], k: int | None) -> str | None:
+    """The consensus letters of a knapsack solution, or None (also without an instance)."""
+    if inst is None:
+        return None
     choice = knapsack.solve(inst) if k is None else knapsack.solve_k(inst, k)
     if choice is None:
         return None
@@ -129,10 +150,7 @@ def weighted_consensus(
     Solved as the knapsack of `wc_to_knapsack` by meet in the middle
     (`knapsack.solve`), or by `knapsack.solve_k` when `k` is given.
     """
-    inst, letters = wc_to_knapsack(X, Y, z)
-    if inst is None:
-        return None
-    return _solve(inst, letters, k)
+    return _solve(*wc_to_knapsack(X, Y, z), k)
 
 
 def knapsack_to_wc(inst: KnapsackInstance, normalize: bool = False) -> WcInstance:
@@ -246,15 +264,15 @@ def gwpm(
     others reduce to a consensus instance restricted to the mismatch
     set, solved by `algo`:
 
-    - ``auto`` or ``mim``: the instances of all windows, in blocks of
-      `WALK_BLOCK`, go through one batched pass of the knapsack
-      reductions (`_reduce_windows`: greedy commitment, then the rank
-      test), which answers NO, or YES with the greedy witness, for most
-      of them.  Each window left runs the meet-in-the-middle knapsack
-      (`knapsack.solve`, or `knapsack.solve_k` when `k` is given) over
-      the classes of `wc_to_knapsack`: letters above z are left out.
-      It beat the SDWC solver at every (z, m) measured, so `gwpm` does
-      not offer SDWC.
+    - ``auto`` or ``mim``: in blocks of `WALK_BLOCK` windows,
+      `_window_classes` builds the windows' classes as padded arrays
+      (letters above z are left out) and one batched pass of the
+      knapsack reductions (`knapsack.reduce_batch`: greedy commitment,
+      then the rank test) answers NO, or YES with the greedy witness,
+      for most of them.  Each window left runs the meet-in-the-middle
+      knapsack (`knapsack.solve`, or `knapsack.solve_k` when `k` is
+      given) over its `_instance` of the same arrays.  It beat the SDWC
+      solver at every (z, m) measured, so `gwpm` does not offer SDWC.
     - ``naive``: the brute-force oracle, window by window.
 
     At z = inf (1/z = 0) a window occurs when some string has nonzero
@@ -323,93 +341,56 @@ def gwpm(
     # heavy units of the window and of the pattern outside the
     # mismatches; a window left holds no empty (INF) row, so capping
     # the rows at z + 1 changes none of its sums
-    alive = np.arange(d.shape[1]) < count[:, None]
+    mism = np.arange(d.shape[1]) < count[:, None]
     alpha_rest = alpha_at[starts + m] - alpha_at[starts] \
-        - np.where(alive, units_t[starts[:, None] + d], 0).sum(axis=1)
-    beta_rest = heavy_sum_p - np.where(alive, units_p[d], 0).sum(axis=1)
-    # windows with mismatches: decided by the knapsack reductions in
-    # blocks; those left, and every window under ``naive``, go to a solver
-    state = np.where(count > 0, -1, 1)  # 1 occurs, 0 does not, -1 to solve
-    picked = np.zeros(d.shape, dtype=str)
-    todo = np.flatnonzero(count)
-    if algo != "naive":
-        for first in range(0, len(todo), WALK_BLOCK):
-            b = todo[first: first + WALK_BLOCK]
-            state[b], picked[b] = _reduce_windows(P, T, z, starts[b], d[b], count[b],
-                                                  alpha_rest[b], beta_rest[b])
-    occ = []
+        - np.where(mism, units_t[starts[:, None] + d], 0).sum(axis=1)
+    beta_rest = heavy_sum_p - np.where(mism, units_p[d], 0).sum(axis=1)
+    # the windows, block by block: the knapsack reductions decide most
+    # of them at once, and those left go to a search; under ``naive``
+    # the oracle decides every window with mismatches
+    letters = np.array(list(P.alphabet))
     records: dict[int, _Occurrence] = {}
-    for w in np.flatnonzero(state).tolist():
-        p, c = int(starts[w]) + 1, int(count[w])
-        mism = (d[w, :c] + 1).tolist()
-        if state[w] > 0:
-            witness = "".join(picked[w, :c])
+    for first in range(0, len(starts), WALK_BLOCK):
+        b = slice(first, first + WALK_BLOCK)
+        if algo == "naive":
+            state = np.where(count[b] > 0, -1, 1)  # 1 occurs with no mismatch, -1 to solve
         else:
-            witness = _solve_window(P, T, z, p, mism, int(alpha_rest[w]), int(beta_rest[w]),
-                                    algo, k)
-            if witness is None:
-                continue
-        occ.append(p)
-        records[p] = _Occurrence(tuple(mism), witness)
-    return GwpmResult(tuple(occ), m, heavy_t, records)
+            vw, alive, order = _window_classes(P, T, z, starts[b], d[b], count[b],
+                                               alpha_rest[b], beta_rest[b])
+            # 1 occurs with the greedy letters, 0 does not, -1 to solve; a
+            # window with an empty class is never 1, and its `_instance` is None
+            state, picks = knapsack.reduce_batch(vw, alive, np.full((2, len(alive)), z_units), inf)
+            greedy = letters[np.take_along_axis(order, picks[:, :, None], axis=2)[:, :, 0]]
+        for i in np.flatnonzero(state).tolist():
+            w, c = first + i, int(count[first + i])
+            if state[i] > 0:
+                witness = "".join(greedy[i, :c]) if c else ""
+            elif algo == "naive":
+                witness = _naive_window(P, T, z, starts[w], d[w, :c], alpha_rest[w], beta_rest[w])
+            else:
+                witness = _solve(*_instance(vw[:, i, :c], alive[i, :c], order[i, :c], P.alphabet,
+                                            z_units), k)
+            if witness is not None:
+                records[int(starts[w]) + 1] = _Occurrence(tuple((d[w, :c] + 1).tolist()), witness)
+    return GwpmResult(tuple(records), m, heavy_t, records)
 
 
-def _reduce_windows(P, T, z, starts, d, count, alpha_rest, beta_rest):
-    """`knapsack.reduce_batch` on the consensus instances of windows: (state, letters).
+def _naive_window(P, T, z, start, d, alpha_rest, beta_rest):
+    """The oracle's consensus over the mismatch offsets d of the window at start, or None.
 
-    Window w (0-based start starts[w]) has the mismatch offsets
-    d[w, :count[w]], count[w] >= 1.  Its classes are those `_classes`
-    builds, padded to (windows, D, sigma) arrays straight off the
-    units: each row of P in `sorted_rows` order, T read through P's
-    letters (INF where T lacks one), beta_rest and alpha_rest on the
-    first class, a letter alive where both its units stay within z.  A
-    class past count[w] holds one free item, which greedy commits.
-    state[w] is 1 (greedy found a witness; letters[w, :count[w]] holds
-    it), 0 (no consensus) or -1 (left to a solver).
+    The rows of P at d and of T at start + d (0-based) stand for the
+    whole window: the heavy units outside d, beta_rest of the pattern
+    and alpha_rest of the window, are added to the first row.
     """
-    order = np.argsort(P.units, axis=1, kind="stable")[d]
-    col = np.array([T.alphabet.find(c) for c in P.alphabet])[order]
-    vw = np.stack((np.take_along_axis(P.units[d], order, axis=2),
-                   np.where(col >= 0, T.units[(starts[:, None] + d)[:, :, None], col], neglog.INF)))
-    vw[:, :, 0] += np.stack((beta_rest, alpha_rest))[:, :, None]
-    pad = np.arange(d.shape[1]) >= count[:, None]
-    alive = (vw <= z.units).all(axis=0) & ~pad[:, :, None]
-    alive[pad, 0] = True
-    vw[:, ~alive] = neglog.INF  # above every item and every gap: units stay below 2**43
-    vw[:, pad, 0] = 0
-    state, picks = knapsack.reduce_batch(vw, alive, np.full((2, len(starts)), z.units), neglog.INF)
-    state[~alive.any(axis=2).all(axis=1)] = 0  # a class with no letter
-    slot = np.take_along_axis(order, np.maximum(picks, 0)[:, :, None], axis=2)[:, :, 0]
-    return state, np.array(list(P.alphabet))[slot]
-
-
-def _solve_window(P, T, z, p, d, alpha_rest, beta_rest, algo, k):
-    """Consensus over the mismatch set d of window p, or None.
-
-    The rows of P at d and of T at p+d-1 stand for the whole window:
-    the heavy units outside d, beta_rest of the pattern and alpha_rest
-    of the window, are added to the first row, and letters above z are
-    left out.  ``naive`` hands the two reweighted sequences to the
-    oracle; otherwise `_classes` builds the knapsack straight off the
-    pruned rows.
-    """
-    if algo == "naive":
-        rows_x = P.units[[i - 1 for i in d]]
-        rows_y = T.units[[p + i - 2 for i in d]]
-        rows_x[0] = np.where(rows_x[0] < neglog.INF, rows_x[0] + beta_rest, neglog.INF)
-        rows_y[0] = np.where(rows_y[0] < neglog.INF, rows_y[0] + alpha_rest, neglog.INF)
-        X = prune(WeightedSequence.from_units(P.alphabet, rows_x), z)
-        Y = prune(WeightedSequence.from_units(T.alphabet, rows_y), z)
-        if (X.units.min(axis=1) >= neglog.INF).any() or (Y.units.min(axis=1) >= neglog.INF).any():
-            return None
-        return naive_consensus(X, Y, z)
-    built = _classes([P.sorted_rows[i - 1] for i in d],
-                     [T.units[p + i - 2].tolist() for i in d],
-                     T.alphabet, z.units, beta_rest, alpha_rest)
-    if built is None:
+    rows_x = P.units[d]
+    rows_y = T.units[start + d]
+    rows_x[0] = np.where(rows_x[0] < neglog.INF, rows_x[0] + beta_rest, neglog.INF)
+    rows_y[0] = np.where(rows_y[0] < neglog.INF, rows_y[0] + alpha_rest, neglog.INF)
+    X = prune(WeightedSequence.from_units(P.alphabet, rows_x), z)
+    Y = prune(WeightedSequence.from_units(T.alphabet, rows_y), z)
+    if (X.units.min(axis=1) >= neglog.INF).any() or (Y.units.min(axis=1) >= neglog.INF).any():
         return None
-    classes, letters = built
-    return _solve(make_instance(classes, z.units, z.units), letters, k)
+    return naive_consensus(X, Y, z)
 
 
 def gwpm_witness(result: GwpmResult, p: int) -> str:

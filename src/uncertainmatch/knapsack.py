@@ -544,10 +544,16 @@ class _Search:
         self.ell = 0
         self.stopped = False
 
-    def grow_step(self) -> bool:
+    @property
+    def held(self) -> int:
+        """The rows the prefix and suffix lists hold."""
+        return sum(map(len, self.gen_l.lists + self.gen_r.lists))
+
+    def grow_step(self, others: int = 0) -> bool:
         """Double r; returns True once growth has stopped.
 
-        Raises CapacityError when the grown lists would pass
+        Raises CapacityError when the grown lists, plus the `others`
+        rows that another live search holds, would pass
         PREFIX_ROW_LIMIT rows.
         """
         if self.stopped:
@@ -557,10 +563,10 @@ class _Search:
         ell = _iroot(r ** k - 1, k + 1) + 1 if k else -(-r // self.lam)
         whole = self.choices <= r
         left = r if whole else ell
-        rows = self.gen_l.rows_at(left) + self.gen_r.rows_at(r)
+        rows = self.gen_l.rows_at(left) + self.gen_r.rows_at(r) + others
         if rows > PREFIX_ROW_LIMIT:
             raise CapacityError(
-                f"knapsack search: the prefix lists would grow to {rows} rows, "
+                f"knapsack search: the search lists would grow to {rows} rows, "
                 f"past the memory guard of {PREFIX_ROW_LIMIT}")
         self.gen_l.step(left)
         self.gen_r.step(r)
@@ -636,7 +642,8 @@ def _run_lockstep(inst, order, fixed, oriented, k: int = 0):
     ]
     while True:
         for search in active:
-            if search.grow_step():
+            # the memory guard counts the rows of both live searches
+            if search.grow_step(sum(s.held for s in active if s is not search)):
                 witness = search.join()
                 if witness is None:
                     return None, False

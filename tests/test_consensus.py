@@ -59,6 +59,36 @@ def test_wc_to_knapsack_dead_position():
     assert weighted_consensus(x, y, ProbThreshold.from_z(4)) is None
 
 
+def test_wc_to_knapsack_by_definition():
+    # per position, X's present letters by units (ties in alphabet
+    # order) that are present in Y, with both units within z; rows hold
+    # INF letters and ties, Y lacks X's "t" and holds "u", which X lacks
+    rng = random.Random(19)
+    unit = neglog.SCALE // 2
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        X = WeightedSequence.from_units("acgt", random_units(rng, n, 4, unit, 10))
+        Y = WeightedSequence.from_units("gcau", random_units(rng, n, 4, unit, 10))
+        for zv in (1, 2, 16, math.inf):
+            z = ProbThreshold.from_z(zv)
+            classes, letters = [], []
+            for i in range(1, n + 1):
+                by_units = sorted(X.alphabet, key=lambda s: (X.letter_units(i, s),
+                                                              X.alphabet.index(s)))
+                cls = [(s, X.letter_units(i, s), Y.letter_units(i, s)) for s in by_units]
+                cls = [(s, u, w) for s, u, w in cls
+                       if u < neglog.INF and w < neglog.INF and u <= z.units and w <= z.units]
+                classes.append([(u, w) for _, u, w in cls])
+                letters.append([s for s, _, _ in cls])
+            expect = (None, []) if not all(classes) else \
+                (K.make_instance(classes, z.units, z.units), letters)
+            got = wc_to_knapsack(X, Y, z)
+            assert got == expect
+            if got[0] is not None:
+                assert {type(x) for cls in got[0].classes for it in cls for x in (it.v, it.w)} \
+                    == {int}
+
+
 def test_wc_to_knapsack_leaves_out_letters_above_z():
     # b is alive in both sequences at positions 2 and 3, but above z = 8
     # in X at 2 and in Y at 3, so no choice can take it there
@@ -339,22 +369,22 @@ def passes_min_sum(p_seq, t_seq, p, z):
 
 
 def test_gwpm_prefilter_is_exact(monkeypatch):
-    # windows handed to the batch reduction or to a solver, to check
+    # windows handed to the class builder or to the oracle, to check
     # that the walk drops every window the min-sum test rejects
     solved = []
-    solve_window = consensus._solve_window
-    reduce_windows = consensus._reduce_windows
+    window_classes = consensus._window_classes
+    naive_window = consensus._naive_window
 
-    def spy_solve(P, T, z, p, *args):
-        solved.append(p)
-        return solve_window(P, T, z, p, *args)
-
-    def spy_reduce(P, T, z, starts, *args):
+    def spy_classes(P, T, z, starts, *args):
         solved.extend((starts + 1).tolist())
-        return reduce_windows(P, T, z, starts, *args)
+        return window_classes(P, T, z, starts, *args)
 
-    monkeypatch.setattr(consensus, "_solve_window", spy_solve)
-    monkeypatch.setattr(consensus, "_reduce_windows", spy_reduce)
+    def spy_naive(P, T, z, start, *args):
+        solved.append(int(start) + 1)
+        return naive_window(P, T, z, start, *args)
+
+    monkeypatch.setattr(consensus, "_window_classes", spy_classes)
+    monkeypatch.setattr(consensus, "_naive_window", spy_naive)
     rng = random.Random(1974)
     rejected = spied = 0
     for _ in range(240):
@@ -369,6 +399,7 @@ def test_gwpm_prefilter_is_exact(monkeypatch):
         ]
         solved.clear()
         assert list(gwpm(p_seq, t_seq, z).occurrences) == expect
+        assert list(gwpm(p_seq, t_seq, z, "naive").occurrences) == expect
         kept = {p for p in range(1, n - m + 2) if passes_min_sum(p_seq, t_seq, p, z)}
         assert set(expect) <= kept
         assert set(solved) <= kept
@@ -388,13 +419,15 @@ def random_units(rng, n, sigma, unit, top):
 
 
 def test_reduce_windows_equals_reduce_instance():
-    # each batch decision against reduce_instance on the window's
-    # `_classes` instance.  P's "t" is missing from T, T's "u" from P;
-    # units tie often, rows hold INF letters, one letter or letters
-    # above z; some T rows copy P's, so greedy decides YES; one batch
-    # mixes windows of every mismatch count up to m
+    # each batch decision on `_window_classes` against reduce_instance on
+    # `wc_to_knapsack` of the window's reweighted rows.  P's "t" is
+    # missing from T, T's "u" from P; units tie often, rows hold INF
+    # letters, one letter or letters above z; some T rows copy P's, so
+    # greedy decides YES; one batch mixes windows of every mismatch
+    # count up to m
     rng = random.Random(16)
     unit = neglog.SCALE // 2
+    inf = neglog.INF
     outcomes = []
     for _ in range(80):
         z = ProbThreshold.from_z(2 ** rng.randint(1, 4))
@@ -415,25 +448,28 @@ def test_reduce_windows_equals_reduce_instance():
             d[w, :count[w]] = sorted(rng.sample(range(m), count[w]))
         alpha = np.array([unit * rng.randint(0, 2) for _ in range(B)])
         beta = np.array([unit * rng.randint(0, 2) for _ in range(B)])
-        state, picked = consensus._reduce_windows(P, T, z, starts, d, count, alpha, beta)
+        vw, alive, order = consensus._window_classes(P, T, z, starts, d, count, alpha, beta)
+        state, picks = K.reduce_batch(vw, alive, np.full((2, B), z.units), inf)
         for w in range(B):
-            offs = d[w, :count[w]].tolist()
-            built = consensus._classes([P.sorted_rows[f] for f in offs],
-                                       [T.units[starts[w] + f].tolist() for f in offs],
-                                       T.alphabet, z.units, int(beta[w]), int(alpha[w]))
-            if built is None:
+            c = count[w]
+            rows_x, rows_y = pu[d[w, :c]], tu[starts[w] + d[w, :c]]
+            rows_x[0] = np.where(rows_x[0] < inf, rows_x[0] + beta[w], inf)
+            rows_y[0] = np.where(rows_y[0] < inf, rows_y[0] + alpha[w], inf)
+            inst, letters = wc_to_knapsack(WeightedSequence.from_units("acgt", rows_x),
+                                           WeightedSequence.from_units("acgu", rows_y), z)
+            assert consensus._instance(vw[:, w, :c], alive[w, :c], order[w, :c],
+                                       P.alphabet, z.units) == (inst, letters)
+            if inst is None:
                 outcomes.append("empty")
-                assert state[w] == 0
+                assert state[w] < 1
                 continue
-            classes, letters = built
-            inst = K.make_instance(classes, z.units, z.units)
             red = K.reduce_instance(inst)
             outcomes.append({None: "search", False: "no", True: "yes"}[red.decided])
             assert state[w] == {None: -1, False: 0, True: 1}[red.decided]
             if red.decided:
                 choice = K.solve(inst)
-                assert "".join(picked[w, :count[w]]) == \
-                    "".join(letters[ci][choice[ci]] for ci in range(len(offs)))
+                assert "".join(P.alphabet[order[w, ci, picks[w, ci]]] for ci in range(c)) == \
+                    "".join(letters[ci][choice[ci]] for ci in range(c))
     assert {outcomes.count(o) > 10 for o in ("empty", "search", "no", "yes")} == {True}
 
 

@@ -502,6 +502,29 @@ def test_memory_guard_counts_the_rows_held(monkeypatch):
         assert steps_within(rows_held)[0][: i + 1] == held[: i + 1]
 
 
+def test_memory_guard_counts_both_searches(monkeypatch):
+    # solve holds the value- and weight-oriented searches together, so
+    # at the limit that one search alone peaks at, the pair passes it
+    rng = random.Random(18)
+    nums = [rng.randint(1, 10 ** 6) for _ in range(18)]
+    V = sum(nums) // 2
+    inst = K.make_instance([[(a, 0), (0, a)] for a in nums], V, sum(nums) - V)
+    assert K.reduce_instance(inst).decided is None
+    peaks = []
+    for rows, (v, w) in zip(K.oriented_rows(inst.classes), ((inst.V, inst.W), (inst.W, inst.V))):
+        search = K._Search(rows, v, w, inst.lam)
+        peak, stopped = 0, False
+        while not stopped:
+            stopped = search.grow_step()
+            peak = max(peak, sum(map(len, search.gen_l.lists + search.gen_r.lists)))
+        peaks.append(peak)
+    monkeypatch.setattr(K, "PREFIX_ROW_LIMIT", max(peaks))
+    with pytest.raises(CapacityError):
+        K.solve(inst)
+    monkeypatch.setattr(K, "PREFIX_ROW_LIMIT", sum(peaks))
+    assert K.is_feasible(inst, K.solve(inst))
+
+
 @given(st.integers(0, 10 ** 60), st.integers(1, 12))
 def test_iroot_is_the_integer_root(x, k):
     t = K._iroot(x, k)
