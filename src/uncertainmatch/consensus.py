@@ -13,8 +13,9 @@ The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
 mismatch, dropped as soon as an exact min-sum bound passes z, and
 reduces to a consensus instance restricted to those positions.  The
-windows' classes are built block by block and decided together by
-one batched reduction (`knapsack.reduce_batch`) before any search.
+classes of the windows with mismatches are built block by block and
+decided together by one batched reduction (`knapsack.reduce_batch`)
+before any search.
 """
 
 from __future__ import annotations
@@ -260,9 +261,10 @@ def gwpm(
     matching it, one in P and one in the window: they start at the
     heavy units and, at each mismatch, rise by the cheapest letter alive
     in both rows.  A window is dropped once either bound passes z, or at
-    its (2 floor(log2 z) + 1)-th mismatch, since it cannot match; the
-    others reduce to a consensus instance restricted to the mismatch
-    set, solved by `algo`:
+    its (2 floor(log2 z) + 1)-th mismatch, since it cannot match.  A
+    window left with no mismatch occurs with the heavy letters; each of
+    the others reduces to a consensus instance restricted to its
+    mismatch set, solved by `algo`:
 
     - ``auto`` or ``mim``: in blocks of `WALK_BLOCK` windows,
       `_window_classes` builds the windows' classes as padded arrays
@@ -345,26 +347,31 @@ def gwpm(
     alpha_rest = alpha_at[starts + m] - alpha_at[starts] \
         - np.where(mism, units_t[starts[:, None] + d], 0).sum(axis=1)
     beta_rest = heavy_sum_p - np.where(mism, units_p[d], 0).sum(axis=1)
-    # the windows, block by block: the knapsack reductions decide most
-    # of them at once, and those left go to a search; under ``naive``
-    # the oracle decides every window with mismatches
+    # a window with no mismatch occurs with the heavy letters; the others
+    # go block by block: the knapsack reductions decide most of them at
+    # once, and those left go to a search; under ``naive`` the oracle
+    # decides each of them
     letters = np.array(list(P.alphabet))
-    records: dict[int, _Occurrence] = {}
-    for first in range(0, len(starts), WALK_BLOCK):
-        b = slice(first, first + WALK_BLOCK)
+    records = {int(p) + 1: _Occurrence((), "") for p in starts[count == 0].tolist()}
+    todo = np.flatnonzero(count)
+    for first in range(0, len(todo), WALK_BLOCK):
+        b = todo[first: first + WALK_BLOCK]
         if algo == "naive":
-            state = np.where(count[b] > 0, -1, 1)  # 1 occurs with no mismatch, -1 to solve
+            state = np.full(len(b), -1)
         else:
-            vw, alive, order = _window_classes(P, T, z, starts[b], d[b], count[b],
+            # no class past the block's most mismatches
+            D = int(count[b].max())
+            vw, alive, order = _window_classes(P, T, z, starts[b], d[b, :D], count[b],
                                                alpha_rest[b], beta_rest[b])
             # 1 occurs with the greedy letters, 0 does not, -1 to solve; a
             # window with an empty class is never 1, and its `_instance` is None
-            state, picks = knapsack.reduce_batch(vw, alive, np.full((2, len(alive)), z_units), inf)
+            state, picks = knapsack.reduce_batch(vw, alive, np.full((2, len(b)), z_units), inf)
             greedy = letters[np.take_along_axis(order, picks[:, :, None], axis=2)[:, :, 0]]
         for i in np.flatnonzero(state).tolist():
-            w, c = first + i, int(count[first + i])
+            w = int(b[i])
+            c = int(count[w])
             if state[i] > 0:
-                witness = "".join(greedy[i, :c]) if c else ""
+                witness = "".join(greedy[i, :c])
             elif algo == "naive":
                 witness = _naive_window(P, T, z, starts[w], d[w, :c], alpha_rest[w], beta_rest[w])
             else:
@@ -372,7 +379,7 @@ def gwpm(
                                             z_units), k)
             if witness is not None:
                 records[int(starts[w]) + 1] = _Occurrence(tuple((d[w, :c] + 1).tolist()), witness)
-    return GwpmResult(tuple(records), m, heavy_t, records)
+    return GwpmResult(tuple(sorted(records)), m, heavy_t, records)
 
 
 def _naive_window(P, T, z, start, d, alpha_rest, beta_rest):

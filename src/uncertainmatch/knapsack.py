@@ -390,12 +390,15 @@ def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray]:
     """`reduce_n_log`'s decision for B instances at once: (decided, picks).
 
     Instance b's class c holds the items vw[:, b, c, s] (value, weight)
-    where alive[b, c, s], in slot order, at least one; every dead slot
-    holds `top`, which is above every item and every difference of two
-    items; caps holds the (2, B) value and weight thresholds.
-    decided[b] is 1 (YES: the greedy picks are a feasible choice), 0
-    (NO) or -1 (the rank test leaves a search); picks[b, c] is the slot
-    greedy commits in class c, or -1.
+    where alive[b, c, s], in slot order; every dead slot holds `top`,
+    which is above every item and every difference of two items; caps
+    holds the (2, B) value and weight thresholds.  decided[b] is 1
+    (YES: the greedy picks are a feasible choice), 0 (NO) or -1 (the
+    rank test leaves a search); picks[b, c] is the slot greedy commits
+    in class c, or -1.  Greedy never commits a class with no live item,
+    so an instance holding one is never decided 1 (the consensus tests
+    check `state[w] < 1` for such windows): the caller, which has no
+    choice to offer there, answers it NO itself.
     """
     picks = _greedy_picks(vw, alive)
     kept = picks < 0

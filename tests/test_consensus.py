@@ -59,10 +59,28 @@ def test_wc_to_knapsack_dead_position():
     assert weighted_consensus(x, y, ProbThreshold.from_z(4)) is None
 
 
+def defined_instance(X, Y, z):
+    """`wc_to_knapsack` transcribed from its definition, position by position.
+
+    Class i holds X's present letters at i by units (ties in alphabet
+    order) that are present in Y, with both units within z.
+    """
+    classes, letters = [], []
+    for i in range(1, X.n + 1):
+        by_units = sorted(X.alphabet, key=lambda s: (X.letter_units(i, s), X.alphabet.index(s)))
+        cls = [(s, X.letter_units(i, s), Y.letter_units(i, s)) for s in by_units]
+        cls = [(s, u, w) for s, u, w in cls
+               if u < neglog.INF and w < neglog.INF and u <= z.units and w <= z.units]
+        classes.append([(u, w) for _, u, w in cls])
+        letters.append([s for s, _, _ in cls])
+    if not all(classes):
+        return None, []
+    return K.make_instance(classes, z.units, z.units), letters
+
+
 def test_wc_to_knapsack_by_definition():
-    # per position, X's present letters by units (ties in alphabet
-    # order) that are present in Y, with both units within z; rows hold
-    # INF letters and ties, Y lacks X's "t" and holds "u", which X lacks
+    # rows hold INF letters and ties, Y lacks X's "t" and holds "u",
+    # which X lacks
     rng = random.Random(19)
     unit = neglog.SCALE // 2
     for _ in range(150):
@@ -71,19 +89,8 @@ def test_wc_to_knapsack_by_definition():
         Y = WeightedSequence.from_units("gcau", random_units(rng, n, 4, unit, 10))
         for zv in (1, 2, 16, math.inf):
             z = ProbThreshold.from_z(zv)
-            classes, letters = [], []
-            for i in range(1, n + 1):
-                by_units = sorted(X.alphabet, key=lambda s: (X.letter_units(i, s),
-                                                              X.alphabet.index(s)))
-                cls = [(s, X.letter_units(i, s), Y.letter_units(i, s)) for s in by_units]
-                cls = [(s, u, w) for s, u, w in cls
-                       if u < neglog.INF and w < neglog.INF and u <= z.units and w <= z.units]
-                classes.append([(u, w) for _, u, w in cls])
-                letters.append([s for s, _, _ in cls])
-            expect = (None, []) if not all(classes) else \
-                (K.make_instance(classes, z.units, z.units), letters)
             got = wc_to_knapsack(X, Y, z)
-            assert got == expect
+            assert got == defined_instance(X, Y, z)
             if got[0] is not None:
                 assert {type(x) for cls in got[0].classes for it in cls for x in (it.v, it.w)} \
                     == {int}
@@ -420,7 +427,8 @@ def random_units(rng, n, sigma, unit, top):
 
 def test_reduce_windows_equals_reduce_instance():
     # each batch decision on `_window_classes` against reduce_instance on
-    # `wc_to_knapsack` of the window's reweighted rows.  P's "t" is
+    # the definition's instance of the window's reweighted rows, which
+    # `wc_to_knapsack` of those rows also gives.  P's "t" is
     # missing from T, T's "u" from P; units tie often, rows hold INF
     # letters, one letter or letters above z; some T rows copy P's, so
     # greedy decides YES; one batch mixes windows of every mismatch
@@ -455,8 +463,10 @@ def test_reduce_windows_equals_reduce_instance():
             rows_x, rows_y = pu[d[w, :c]], tu[starts[w] + d[w, :c]]
             rows_x[0] = np.where(rows_x[0] < inf, rows_x[0] + beta[w], inf)
             rows_y[0] = np.where(rows_y[0] < inf, rows_y[0] + alpha[w], inf)
-            inst, letters = wc_to_knapsack(WeightedSequence.from_units("acgt", rows_x),
-                                           WeightedSequence.from_units("acgu", rows_y), z)
+            X = WeightedSequence.from_units("acgt", rows_x)
+            Y = WeightedSequence.from_units("acgu", rows_y)
+            inst, letters = defined_instance(X, Y, z)
+            assert wc_to_knapsack(X, Y, z) == (inst, letters)
             assert consensus._instance(vw[:, w, :c], alive[w, :c], order[w, :c],
                                        P.alphabet, z.units) == (inst, letters)
             if inst is None:
@@ -594,6 +604,25 @@ def test_gwpm_at_infinite_z_equals_per_window_consensus(rng):
             w = gwpm_witness(res, p)
             assert match_neglog(w, p_seq) < neglog.INF
             assert match_neglog(w, t_seq.factor(p, p + m - 1)) < neglog.INF
+
+
+def test_gwpm_at_infinite_z_dense_pattern():
+    # every letter is alive in every row, so at z = inf all of them are
+    # free, both heavy strings are all "a" and no window has a mismatch:
+    # each occurs at once, with no class arrays built for it
+    rng = random.Random(300)
+    m, n = 300, 1500
+    p_seq, t_seq = (from_probabilities("acgt", [{s: rng.uniform(0.1, 1) / 4 for s in "acgt"}
+                                                for _ in range(k)]) for k in (m, n))
+    tracemalloc.start()
+    try:
+        res = gwpm(p_seq, t_seq, ProbThreshold.from_z(math.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.occurrences == tuple(range(1, n - m + 2))
+    assert gwpm_witness(res, n - m + 1) == "a" * m
+    assert peak < 16 * 2**20
 
 
 def test_gwpm_at_infinite_z_long_windows():

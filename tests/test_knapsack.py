@@ -489,7 +489,7 @@ def test_memory_guard_counts_the_rows_held(monkeypatch):
         try:
             while True:
                 stopped = search.grow_step()
-                held.append(sum(map(len, search.gen_l.lists + search.gen_r.lists)))
+                held.append(search.held)
                 if stopped:
                     return held, True
         except CapacityError:
@@ -516,7 +516,7 @@ def test_memory_guard_counts_both_searches(monkeypatch):
         peak, stopped = 0, False
         while not stopped:
             stopped = search.grow_step()
-            peak = max(peak, sum(map(len, search.gen_l.lists + search.gen_r.lists)))
+            peak = max(peak, search.held)
         peaks.append(peak)
     monkeypatch.setattr(K, "PREFIX_ROW_LIMIT", max(peaks))
     with pytest.raises(CapacityError):
