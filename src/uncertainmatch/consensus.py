@@ -151,6 +151,8 @@ def weighted_consensus(
     Solved as the knapsack of `wc_to_knapsack` by meet in the middle
     (`knapsack.solve`), or by `knapsack.solve_k` when `k` is given.
     """
+    if k is not None and k < 1:
+        raise DomainError("k must be a positive integer")
     return _solve(*wc_to_knapsack(X, Y, z), k)
 
 

@@ -8,11 +8,12 @@ are grown by doubling their length r, those over prefixes only to the
 ell rows the search reads of them (`PrefixGenerator.step` takes the
 target length), growth stops once ranks certify that no feasible
 solution can be missed, and each split index is finished with a
-vectorized two-class sweep.  `solve` and
-`solve_k` share one lock-step loop and differ only in the class
-orders they try and in k, from which each search derives its rank
-budgets as exact integer roots (`_iroot`), so no budget can overflow
-a float.
+vectorized two-class sweep.  `solve` and `solve_k` are one body,
+`_decide`: `solve` is k = 0, one search per orientation over the
+classes in order; `solve_k` guesses k front classes and searches each
+guess to its stop at most once per orientation.  Each search derives
+its rank budgets from k as exact integer roots (`_iroot`), so no
+budget can overflow a float.
 
 Instance reductions shrink the class count to O(log A / log lambda)
 first: greedy commitment, then one rank test (`_may_fit`) on the
@@ -96,7 +97,7 @@ def make_instance(class_items, V: int, W: int) -> KnapsackInstance:
 
 @dataclass(frozen=True)
 class PartialChoice:
-    """One item from each class of a sub-domain, with cached sums."""
+    """One item from each class of a sub-domain; `sums` adds up its items."""
 
     domain: tuple[int, ...]
     picks: tuple[int, ...]
@@ -628,48 +629,61 @@ def _assemble(inst: KnapsackInstance, picks: Choice, fixed: tuple[Item, ...]) ->
     return _origins_to_choice(origins)
 
 
-def _run_lockstep(inst, order, fixed, oriented, k: int = 0):
-    """Run both oriented searches in lock-step; the first stopped one decides.
+def _decide(inst: KnapsackInstance, k: int) -> Choice | None:
+    """`solve` (k = 0) and `solve_k`: reduce, then search the front guesses.
 
-    The searches run over the classes of `inst` taken in `order`;
-    `oriented` is `oriented_rows(inst.classes)` and `k` is passed to
-    `_Search`.  Returns (outcome, aborted): outcome is a Choice or
-    None, aborted is True when, with k >= 1, both searches passed
-    r = lambda**(k+1) before stopping.
-    """
-    lam = inst.lam  # at least 2: greedy_reduce commits every one-item class
-    by_v, by_w = oriented
-    active = [
-        _Search([by_v[i] for i in order], inst.V, inst.W, lam, k),
-        _Search([by_w[i] for i in order], inst.W, inst.V, lam, k),
-    ]
-    while True:
-        for search in active:
-            # the memory guard counts the rows of both live searches
-            if search.grow_step(sum(s.held for s in active if s is not search)):
-                witness = search.join()
-                if witness is None:
-                    return None, False
-                picks = {order[c]: item for c, item in witness.items()}
-                return _assemble(inst, picks, fixed), False
-        if k:
-            active = [s for s in active if s.r <= lam ** (k + 1)]
-            if not active:
-                return None, True
-
-
-def _reduced(inst: KnapsackInstance) -> tuple[Choice | None, Reduction | None]:
-    """Run reduce_instance: (its answer, None) if it decided, else (None, it).
-
-    Raises DomainError when the items left could overflow int64 sums.
+    After `reduce_instance`, and the refusal (DomainError) of items that
+    could overflow int64 sums, each guess of k' = min(k, n') front
+    classes (those first, the others in index order; k = 0 is one empty
+    guess) runs both oriented searches in lock-step, and the first to
+    stop decides it.  A witness is the answer, and so is None when the
+    join left no item out, as every join does at k' = 0 or n'.  Else
+    the None only clears the guess for that orientation: a guess can be
+    right for one orientation and wrong for the other.  Either
+    orientation is exact once it has cleared every guess, so the one
+    with fewer guesses left then searches those alone.
     """
     red = reduce_instance(inst)
-    if red.decided is None:
-        classes = red.instance.classes
-        if sum(max(max(abs(it.v), abs(it.w)) for it in cls) for cls in classes) >= _CLIP:
-            raise DomainError("item values and weights must sum to less than 2**62")
-        return None, red
-    return (_assemble(inst, {}, red.fixed) if red.decided else None), None
+    if red.decided is not None:
+        return _assemble(inst, {}, red.fixed) if red.decided else None
+    base = red.instance
+    if sum(max(max(abs(it.v), abs(it.w)) for it in cls) for cls in base.classes) >= _CLIP:
+        raise DomainError("item values and weights must sum to less than 2**62")
+    n, lam, k = base.n, base.lam, min(k, base.n)  # lam >= 2: greedy commits one-item classes
+    by_v, by_w = oriented_rows(base.classes)
+    oriented = ((by_v, base.V, base.W), (by_w, base.W, base.V))
+
+    def run_lockstep(front, sides):
+        """Grow the searches of guess `front` in `sides` until one stops.
+
+        Returns (its orientation, its witness or None, whether its join
+        left no item out).
+        """
+        order = list(front) + [i for i in range(n) if i not in front]
+        searches = [_Search([rows[i] for i in order], V, W, lam, k)
+                    for rows, V, W in (oriented[side] for side in sides)]
+        while True:
+            for side, search in zip(sides, searches):
+                # the memory guard counts the rows of both live searches
+                if search.grow_step(sum(s.held for s in searches if s is not search)):
+                    witness = search.join()
+                    if witness is not None:
+                        witness = _assemble(base, {order[c]: it for c, it in witness.items()},
+                                            red.fixed)
+                    return side, witness, k in (0, n) or _iroot(search.ell, k) >= lam
+
+    left = ([], [])  # the guesses each orientation has not cleared
+    for front in itertools.combinations(range(n), k):
+        side, witness, exact = run_lockstep(front, (0, 1))
+        if witness is not None or exact:
+            return witness
+        left[1 - side].append(front)
+    side = int(len(left[1]) < len(left[0]))
+    for front in left[side]:
+        _, witness, exact = run_lockstep(front, (side,))
+        if witness is not None or exact:
+            return witness
+    return None
 
 
 def solve(inst: KnapsackInstance) -> Choice | None:
@@ -678,40 +692,21 @@ def solve(inst: KnapsackInstance) -> Choice | None:
     Runs the value-oriented and weight-oriented searches in
     deterministic lock-step; whichever stops growing first decides.
     """
-    answer, red = _reduced(inst)
-    if red is None:
-        return answer
-    base = red.instance
-    return _run_lockstep(base, range(base.n), red.fixed, oriented_rows(base.classes))[0]
+    return _decide(inst, 0)
 
 
 def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
     """Rank-parameterized variant for large classes.
 
-    For each guess of the k front classes holding the largest-rank
-    items, the middle item of every other split is restricted to
-    ranks at most ell^(1/k).  The parameter escalates automatically
-    when the rank budget outgrows lambda^(k+1) in both orientations.
+    Guesses the k' = min(k, n') front classes holding the largest-rank
+    items and restricts the middle item of every later split to value
+    ranks at most ell^(1/k').  Each search runs to its stop: for the
+    right guess the prefix before such a split holds all k' front
+    items, so its rank, at most ell, is at least the middle item's rank
+    to the k'-th power (rank(A) rank(B) <= rank(A u B)), whatever r the
+    search reached.  Each orientation searches each guess to its stop at
+    most once.
     """
     if k < 1:
         raise DomainError("k must be a positive integer")
-    answer, red = _reduced(inst)
-    if red is None:
-        return answer
-    base = red.instance
-    n = base.n
-    kk = min(k, n)
-    oriented = oriented_rows(base.classes)
-    while True:
-        any_aborted = False
-        for front in itertools.combinations(range(n), kk):
-            order = list(front) + [i for i in range(n) if i not in front]
-            outcome, aborted = _run_lockstep(base, order, red.fixed, oriented, kk)
-            if outcome is not None:
-                return outcome
-            any_aborted |= aborted
-        if not any_aborted:
-            return None
-        if kk >= n:
-            raise AssertionError("escalation cannot abort with all classes in front")
-        kk += 1
+    return _decide(inst, k)

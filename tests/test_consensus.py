@@ -154,6 +154,15 @@ def test_weighted_consensus_k_variant(rng):
             assert (got is None) == (base is None)
 
 
+def test_weighted_consensus_refuses_k_below_one():
+    # refused at entry, whether or not the positions share a letter
+    x = WeightedSequence("ab", [{"a": 0}])
+    for y in (x, WeightedSequence("ab", [{"b": 0}])):
+        for k in (0, -5):
+            with pytest.raises(DomainError):
+                weighted_consensus(x, y, ProbThreshold.from_z(1), k=k)
+
+
 def test_knapsack_to_wc_round_trip(rng):
     for _ in range(300):
         inst = random_knapsack(rng, max_n=3, max_lam=3, v_hi=6, t_hi=12)

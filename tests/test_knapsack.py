@@ -316,6 +316,93 @@ def test_solve_k_equals_brute_force(rng):
                 assert K.is_feasible(inst, got)
 
 
+def test_solve_k_searches_each_guess_once(tmp_path, monkeypatch):
+    # 14 classes of at most 4 items survive the reductions; each
+    # orientation searches each guess of k front classes to its stop at
+    # most once
+    path = tmp_path / "g.mck"
+    assert cli.main(["gen", "--kind", "mck", "--seed", "7", "--classes", "30", "--lam", "4",
+                     "--out", str(path)]) == 0
+    inst = io.parse_mck(path.read_text())
+    base = K.reduce_instance(inst).instance
+    assert base.n == 14 and base.V != base.W
+    stops = []
+    join = K._Search.join
+    monkeypatch.setattr(K._Search, "join", lambda search: stops.append(search.V) or join(search))
+    for k in (1, 2, 3):
+        stops.clear()
+        choice = K.solve_k(inst, k)
+        assert choice is not None and K.is_feasible(inst, choice)
+        assert 0 < max(map(stops.count, stops)) <= math.comb(base.n, k)
+
+
+def test_solve_k_on_subset_sums_past_lambda_to_the_k_plus_one(monkeypatch):
+    # classes {(a, 0), (0, a)} have lambda = 2, and each search runs to
+    # its stop, at r >= FIRST_BLOCK > lambda**(k+1); each YES instance
+    # has a planted subset, and its parity twin (doubled numbers, odd
+    # thresholds) has none
+    log = []
+    join = K._Search.join
+    monkeypatch.setattr(K._Search, "join", lambda search: log.append(
+        (search.r, search.k, search.lam)) or join(search))
+    rng = random.Random(20)
+    for trial in range(24):
+        nums = [rng.randint(1, 10 ** 6) for _ in range(10 + trial % 5)]
+        V = sum(rng.sample(nums, len(nums) // 2))
+        W = sum(nums) - V
+        yes = K.make_instance([[(a, 0), (0, a)] for a in nums], V, W)
+        no = K.make_instance([[(2 * a, 0), (0, 2 * a)] for a in nums], 2 * V - 1, 2 * W - 1)
+        for inst in (yes, no):
+            feasible = K.brute_force(inst) is not None
+            assert feasible == (inst.V == V)
+            for k in (1, 2):
+                choice = K.solve_k(inst, k)
+                assert (choice is not None) == feasible
+                assert choice is None or K.is_feasible(inst, choice)
+    for k in (1, 2):
+        assert any(r > lam ** (k + 1) for r, kk, lam in log if kk == k)
+
+
+def test_solve_k_guess_right_in_one_orientation_only():
+    # one feasible choice (19, 3, 5) of items (v, 10**4 - v): class 0's
+    # item has the largest value rank and the smallest weight rank, so
+    # guess {0} is right only for the value search, and guesses {1} and
+    # {2} only for the weight search.  The weight search stops first at
+    # guess {0}, the value search no later at {1} and {2}: a guess
+    # decided by whichever search stops first missed the choice
+    values = [
+        [422, 469, 1499, 1754, 1857, 1930, 1989, 2276, 2393, 2504,
+         2897, 3501, 4053, 6019, 6781, 7155, 7629, 7647, 8149, 8201],
+        [100, 339, 1180, 1738, 1943, 2130, 2220, 3983, 4317, 4451,
+         4569, 5282, 5375, 5672, 5681, 6887, 8046, 8184, 8759, 8942],
+        [355, 570, 4782, 4897, 5256, 5353, 5782, 6350, 6912, 7725,
+         7997, 8235, 8406, 8581, 9509, 9587],
+    ]
+    inst = K.make_instance([[(v, 10 ** 4 - v) for v in vs] for vs in values], 15292, 14708)
+    assert K.brute_force(inst) == {0: 19, 1: 3, 2: 5}
+    assert K.reduce_instance(inst).decided is None
+    for k in (1, 2, 3):
+        assert K.solve_k(inst, k) == {0: 19, 1: 3, 2: 5}
+
+
+def test_solve_k_on_planted_large_classes():
+    # items (v, C - v): every choice has the same v + w, so exactly the
+    # choices of value V fit; the planted one takes the top value rank in
+    # one class and the bottom one in another, and classes are large
+    # enough that the rank limit of `solve_k` leaves items out
+    rng = random.Random(21)
+    for _ in range(120):
+        n, lam = 3, rng.randint(6, 20)
+        C = 10 ** rng.randint(3, 5)
+        values = [sorted(rng.sample(range(C), lam)) for _ in range(n)]
+        picks = [lam - 1, 0, rng.randrange(lam)]
+        V = sum(vs[p] for vs, p in zip(values, picks))
+        inst = K.make_instance([[(v, C - v) for v in vs] for vs in values], V, n * C - V)
+        for k in (1, 2):
+            choice = K.solve_k(inst, k)
+            assert choice is not None and K.is_feasible(inst, choice)
+
+
 def test_solve_k_rejects_bad_k():
     with pytest.raises(DomainError):
         K.solve_k(EXAMPLE, 0)
