@@ -7,15 +7,18 @@ class per position, one item per letter present in both sequences
 whose units stay within z in each (letters above z are left out).
 One builder, `_window_classes`, makes those classes as padded arrays
 straight off the units, for any number of windows at once;
-`wc_to_knapsack` is its one window over all positions.
+`wc_to_knapsack` is its one window over all positions.  One solver,
+`_consensus`, takes those arrays to the knapsack layer: one batched
+reduction (`knapsack.reduce_batch`) over its windows, then the search
+(`knapsack.search`) on the same arrays for each window left, so no
+window is reduced twice or rebuilt as `Item`s.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
 mismatch, dropped as soon as an exact min-sum bound passes z, and
 reduces to a consensus instance restricted to those positions.  The
-classes of the windows with mismatches are built block by block and
-decided together by one batched reduction (`knapsack.reduce_batch`)
-before any search.
+windows with mismatches go to `_consensus` block by block;
+`weighted_consensus` is its one window over all positions.
 """
 
 from __future__ import annotations
@@ -77,15 +80,26 @@ def wc_to_knapsack(
     (by units, ties in alphabet order), the letters present in both
     sequences whose units stay within z in each (a letter above z fits
     no choice).  A position with no such letter has an empty class,
-    reported as (None, []): the answer is NO outright.  Built as one
-    `_window_classes` window over all positions.
+    reported as (None, []): the answer is NO outright.  Built from the
+    alive slots of `_whole_window`, in slot order.
     """
+    vw, alive, order = _whole_window(X, Y, z)
+    classes = []
+    letters: list[list[str]] = []
+    for v, w, a, o in zip(*vw[:, 0].tolist(), alive[0].tolist(), order[0].tolist()):
+        if not any(a):
+            return None, []
+        classes.append(list(compress(zip(v, w), a)))
+        letters.append([X.alphabet[c] for c in compress(o, a)])
+    return make_instance(classes, z.units, z.units), letters
+
+
+def _whole_window(X: WeightedSequence, Y: WeightedSequence, z: ProbThreshold):
+    """`_window_classes` of the one window over all positions of X and Y."""
     if X.n != Y.n:
         raise DomainError("sequences must have equal length")
     zero = np.zeros(1, dtype=np.int64)
-    vw, alive, order = _window_classes(X, Y, z, zero, np.arange(X.n)[None], np.array([X.n]),
-                                       zero, zero)
-    return _instance(vw[:, 0], alive[0], order[0], X.alphabet, z.units)
+    return _window_classes(X, Y, z, zero, np.arange(X.n)[None], np.array([X.n]), zero, zero)
 
 
 def _window_classes(P, T, z, starts, d, count, alpha_rest, beta_rest):
@@ -116,31 +130,31 @@ def _window_classes(P, T, z, starts, d, count, alpha_rest, beta_rest):
     return vw, alive, order
 
 
-def _instance(vw, alive, order, alphabet: str, z_units: int):
-    """One window's classes as (KnapsackInstance, letters), or (None, []) if one is empty.
+def _consensus(vw, alive, order, alphabet: str, z_units: int, k: int) -> list[str | None]:
+    """Each window's consensus letters, one per class, or None where it has none.
 
-    vw (2, D, sigma), alive and order (D, sigma) are one window's first
-    D classes as `_window_classes` builds them; both thresholds are
-    z_units.
+    vw, alive and order are windows as `_window_classes` builds them,
+    with thresholds z_units; a class past a window's count adds a
+    letter its caller cuts off.  One `knapsack.reduce_batch` decides most
+    windows; for each window it leaves, `knapsack.search` (k = 0 is
+    `solve`, k >= 1 `solve_k`) runs on the classes greedy did not
+    commit, with thresholds net of the committed items.  Greedy's slots
+    fill the committed classes.  `reduce_instance`'s class merging is
+    skipped: it only runs at lambda >= 3**6 = 729, which a consensus
+    class reaches only over an alphabet that large, and merging keeps
+    the feasible set, so no answer changes.
     """
-    classes = []
-    letters: list[list[str]] = []
-    for v, w, a, o in zip(*vw.tolist(), alive.tolist(), order.tolist()):
-        if not any(a):
-            return None, []
-        classes.append(list(compress(zip(v, w), a)))
-        letters.append([alphabet[c] for c in compress(o, a)])
-    return make_instance(classes, z_units, z_units), letters
-
-
-def _solve(inst: KnapsackInstance | None, letters: list[list[str]], k: int | None) -> str | None:
-    """The consensus letters of a knapsack solution, or None (also without an instance)."""
-    if inst is None:
-        return None
-    choice = knapsack.solve(inst) if k is None else knapsack.solve_k(inst, k)
-    if choice is None:
-        return None
-    return "".join(letters[ci][choice[ci]] for ci in range(len(letters)))
+    state, picks = knapsack.reduce_batch(vw, alive, np.full((2, len(alive)), z_units), neglog.INF)
+    for w in np.flatnonzero(state < 0).tolist():
+        kept = picks[w] < 0
+        # a committed item holds both minima of its class
+        V, W = (z_units - np.where(kept, 0, vw[:, w].min(axis=2)).sum(axis=1)).tolist()
+        found = knapsack.search(vw[:, w, kept], alive[w, kept], V, W, k)
+        if found is not None:
+            state[w] = 1
+            picks[w, np.flatnonzero(kept)] = [found[c] for c in range(len(found))]
+    letters = np.array(list(alphabet))[np.take_along_axis(order, picks[:, :, None], axis=2)[:, :, 0]]
+    return ["".join(letters[w]) if s > 0 else None for w, s in enumerate(state.tolist())]
 
 
 def weighted_consensus(
@@ -148,12 +162,13 @@ def weighted_consensus(
 ) -> str | None:
     """A string matching both X and Y with probability >= 1/z, or None.
 
-    Solved as the knapsack of `wc_to_knapsack` by meet in the middle
-    (`knapsack.solve`), or by `knapsack.solve_k` when `k` is given.
+    Solved by `_consensus` on the one window of `wc_to_knapsack`, the
+    meet-in-the-middle search of `knapsack.solve`, or of
+    `knapsack.solve_k` when `k` is given.
     """
     if k is not None and k < 1:
         raise DomainError("k must be a positive integer")
-    return _solve(*wc_to_knapsack(X, Y, z), k)
+    return _consensus(*_whole_window(X, Y, z), X.alphabet, z.units, k or 0)[0]
 
 
 def knapsack_to_wc(inst: KnapsackInstance, normalize: bool = False) -> WcInstance:
@@ -270,13 +285,14 @@ def gwpm(
 
     - ``auto`` or ``mim``: in blocks of `WALK_BLOCK` windows,
       `_window_classes` builds the windows' classes as padded arrays
-      (letters above z are left out) and one batched pass of the
-      knapsack reductions (`knapsack.reduce_batch`: greedy commitment,
-      then the rank test) answers NO, or YES with the greedy witness,
-      for most of them.  Each window left runs the meet-in-the-middle
-      knapsack (`knapsack.solve`, or `knapsack.solve_k` when `k` is
-      given) over its `_instance` of the same arrays.  It beat the SDWC
-      solver at every (z, m) measured, so `gwpm` does not offer SDWC.
+      (letters above z are left out) and `_consensus` decides them:
+      one batched pass of the knapsack reductions
+      (`knapsack.reduce_batch`: greedy commitment, then the rank test)
+      answers NO, or YES with the greedy witness, for most of them.
+      Each window left runs the meet-in-the-middle search of
+      `knapsack.solve` (or of `knapsack.solve_k` when `k` is given) on
+      the same arrays.  It beat the SDWC solver at every (z, m)
+      measured, so `gwpm` does not offer SDWC.
     - ``naive``: the brute-force oracle, window by window.
 
     At z = inf (1/z = 0) a window occurs when some string has nonzero
@@ -350,37 +366,25 @@ def gwpm(
         - np.where(mism, units_t[starts[:, None] + d], 0).sum(axis=1)
     beta_rest = heavy_sum_p - np.where(mism, units_p[d], 0).sum(axis=1)
     # a window with no mismatch occurs with the heavy letters; the others
-    # go block by block: the knapsack reductions decide most of them at
-    # once, and those left go to a search; under ``naive`` the oracle
-    # decides each of them
-    letters = np.array(list(P.alphabet))
+    # go block by block to `_consensus`, or under ``naive`` to the oracle
     records = {int(p) + 1: _Occurrence((), "") for p in starts[count == 0].tolist()}
     todo = np.flatnonzero(count)
     for first in range(0, len(todo), WALK_BLOCK):
         b = todo[first: first + WALK_BLOCK]
         if algo == "naive":
-            state = np.full(len(b), -1)
+            found = [_naive_window(P, T, z, starts[w], d[w, :count[w]], alpha_rest[w], beta_rest[w])
+                     for w in b.tolist()]
         else:
             # no class past the block's most mismatches
             D = int(count[b].max())
-            vw, alive, order = _window_classes(P, T, z, starts[b], d[b, :D], count[b],
-                                               alpha_rest[b], beta_rest[b])
-            # 1 occurs with the greedy letters, 0 does not, -1 to solve; a
-            # window with an empty class is never 1, and its `_instance` is None
-            state, picks = knapsack.reduce_batch(vw, alive, np.full((2, len(b)), z_units), inf)
-            greedy = letters[np.take_along_axis(order, picks[:, :, None], axis=2)[:, :, 0]]
-        for i in np.flatnonzero(state).tolist():
-            w = int(b[i])
-            c = int(count[w])
-            if state[i] > 0:
-                witness = "".join(greedy[i, :c])
-            elif algo == "naive":
-                witness = _naive_window(P, T, z, starts[w], d[w, :c], alpha_rest[w], beta_rest[w])
-            else:
-                witness = _solve(*_instance(vw[:, i, :c], alive[i, :c], order[i, :c], P.alphabet,
-                                            z_units), k)
+            found = _consensus(*_window_classes(P, T, z, starts[b], d[b, :D], count[b],
+                                                alpha_rest[b], beta_rest[b]),
+                               P.alphabet, z_units, k or 0)
+        for w, witness in zip(b.tolist(), found):
             if witness is not None:
-                records[int(starts[w]) + 1] = _Occurrence(tuple((d[w, :c] + 1).tolist()), witness)
+                c = int(count[w])
+                records[int(starts[w]) + 1] = _Occurrence(tuple((d[w, :c] + 1).tolist()),
+                                                          witness[:c])
     return GwpmResult(tuple(sorted(records)), m, heavy_t, records)
 
 

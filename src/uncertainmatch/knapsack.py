@@ -20,8 +20,10 @@ first: greedy commitment, then one rank test (`_may_fit`) on the
 second-smallest gaps and, for lambda >= 3**6, class merging and the
 same test on the ceil(lambda^(1/3))-th gaps of the large classes.
 Greedy commitment and the rank test run on padded numpy arrays of
-many instances at once (`reduce_batch`, which `gwpm` feeds with all
-its windows); one instance is a batch of one.
+many instances at once (`reduce_batch`); one instance is a batch of
+one.  The search takes one reduced instance in the same padded form
+(`search`), so the consensus windows go from `reduce_batch` to the
+search as arrays, and only `solve` and `solve_k` build `Item`s.
 
 Witnesses are always reconstructed: items carry their original
 (class, item) origins through every reduction.
@@ -222,19 +224,25 @@ def solve_two_class(first: np.ndarray, second: np.ndarray, V: int, W: int):
 FIRST_BLOCK = 64
 
 
-def oriented_rows(classes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def oriented_rows(vw, alive) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each class as int64 rows in both orientations of the search.
 
-    The value orientation holds rows (v, w, item index) stable-sorted
-    on v; the weight orientation holds the same rows with v and w
-    swapped, stable-sorted on w, so ties keep the item order in both.
+    vw (2, n, S) holds one instance's values and weights by slot, alive
+    (n, S) its live slots, and each dead slot a value and a weight above
+    every live item.  The value orientation holds rows (v, w, slot)
+    stable-sorted on v; the weight orientation holds the same rows with
+    v and w swapped, stable-sorted on w, so ties keep the slot order in
+    both.  One argsort per orientation sorts every class; the dead
+    slots sort last, and each class is cut to its live count.
     """
-    by_v, by_w = [], []
-    for cls in classes:
-        rows = np.array([(it.v, it.w, i) for i, it in enumerate(cls)], dtype=np.int64)
-        by_v.append(rows[np.argsort(rows[:, 0], kind="stable")])
-        by_w.append(rows[np.argsort(rows[:, 1], kind="stable")][:, [1, 0, 2]])
-    return by_v, by_w
+    n, size = alive.shape
+    rows = np.stack((*vw, np.broadcast_to(np.arange(size), (n, size))), axis=2)
+    live = alive.sum(axis=1).tolist()
+
+    def sort_on(cols):
+        by = np.argsort(vw[cols[0]], axis=1, kind="stable")[:, :, None]
+        return [r[:c] for r, c in zip(np.take_along_axis(rows[:, :, cols], by, axis=1), live)]
+    return sort_on([0, 1, 2]), sort_on([1, 0, 2])
 
 
 class PrefixGenerator:
@@ -396,10 +404,9 @@ def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray]:
     holds the (2, B) value and weight thresholds.  decided[b] is 1
     (YES: the greedy picks are a feasible choice), 0 (NO) or -1 (the
     rank test leaves a search); picks[b, c] is the slot greedy commits
-    in class c, or -1.  Greedy never commits a class with no live item,
-    so an instance holding one is never decided 1 (the consensus tests
-    check `state[w] < 1` for such windows): the caller, which has no
-    choice to offer there, answers it NO itself.
+    in class c, or -1.  An instance with a class of no live item has no
+    choice at all, so it is decided 0 before the rank test, whose sums
+    of `top` could wrap around in int64.
     """
     picks = _greedy_picks(vw, alive)
     kept = picks < 0
@@ -407,7 +414,7 @@ def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray]:
     caps = caps - np.where(kept, 0, vw.min(axis=3)).sum(axis=2)
     decided = np.where(kept.any(axis=1), np.where(_may_fit(vw, kept, kept, 2, caps, top), -1, 0),
                        (caps >= 0).all(axis=0))
-    return decided, picks
+    return np.where(alive.any(axis=2).all(axis=1), decided, 0), picks
 
 
 def _commit(inst: KnapsackInstance, picks) -> tuple[KnapsackInstance, tuple[Item, ...]]:
@@ -630,28 +637,40 @@ def _assemble(inst: KnapsackInstance, picks: Choice, fixed: tuple[Item, ...]) ->
 
 
 def _decide(inst: KnapsackInstance, k: int) -> Choice | None:
-    """`solve` (k = 0) and `solve_k`: reduce, then search the front guesses.
-
-    After `reduce_instance`, and the refusal (DomainError) of items that
-    could overflow int64 sums, each guess of k' = min(k, n') front
-    classes (those first, the others in index order; k = 0 is one empty
-    guess) runs both oriented searches in lock-step, and the first to
-    stop decides it.  A witness is the answer, and so is None when the
-    join left no item out, as every join does at k' = 0 or n'.  Else
-    the None only clears the guess for that orientation: a guess can be
-    right for one orientation and wrong for the other.  Either
-    orientation is exact once it has cleared every guess, so the one
-    with fewer guesses left then searches those alone.
-    """
+    """`solve` (k = 0) and `solve_k`: `reduce_instance`, then `search`."""
     red = reduce_instance(inst)
     if red.decided is not None:
         return _assemble(inst, {}, red.fixed) if red.decided else None
     base = red.instance
-    if sum(max(max(abs(it.v), abs(it.w)) for it in cls) for cls in base.classes) >= _CLIP:
+    vw, alive, _, _ = _item_arrays(base.classes, base.V, base.W)
+    picks = search(vw[:, 0], alive[0], base.V, base.W, k)
+    return None if picks is None else _assemble(base, picks, red.fixed)
+
+
+def search(vw, alive, V: int, W: int, k: int) -> Choice | None:
+    """{class: slot} of a feasible choice of one reduced instance, or None.
+
+    vw (2, n, S) holds the values and weights by slot, alive (n, S) the
+    live slots, as `reduce_batch` takes one instance, and every class a
+    live item, as `reduce_batch` leaves them.  After the refusal (DomainError) of items
+    that could overflow int64 sums, each guess of k' = min(k, n) front
+    classes (those first, the others in index order; k = 0 is one empty
+    guess) runs both oriented searches in lock-step, and the first to
+    stop decides it.  A witness is the answer, and so is None when the
+    join left no item out, as every join does at k' = 0 or n.  Else
+    the None only clears the guess for that orientation: a guess can be
+    right for one orientation and wrong for the other.  Either
+    orientation is exact once it has cleared every guess, so the one
+    with fewer guesses left then searches those alone.  When a guess
+    search at k' >= 1 passes the memory guard, the exact k = 0 search
+    decides instead, and raises CapacityError if it passes it too.
+    """
+    if np.where(alive, abs(vw), 0).max(axis=(0, 2)).sum() >= _CLIP:
         raise DomainError("item values and weights must sum to less than 2**62")
-    n, lam, k = base.n, base.lam, min(k, base.n)  # lam >= 2: greedy commits one-item classes
-    by_v, by_w = oriented_rows(base.classes)
-    oriented = ((by_v, base.V, base.W), (by_w, base.W, base.V))
+    vw = np.where(alive, vw, _CLIP).astype(np.int64)
+    n, lam, k = len(alive), int(alive.sum(axis=1).max()), min(k, len(alive))
+    by_v, by_w = oriented_rows(vw, alive)
+    oriented = ((by_v, V, W), (by_w, W, V))
 
     def run_lockstep(front, sides):
         """Grow the searches of guess `front` in `sides` until one stops.
@@ -663,27 +682,32 @@ def _decide(inst: KnapsackInstance, k: int) -> Choice | None:
         searches = [_Search([rows[i] for i in order], V, W, lam, k)
                     for rows, V, W in (oriented[side] for side in sides)]
         while True:
-            for side, search in zip(sides, searches):
+            for side, run in zip(sides, searches):
                 # the memory guard counts the rows of both live searches
-                if search.grow_step(sum(s.held for s in searches if s is not search)):
-                    witness = search.join()
+                if run.grow_step(sum(s.held for s in searches if s is not run)):
+                    witness = run.join()
                     if witness is not None:
-                        witness = _assemble(base, {order[c]: it for c, it in witness.items()},
-                                            red.fixed)
-                    return side, witness, k in (0, n) or _iroot(search.ell, k) >= lam
+                        witness = {order[c]: it for c, it in witness.items()}
+                    return side, witness, k in (0, n) or _iroot(run.ell, k) >= lam
 
-    left = ([], [])  # the guesses each orientation has not cleared
-    for front in itertools.combinations(range(n), k):
-        side, witness, exact = run_lockstep(front, (0, 1))
-        if witness is not None or exact:
-            return witness
-        left[1 - side].append(front)
-    side = int(len(left[1]) < len(left[0]))
-    for front in left[side]:
-        _, witness, exact = run_lockstep(front, (side,))
-        if witness is not None or exact:
-            return witness
-    return None
+    try:
+        left = ([], [])  # the guesses each orientation has not cleared
+        for front in itertools.combinations(range(n), k):
+            side, witness, exact = run_lockstep(front, (0, 1))
+            if witness is not None or exact:
+                return witness
+            left[1 - side].append(front)
+        side = int(len(left[1]) < len(left[0]))
+        for front in left[side]:
+            _, witness, exact = run_lockstep(front, (side,))
+            if witness is not None or exact:
+                return witness
+        return None
+    except CapacityError:
+        if not k:
+            raise
+    # past the handler, which frees the guess searches' lists
+    return search(vw, alive, V, W, 0)
 
 
 def solve(inst: KnapsackInstance) -> Choice | None:
@@ -705,7 +729,9 @@ def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
     items, so its rank, at most ell, is at least the middle item's rank
     to the k'-th power (rank(A) rank(B) <= rank(A u B)), whatever r the
     search reached.  Each orientation searches each guess to its stop at
-    most once.
+    most once.  When a guess search would pass the memory guard, the
+    answer is `solve`'s, which raises CapacityError only if it passes
+    the guard too.
     """
     if k < 1:
         raise DomainError("k must be a positive integer")

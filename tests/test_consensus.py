@@ -467,6 +467,7 @@ def test_reduce_windows_equals_reduce_instance():
         beta = np.array([unit * rng.randint(0, 2) for _ in range(B)])
         vw, alive, order = consensus._window_classes(P, T, z, starts, d, count, alpha, beta)
         state, picks = K.reduce_batch(vw, alive, np.full((2, B), z.units), inf)
+        found = consensus._consensus(vw, alive, order, P.alphabet, z.units, 0)
         for w in range(B):
             c = count[w]
             rows_x, rows_y = pu[d[w, :c]], tu[starts[w] + d[w, :c]]
@@ -476,20 +477,80 @@ def test_reduce_windows_equals_reduce_instance():
             Y = WeightedSequence.from_units("acgu", rows_y)
             inst, letters = defined_instance(X, Y, z)
             assert wc_to_knapsack(X, Y, z) == (inst, letters)
-            assert consensus._instance(vw[:, w, :c], alive[w, :c], order[w, :c],
-                                       P.alphabet, z.units) == (inst, letters)
+            # the alive slots, in slot order, are the definition's classes
+            slots = [np.flatnonzero(a) for a in alive[w, :c]]
             if inst is None:
+                assert not all(map(len, slots))
                 outcomes.append("empty")
-                assert state[w] < 1
+                assert state[w] == 0 and found[w] is None
                 continue
+            assert [[(vw[0, w, ci, s], vw[1, w, ci, s]) for s in ss]
+                    for ci, ss in enumerate(slots)] == \
+                [[(it.v, it.w) for it in cls] for cls in inst.classes]
+            assert [[P.alphabet[order[w, ci, s]] for s in ss] for ci, ss in enumerate(slots)] \
+                == letters
             red = K.reduce_instance(inst)
             outcomes.append({None: "search", False: "no", True: "yes"}[red.decided])
             assert state[w] == {None: -1, False: 0, True: 1}[red.decided]
+            choice = K.solve(inst)
+            expect = None if choice is None else "".join(letters[ci][choice[ci]] for ci in range(c))
             if red.decided:
-                choice = K.solve(inst)
-                assert "".join(P.alphabet[order[w, ci, picks[w, ci]]] for ci in range(c)) == \
-                    "".join(letters[ci][choice[ci]] for ci in range(c))
-    assert {outcomes.count(o) > 10 for o in ("empty", "search", "no", "yes")} == {True}
+                assert "".join(P.alphabet[order[w, ci, picks[w, ci]]] for ci in range(c)) == expect
+            # the array path: for a window left, `knapsack.search` on the
+            # classes greedy did not commit, which answers as `solve` does
+            assert (found[w] and found[w][:c]) == expect
+            if red.decided is None:
+                outcomes.append("search yes" if expect else "search no")
+    assert {outcomes.count(o) > 10 for o in ("empty", "search", "no", "yes", "search yes")} \
+        == {True}
+    assert "search no" in outcomes
+
+
+def test_reduce_batch_answers_empty_classes_no():
+    # X holds only a and Y only b at the first `bad` of three positions,
+    # so those classes are empty; each adds INF to the rank test's bound,
+    # and two of them once wrapped it around in int64 and left a search
+    z = ProbThreshold.from_z(4)
+    for bad in (1, 2, 3):
+        x = from_probabilities("ab", [{"a": 1.0}] * bad + [{"a": 0.5, "b": 0.5}] * (3 - bad))
+        y = from_probabilities("ab", [{"b": 1.0}] * bad + [{"a": 0.5, "b": 0.5}] * (3 - bad))
+        vw, alive, _ = consensus._whole_window(x, y, z)
+        assert K.reduce_batch(vw, alive, np.full((2, 1), z.units), neglog.INF)[0].tolist() == [0]
+        assert weighted_consensus(x, y, z) is None
+
+
+def test_weighted_consensus_equals_the_item_path(monkeypatch):
+    # the array path of `weighted_consensus` against `solve` and `solve_k`
+    # on the `Item` instance of `wc_to_knapsack`, letter for letter: rows
+    # hold INF letters, tied units and, at small z, letters above z
+    rng = random.Random(21)
+    unit = neglog.SCALE // 2
+    searched = []
+    search = K.search
+
+    def spy(*args):
+        found = search(*args)
+        searched.append((args[-1], found is not None))
+        return found
+
+    monkeypatch.setattr(K, "search", spy)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        X = WeightedSequence.from_units("acgt", random_units(rng, n, 4, unit, 6))
+        Y = WeightedSequence.from_units("gcau", random_units(rng, n, 4, unit, 6))
+        for zv in (1, 2, 16, 2 ** 20, math.inf):
+            z = ProbThreshold.from_z(zv)
+            inst, letters = wc_to_knapsack(X, Y, z)
+            for k in (None, 1, 2):
+                choice, mark = None, len(searched)
+                if inst is not None:
+                    choice = K.solve(inst) if k is None else K.solve_k(inst, k)
+                del searched[mark:]  # only the array path's searches count
+                expect = None if choice is None else "".join(
+                    letters[ci][choice[ci]] for ci in range(n))
+                assert weighted_consensus(X, Y, z, k) == expect
+    # at each k, the array path searched instances of both answers
+    assert {searched.count((k, yes)) > 10 for k in (0, 1, 2) for yes in (True, False)} == {True}
 
 
 def test_gwpm_edge_cases():

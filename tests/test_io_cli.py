@@ -684,24 +684,20 @@ def test_cli_gen_refuses_empty_mck(tmp_path, capsys):
 
 
 def test_cli_consensus_auto_is_meet_in_the_middle(tmp_path, capsys, monkeypatch):
-    # lam = 4 and z = 16 lie in the band lam^1 <= z <= lam^3 that once
-    # sent `auto` to solve_k; `auto` and `mim` both run knapsack.solve
+    # `auto` and `mim` both run the search of knapsack.solve (k = 0),
+    # `k=1` that of solve_k; at z = 256 these two rows reach the search
     from uncertainmatch import knapsack
 
     x = gen(tmp_path, "x.pwm", "--kind", "pwm", "--seed", "3", "--length", "6")
-    y = gen(tmp_path, "y.pwm", "--kind", "pwm", "--seed", "4", "--length", "6")
+    y = gen(tmp_path, "y.pwm", "--kind", "pwm", "--seed", "5", "--length", "6")
     calls = []
-    for name in ("solve", "solve_k"):
-        original = getattr(knapsack, name)
-        monkeypatch.setattr(knapsack, name,
-                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    original = knapsack.search
+    monkeypatch.setattr(knapsack, "search", lambda *a: calls.append(a[-1]) or original(*a))
     for algo in ("auto", "mim", "k=1"):
         calls.clear()
-        assert cli.main(["consensus", "--x", str(x), "--y", str(y), "--z", "16",
-                         "--algo", algo]) in (0, 1)
-        assert calls[:1] == (["solve_k"] if algo == "k=1" else ["solve"])
-        if algo != "k=1":
-            assert "solve_k" not in calls
+        assert cli.main(["consensus", "--x", str(x), "--y", str(y), "--z", "256",
+                         "--algo", algo]) == 0
+        assert calls == ([1] if algo == "k=1" else [0])
     capsys.readouterr()
 
 

@@ -20,8 +20,14 @@ from conftest import random_knapsack
 EXAMPLE = K.make_instance([[(1, 5), (3, 1)], [(2, 2), (4, 0)]], 5, 3)
 
 
+def oriented(classes):
+    """`oriented_rows` of the classes, as `_item_arrays` pads them."""
+    vw, alive, _, _ = K._item_arrays(classes, 0, 0)
+    return K.oriented_rows(vw[:, 0], alive[0])
+
+
 def value_lists(classes):
-    return K.PrefixGenerator(K.oriented_rows(classes)[0])
+    return K.PrefixGenerator(oriented(classes)[0])
 
 
 def full_lists(classes):
@@ -146,8 +152,8 @@ def test_weight_orientation_is_the_swapped_instance(rng):
     for _ in range(100):
         inst = random_knapsack(rng, max_n=4, max_lam=5, v_hi=4)
         swapped = [[(it.w, it.v) for it in cls] for cls in inst.classes]
-        by_w = K.oriented_rows(inst.classes)[1]
-        by_v = K.oriented_rows(K.make_instance(swapped, inst.W, inst.V).classes)[0]
+        by_w = oriented(inst.classes)[1]
+        by_v = oriented(K.make_instance(swapped, inst.W, inst.V).classes)[0]
         assert [r.tolist() for r in by_w] == [r.tolist() for r in by_v]
 
 
@@ -524,7 +530,7 @@ def test_grow_step_lengths(rng, monkeypatch):
         inst = random_knapsack(rng, max_n=8, max_lam=5, v_hi=30, t_hi=150)
         sizes = [len(c) for c in inst.classes]
         k = trial // 3 % 3
-        search = K._Search(K.oriented_rows(inst.classes)[0], inst.V, inst.W, inst.lam, k)
+        search = K._Search(oriented(inst.classes)[0], inst.V, inst.W, inst.lam, k)
         r = block
         while True:
             stopped = search.grow_step()
@@ -546,7 +552,7 @@ def test_small_instance_stops_after_one_step(monkeypatch):
     inst = K.make_instance([[(5, 1), (1, 5)], [(2, 2), (3, 1), (1, 3)],
                             [(4, 0), (0, 4), (2, 2), (3, 3)]], 7, 7)
     assert inst.num_choices() <= K.FIRST_BLOCK
-    search = K._Search(K.oriented_rows(inst.classes)[0], 10 ** 6, 10 ** 6, inst.lam)
+    search = K._Search(oriented(inst.classes)[0], 10 ** 6, 10 ** 6, inst.lam)
     assert search.grow_step()
     assert search.r == search.ell == 24
     assert len(search.gen_l.lists[3]) == len(search.gen_r.lists[3]) == 24
@@ -567,7 +573,7 @@ def test_memory_guard_counts_the_rows_held(monkeypatch):
     nums = [rng.randint(1, 10 ** 6) for _ in range(18)]
     V = sum(nums) // 2
     inst = K.make_instance([[(a, 0), (0, a)] for a in nums], V, sum(nums) - V)
-    rows = K.oriented_rows(inst.classes)[0]
+    rows = oriented(inst.classes)[0]
 
     def steps_within(limit):
         monkeypatch.setattr(K, "PREFIX_ROW_LIMIT", limit)
@@ -598,7 +604,7 @@ def test_memory_guard_counts_both_searches(monkeypatch):
     inst = K.make_instance([[(a, 0), (0, a)] for a in nums], V, sum(nums) - V)
     assert K.reduce_instance(inst).decided is None
     peaks = []
-    for rows, (v, w) in zip(K.oriented_rows(inst.classes), ((inst.V, inst.W), (inst.W, inst.V))):
+    for rows, (v, w) in zip(oriented(inst.classes), ((inst.V, inst.W), (inst.W, inst.V))):
         search = K._Search(rows, v, w, inst.lam)
         peak, stopped = 0, False
         while not stopped:
@@ -610,6 +616,39 @@ def test_memory_guard_counts_both_searches(monkeypatch):
         K.solve(inst)
     monkeypatch.setattr(K, "PREFIX_ROW_LIMIT", sum(peaks))
     assert K.is_feasible(inst, K.solve(inst))
+
+
+def test_solve_k_past_the_guard_falls_back_to_solve(monkeypatch):
+    # the guard lowered to the fewest rows `solve` needs on this instance:
+    # the k = 1 guess searches pass it, so the exact k = 0 search answers
+    # with `solve`'s witness; one row less and both raise
+    rng = random.Random(69)
+    classes = [[(rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(rng.randint(2, 6))]
+               for _ in range(6)]
+    V = sum(c[rng.randrange(len(c))][0] for c in classes)
+    W = sum(c[rng.randrange(len(c))][1] for c in classes)
+    inst = K.make_instance(classes, V, W)
+
+    def answers(solver, limit):
+        monkeypatch.setattr(K, "PREFIX_ROW_LIMIT", limit)
+        try:
+            return solver(inst)
+        except CapacityError:
+            return CapacityError
+
+    lo, hi = 1, 1 << 20
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if answers(K.solve, mid) is not CapacityError else (mid + 1, hi)
+    choice = answers(K.solve, lo)
+    assert K.is_feasible(inst, choice)
+    ks = []
+    search = K.search
+    monkeypatch.setattr(K, "search", lambda *a: ks.append(a[-1]) or search(*a))
+    assert answers(lambda i: K.solve_k(i, 1), lo) == choice
+    assert ks == [1, 0]
+    assert answers(K.solve, lo - 1) is CapacityError
+    assert answers(lambda i: K.solve_k(i, 1), lo - 1) is CapacityError
 
 
 @given(st.integers(0, 10 ** 60), st.integers(1, 12))
