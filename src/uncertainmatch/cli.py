@@ -35,7 +35,9 @@ def parse_z(token: str) -> ProbThreshold:
         if token.startswith("2^"):
             return ProbThreshold.from_z(2.0 ** int(token[2:]))
         return ProbThreshold.from_z(float(token))
-    except (ValueError, OverflowError) as exc:
+    except OverflowError:
+        raise ParseError(f"invalid threshold {token!r}: the largest power is 2^1023") from None
+    except ValueError as exc:
         raise ParseError(f"invalid threshold {token!r}: {exc}") from None
 
 
@@ -244,51 +246,41 @@ def _run_gen(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="um", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+SOLVER_ALGOS = ("auto", "naive", "mim", "k=<int>")
 
-    def common(p, algos=("auto", "naive", "mim", "k=<int>")):
-        p.set_defaults(algos=algos)
-        p.add_argument("--algo", default="auto", help=" | ".join(algos))
-        p.add_argument("--format", default="text", choices=("text", "jsonl"))
 
-    p = sub.add_parser("pm", help="profile matching on a solid text")
-    p.set_defaults(run=_run_pm)
+def _common(p, algos):
+    p.set_defaults(algos=algos)
+    p.add_argument("--algo", default="auto", help=" | ".join(algos))
+    p.add_argument("--format", default="text", choices=("text", "jsonl"))
+
+
+def _pm_options(p):
     p.add_argument("--profile", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--Z", required=True, type=int, help="score threshold")
-    common(p, ("auto", "naive"))
 
-    p = sub.add_parser("wpm", help="solid pattern in a weighted text")
-    p.set_defaults(run=_run_wpm)
+
+def _wpm_options(p):
     p.add_argument("--pattern", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--z", required=True, help="probability threshold (decimal or 2^<int>)")
-    common(p, ("auto", "naive"))
 
-    p = sub.add_parser("consensus", help="weighted consensus of two sequences")
-    p.set_defaults(run=_run_consensus)
+
+def _consensus_options(p):
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--z", required=True)
-    common(p)
 
-    p = sub.add_parser("gwpm", help="weighted pattern in a weighted text")
-    p.set_defaults(run=_run_gwpm)
+
+def _gwpm_options(p):
     p.add_argument("--pattern", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--witness", action="store_true")
-    common(p)
 
-    p = sub.add_parser("knapsack", help="multichoice knapsack feasibility")
-    p.set_defaults(run=_run_knapsack)
-    p.add_argument("--instance", required=True)
-    common(p)
 
-    p = sub.add_parser("gen", help="seeded instance generator")
-    p.set_defaults(run=_run_gen)
+def _gen_options(p):
     p.add_argument("--kind", required=True, choices=("text", "profile", "pwm", "mck"))
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", default=None)
@@ -298,11 +290,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=int, default=3)
     p.add_argument("--score-range", type=int, nargs=2, default=(-10, 10))
     p.add_argument("--value-range", type=int, nargs=2, default=(0, 100))
+
+
+# (name, help, handler, options builder, --algo values: None for no --algo and
+# --format), in the order `um --help` lists them
+SUBCOMMANDS = (
+    ("pm", "profile matching on a solid text", _run_pm, _pm_options, ("auto", "naive")),
+    ("wpm", "solid pattern in a weighted text", _run_wpm, _wpm_options, ("auto", "naive")),
+    ("consensus", "weighted consensus of two sequences", _run_consensus, _consensus_options,
+     SOLVER_ALGOS),
+    ("gwpm", "weighted pattern in a weighted text", _run_gwpm, _gwpm_options, SOLVER_ALGOS),
+    ("knapsack", "multichoice knapsack feasibility", _run_knapsack,
+     lambda p: p.add_argument("--instance", required=True), SOLVER_ALGOS),
+    ("gen", "seeded instance generator", _run_gen, _gen_options, None),
+)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The `um` parser, with only the subparser `argv[0]` names, or all six if it names
+    none (`um`, `um --help`, an unknown word): that one lists them in help and errors."""
+    parser = argparse.ArgumentParser(prog="um", description=__doc__)
+    wanted = [s for s in SUBCOMMANDS if argv and s[0] == argv[0]]
+    # with one subparser, the metavar keeps the usage line of an "unrecognized
+    # arguments" error; on the full build it would replace the name `subcommand`
+    # in the "required" and "invalid choice" errors
+    metavar = "{" + ",".join(s[0] for s in SUBCOMMANDS) + "}" if wanted else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name, summary, run, options, algos in wanted or SUBCOMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        options(p)
+        if algos:
+            _common(p, algos)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         return args.run(args)
     except (ParseError, DomainError, CapacityError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io as stdio
 import json
@@ -379,10 +380,13 @@ BAD_ALPHABETS = ["", "a#", "#", "a b", " ", "a\tb", "a\x00", "\x01b", "aba", "aa
 
 
 def run_um(argv):
-    """(exit status, stdout, stderr) of one in-process `um` call."""
+    """(exit status, stdout, stderr) of one in-process `um` call; argparse's exits included."""
     out, err = stdio.StringIO(), stdio.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -457,6 +461,10 @@ def test_parse_z():
         cli.parse_z("2^x")
     with pytest.raises(ParseError):
         cli.parse_z("many")
+    assert cli.parse_z("2^1023").display == 2.0 ** 1023
+    for token in ("2^1024", "2^99999999999"):
+        with pytest.raises(ParseError, match=r"largest power is 2\^1023"):
+            cli.parse_z(token)
 
 
 def test_parse_algo():
@@ -510,6 +518,45 @@ def test_cli_gwpm_witness(tmp_path, capsys):
     assert cli.main(["gwpm", "--pattern", str(x), "--text", str(x),
                      "--z", "4", "--format", "jsonl"]) == 0
     assert json.loads(capsys.readouterr().out) == {"position": 1}
+
+
+# the required options of each subcommand, with values no check reads before the error
+REQUIRED = {"pm": ["--profile", "p", "--text", "t", "--Z", "1"],
+            "wpm": ["--pattern", "p", "--text", "t", "--z", "2"],
+            "consensus": ["--x", "x", "--y", "y", "--z", "2"],
+            "gwpm": ["--pattern", "p", "--text", "t", "--z", "2"],
+            "knapsack": ["--instance", "i"],
+            "gen": ["--seed", "1", "--kind", "text"]}
+PARSER_ARGVS = [[], ["--help"], ["-h"], ["bogus"], *(
+    argv for sub, required in REQUIRED.items() for argv in (
+        [sub, "--help"],
+        [sub],
+        # unknown options reach the top-level parser's "unrecognized arguments" error
+        [sub, *required, "--nope"],
+        [sub, *required[:-1], "zz"] if sub == "gen" else [sub, *required, "--format", "xml"]))]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_cli_one_subparser_equals_all(argv, monkeypatch):
+    # help, usage errors and exit statuses do not depend on how many subparsers were built
+    one = run_um(argv)
+    build_all = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): build_all())
+    assert run_um(argv) == one
+    assert one[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+
+
+def test_cli_builds_one_subparser(tmp_path, monkeypatch):
+    x = tmp_path / "x.pwm"
+    x.write_text(FIG_PWM)
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    assert run_um(["gwpm", "--pattern", str(x), "--text", str(x), "--z", "4"])[:2] == (0, "1\n")
+    assert built == ["gwpm"]
+    run_um(["--help"])
+    assert built == ["gwpm", *REQUIRED]
 
 
 def test_cli_gwpm_at_infinite_z(tmp_path, capsys):
