@@ -4,6 +4,9 @@
 pattern + separator + text: level t names every length-2^t factor,
 built by prefix doubling in numpy up to the longest possible answer,
 the pattern length m, so a batch of queries costs O(log m) gathers.
+Level 0 holds dense letter ids, so every name fits in bit_length(N)
+bits for N indexed letters; while N < 2^21 each doubling round sorts
+one packed int64 key, and past it the round argsorts a two-name key.
 Positions are 1-based, as in the rest of the package.  `mismatch_walk`
 is the one mismatch walk of the matchers: batched kangaroo rounds over
 all live windows at once.
@@ -30,27 +33,43 @@ def _encode(text: str) -> np.ndarray:
 def _rank_levels(codes: np.ndarray, cap: int) -> np.ndarray:
     """KMR names of the length-2^t factors, for every 2^t <= cap.
 
-    Level t holds an int32 name of every length-2^t factor (n < 2^31),
-    cut short at the text end, and is padded at index n with -1, the
-    name of the empty suffix.  Each round sorts one combined int64 key
-    (name[i], name[i + 2^t] + 1) and stops once all keys differ: then
-    no lcp of distinct positions reaches 2^(t+1).
+    Level t holds an int32 name in 0..n-1 of every length-2^t factor
+    (n < 2^31), cut short at the text end, and is padded at index n
+    with -1, the name of the empty suffix.  Level 0 names the letters by
+    dense ids in code-point order, read from one table sized by the
+    largest code point.  Each round sorts the key (name[i],
+    name[i + 2^t] + 1) and stops once all keys differ: then no lcp of
+    distinct positions reaches 2^(t+1).  With b = bit_length(n) and
+    3b <= 63, that is n < 2^21, the round sorts one int64 packing
+    (name[i], name[i + 2^t] + 1, i) in b bits each, so the low bits
+    give the order; past 2^21 it argsorts the two-name key.  Either way
+    level t >= 1 holds the ranks of the same sorted distinct keys.
     """
     n = len(codes)
     # one block, so rows never touched cost no memory and the levels
     # go back to the system at once when the block is freed
     levels = np.empty((max(cap, 1).bit_length(), n + 1), dtype=np.int32)
+    ids = np.zeros(int(codes.max()) + 1, dtype=np.int32)
+    ids[codes] = 1
     rank = levels[0]
-    rank[:n] = codes
+    rank[:n] = np.cumsum(ids, out=ids)[codes] - 1
     rank[n] = -1
+    b = n.bit_length()
     t = 0
     while t + 1 < len(levels):
         k = 1 << t
         key = rank[:n].astype(np.int64)
-        key <<= 32
+        key <<= b
         key[: n - k] += rank[k:n] + 1
-        order = np.argsort(key)
-        key = key[order]
+        if 3 * b <= 63:
+            key <<= b
+            key += np.arange(n)
+            key.sort()
+            order = key & ((1 << b) - 1)
+            key >>= b
+        else:
+            order = np.argsort(key)
+            key = key[order]
         new = key[1:] != key[:-1]
         if new.all():
             break

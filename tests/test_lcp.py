@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncertainmatch import lcp
 from uncertainmatch.errors import DomainError
 from uncertainmatch.lcp import (
     SEPARATOR,
@@ -84,6 +85,78 @@ def test_cross_index_levels_are_capped_at_the_pattern_length():
     assert len(idx.levels) <= held.shape[0] <= m.bit_length()
     js = np.arange(1, n + 1)
     assert idx.cross_lcp_batch(1, js).tolist() == np.minimum(m, n + 1 - js).tolist()
+
+
+def test_dense_letter_ids_keep_high_code_points_apart():
+    # raw code points packed into bit_length(N) = 6 bits per name would
+    # merge the pairs (1000, 100) and (1001, 36) at N = 43
+    pattern, text = "\u03e8d" + "a" * 8, "\u03e9$" + "a" * 30
+    idx = CrossLcpIndex(pattern, text)
+    assert idx.cross_lcp(1, 1) == 0
+    i, j = np.meshgrid(np.arange(1, len(pattern) + 1), np.arange(1, len(text) + 1))
+    i, j = i.ravel(), j.ravel()
+    assert idx.cross_lcp_batch(i, j).tolist() == \
+        [naive_lcp(pattern[a - 1:], text[b - 1:]) for a, b in zip(i.tolist(), j.tolist())]
+
+
+# letters around 2^15, 2^16 and the last code point, U+10FFFF
+WIDE = "ab\u03e8\u03e9\u7fff\u8000\uffff\U00010000\U0001d11e\U0010fffe\U0010ffff"
+
+
+@st.composite
+def wide_pairs(draw):
+    letters = draw(st.lists(st.sampled_from(WIDE), min_size=1, max_size=4, unique=True))
+    period = draw(st.text(alphabet=letters, min_size=1, max_size=5))
+    n = draw(st.integers(1, 40))
+    text = draw(st.one_of(st.text(alphabet=letters, min_size=n, max_size=n),
+                          st.just((period * n)[:n])))
+    # m = n, m > n, and pattern letters absent from the text
+    m = draw(st.sampled_from([n, n + draw(st.integers(1, 5)), draw(st.integers(1, n))]))
+    pattern = draw(st.text(alphabet=WIDE, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        pattern = (text + pattern)[:m]
+    return pattern, text
+
+
+@given(wide_pairs())
+@settings(max_examples=200, deadline=None)
+def test_cross_lcp_over_wide_alphabets(pair):
+    pattern, text = pair
+    idx = build_cross_index(pattern, text)
+    i, j = np.meshgrid(np.arange(1, len(pattern) + 1), np.arange(1, len(text) + 1))
+    i, j = i.ravel(), j.ravel()
+    want = [naive_lcp(pattern[a - 1:], text[b - 1:]) for a, b in zip(i.tolist(), j.tolist())]
+    assert idx.cross_lcp_batch(i, j).tolist() == want
+    assert [idx.cross_lcp(a, b) for a, b in zip(i.tolist(), j.tolist())] == want
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["packed", "argsort"])
+def test_both_order_paths(past, monkeypatch):
+    # N = m + 1 + n letters: the packed key needs N < 2^21, past it the
+    # rounds argsort; a periodic text keeps names tied through all 6 levels
+    m = 32
+    n = ((1 << 21) + 6 if past else (1 << 21) - 1) - m - 1
+    text = ("aabab" * (n // 5 + 1))[:n]
+    pattern = text[7:7 + m - 1] + "b"
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        if not past:
+            raise AssertionError("argsort below the packing bound")
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(lcp.np, "argsort", spy)
+    idx = CrossLcpIndex(pattern, text)
+    monkeypatch.undo()
+    assert (m + 1 + n).bit_length() == (22 if past else 21)
+    assert len(idx.levels) == 6 and bool(calls) == past
+    rng = np.random.default_rng(21)
+    i, j = rng.integers(1, m + 1, size=300), rng.integers(1, n + 1, size=300)
+    # an answer never exceeds m letters of the text
+    assert idx.cross_lcp_batch(i, j).tolist() == \
+        [naive_lcp(pattern[a - 1:], text[b - 1:b - 1 + m]) for a, b in zip(i.tolist(), j.tolist())]
 
 
 def test_repetitive_text():

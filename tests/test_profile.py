@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from uncertainmatch.errors import CapacityError, DomainError
 from uncertainmatch.profile import (
     ScoringMatrix,
+    _columns,
     count_matching_strings,
     heavy_string,
     profile_match,
@@ -160,6 +163,28 @@ def test_profile_match_threshold_above_heavy_score():
 def test_profile_match_rejects_letter_outside_alphabet():
     with pytest.raises(DomainError, match=r"text letter 'x' not in alphabet 'ab'"):
         profile_match(TOY, "abxab", 0)
+
+
+@pytest.mark.parametrize("alphabet, text", [
+    # letters below the smallest code point and above the largest
+    ("cgt", "acgtzcg\u00e9\U0010ffff!"),
+    ("\u00e9z\u8000", "\u00e9\u7fff\u8000\u8001za\U0001d11e"),
+    # non-BMP letters
+    ("a\U0001d11e\u00e9", "\U0001d11e\U0001d11d\U0001d11fa\u00e9e"),
+    # an alphabet that holds U+10FFFF
+    ("b\U0010ffff", "ab\U0010fffe\U0010ffff\uffffb"),
+])
+def test_columns_equal_alphabet_find(alphabet, text):
+    tracemalloc.start()
+    try:
+        col = _columns(alphabet, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col.dtype == np.int32
+    assert col.tolist() == [alphabet.find(c) for c in text]
+    # the lookup table spans the code points up to the alphabet's largest
+    assert peak < 5_000_000
 
 
 def test_scores_are_one_read_only_int64_matrix():
