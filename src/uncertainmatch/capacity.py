@@ -13,11 +13,19 @@ from .errors import CapacityError
 
 ENUMERATION_LIMIT = 1 << 20
 
-# Rows of 32 bytes that the prefix and suffix lists of a knapsack
-# search may hold (128 MiB), counting both oriented searches, which run
-# in lock-step.  Apart from the tests that run a search into this
-# guard, the test suite peaks near 3.6 * 10**5 rows and the mck-solve
-# benchmark jobs near 9 * 10**4.
+# Rows that the prefix and suffix lists of a knapsack search may hold,
+# counting both oriented searches, which run in lock-step.  A row takes
+# 16 bytes while the lists grow (a value and its position in the step's
+# candidate array: 64 MiB at the limit) and 8 more at the join, which
+# builds the weights (96 MiB in all).  Each step's candidate arrays come
+# on top: growing a list to `target` rows from a class of lambda items
+# takes about H(lambda) * target entries (H the harmonic number) for
+# item ranks, rows of the previous list, values and their order.
+# `um knapsack` on `um gen --kind mck --seed 1..3 --classes 12 --lam 30`
+# runs into this guard (exit 2) at a peak of 181-226 MB RSS (CPython
+# 3.11, numpy 2.4, x86-64 Linux).  Apart from the tests that run a
+# search into this guard, the test suite peaks near 3.6 * 10**5 rows
+# and the mck-solve benchmark jobs near 9 * 10**4.
 PREFIX_ROW_LIMIT = 1 << 22
 
 # Magnitude bounds enforced at parse time: sums of up to 2**20 items

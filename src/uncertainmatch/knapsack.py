@@ -8,12 +8,15 @@ are grown by doubling their length r, those over prefixes only to the
 ell rows the search reads of them (`PrefixGenerator.step` takes the
 target length), growth stops once ranks certify that no feasible
 solution can be missed, and each split index is finished with a
-vectorized two-class sweep.  `solve` and `solve_k` are one body,
-`_decide`: `solve` is k = 0, one search per orientation over the
-classes in order; `solve_k` guesses k front classes and searches each
-guess to its stop at most once per orientation.  Each search derives
-its rank budgets from k as exact integer roots (`_iroot`), so no
-budget can overflow a float.
+vectorized two-class sweep.  Growth and the stop test read values
+alone, so a list holds its sorted values and the order that picked
+them, 16 bytes a row; the join builds the weights of every list once,
+and a witness is walked back through the stored orders.  `solve` and
+`solve_k` are one body, `_decide`: `solve` is k = 0, one search per
+orientation over the classes in order; `solve_k` guesses k front
+classes and searches each guess to its stop at most once per
+orientation.  Each search derives its rank budgets from k as exact
+integer roots (`_iroot`), so no budget can overflow a float.
 
 Instance reductions shrink the class count to O(log A / log lambda)
 first: greedy commitment, then one rank test (`_may_fit`) on the
@@ -215,11 +218,13 @@ def solve_two_class(first: np.ndarray, second: np.ndarray, V: int, W: int):
 # ranked prefix lists, grown to a target length
 
 # Length the search grows its suffix lists to at the first step; later
-# steps double it.  On the mck-solve benchmark jobs (series of 20
-# in-process cycle pairs, seeds 104729 and 1), 32 was 5-6% slower than
-# 64, and 128 was 5-7% faster, winning 15, 19 and 19 of 20 pairs in
-# three series.  64 is kept: a different block changes the number of
-# grow steps of every search, and a larger one loosens the growth bound
+# steps double it.  On the mck-solve benchmark jobs (two series of 20
+# in-process cycle pairs at each of seeds 104729 and 1; lists of values
+# and orders; 2-core VM, CPython 3.11, numpy 2.4), 32 was 1-7% slower
+# than 64, winning 4 or 5 of 20 pairs, and 128 won 15-19 of 20 pairs,
+# its median cycle from 14% faster to 3% slower.  64 is kept: a
+# different block changes the number of grow steps of every search,
+# and a larger one loosens the growth bound
 # max(FIRST_BLOCK, 4 sqrt(a lambda)) that the tests check.
 FIRST_BLOCK = 64
 
@@ -250,22 +255,32 @@ class PrefixGenerator:
 
     L_j enumerates partial choices over classes 1..j by non-decreasing
     value, ties by the value rank of the last item, then by the row of
-    L_{j-1}.  It is one int64 array of rows
-    (v_sum, w_sum, row of L_{j-1}, item index), and `sizes[j]` is the
-    number of rows of the whole list, the product of the first j class
-    sizes.  `step(target)` extends every list to its first
-    min(target, sizes[j]) rows; a list is always a prefix of the same
-    order, so any target sequence yields the same rows.  The target
-    smallest rows of L_j pair the item of value rank i only with the
-    first target // i rows of L_{j-1}, so one stable argsort over
-    O(target log lambda) candidates finds them.  `items` holds one
-    value-sorted row array per class, as `oriented_rows` builds them.
+    L_{j-1}.  Growth reads values alone, so `lists[j]` holds only L_j's
+    sorted int64 values, and `keeps[j]` the stable-argsort order that
+    picked them out of the step's candidate array, whose blocks (one per
+    item rank, each a run of rows of L_{j-1}) start at `starts[j]`:
+    `links` turns a position back into (item rank, row of L_{j-1}) with
+    one searchsorted.  That is 16 bytes per row plus lambda starts; the
+    weights and the item slots are read back only at the join
+    (`weights`, `picks_of`).  `sizes[j]` is the number of rows of the
+    whole list, the product of the first j class sizes.
+
+    `step(target)` extends every list to its first min(target, sizes[j])
+    rows; a list is always a prefix of the same order, so any target
+    sequence yields the same rows, and a row of L_{j-1} named by L_j
+    stays that row as L_{j-1} grows.  The target smallest rows of L_j
+    pair the item of value rank i only with the first target // i rows
+    of L_{j-1}, so one stable argsort over O(target log lambda)
+    candidates finds them.  `items` holds one value-sorted row array per
+    class, as `oriented_rows` builds them.
     """
 
     def __init__(self, items):
         self.items = items  # per class: rows (v, w, item index) in value order
-        self.lists = [np.array([[0, 0, -1, -1]], dtype=np.int64)]
-        self.lists += [np.empty((0, 4), dtype=np.int64) for _ in self.items]
+        empty = np.empty(0, dtype=np.int64)
+        self.lists = [np.zeros(1, dtype=np.int64)] + [empty] * len(items)
+        self.keeps = [empty] * (len(items) + 1)
+        self.starts = [empty] * (len(items) + 1)
         self.sizes = list(itertools.accumulate((len(c) for c in items), operator.mul, initial=1))
 
     @property
@@ -291,33 +306,42 @@ class PrefixGenerator:
             key = len(items), len(prev)
             if key not in built:
                 counts = np.minimum(target // np.arange(1, len(items) + 1), len(prev))
+                starts = np.cumsum(counts) - counts
                 rank = np.repeat(np.arange(len(items)), counts)
-                row = np.arange(len(rank)) - np.repeat(np.cumsum(counts) - counts, counts)
-                built[key] = rank, row
-            rank, row = built[key]
-            # gathers from column views: prev[row, 0] is twice as slow
-            v = prev[:, 0][row] + items[:, 0][rank]
-            keep = v.argsort(kind="stable")[:target]
-            rank, row = rank[keep], row[keep]
-            out = self.lists[j] = np.empty((len(keep), 4), dtype=np.int64)
-            out[:, 0] = v[keep]
-            out[:, 1] = prev[:, 1][row] + items[:, 1][rank]
-            out[:, 2] = row
-            out[:, 3] = items[:, 2][rank]
+                built[key] = rank, np.arange(len(rank)) - np.repeat(starts, counts), starts
+            rank, row, self.starts[j] = built[key]
+            v = prev[row] + items[:, 0][rank]
+            # a copy, so the list does not keep the whole argsort alive
+            keep = self.keeps[j] = v.argsort(kind="stable")[:target].copy()
+            self.lists[j] = v[keep]
+
+    def links(self, j: int, at):
+        """(item rank, row of L_{j-1}) of the rows `at` of L_j."""
+        pos = self.keeps[j][at]
+        rank = self.starts[j].searchsorted(pos, side="right") - 1
+        return rank, pos - self.starts[j][rank]
+
+    def weights(self) -> list[np.ndarray]:
+        """The weight sums of every list's rows: w_j = w_{j-1}[row] + w(item)."""
+        out = [np.zeros(1, dtype=np.int64)]
+        for j in range(1, self.n + 1):
+            rank, row = self.links(j, slice(None))
+            out.append(out[-1][row] + self.items[j - 1][:, 1][rank])
+        return out
 
     def value_at(self, j: int, ell: int):
         """Value of the ell-th (1-based) element of L_j; inf past the end."""
         lst = self.lists[j]
         if ell <= len(lst):
-            return int(lst[ell - 1, 0])
+            return int(lst[ell - 1])
         return INFINITE
 
     def picks_of(self, j: int, index: int) -> list[tuple[int, int]]:
         """(class, item) picks of the index-th (0-based) element of L_j."""
         out = []
         while j > 0:
-            _, _, index, item = self.lists[j][index].tolist()
-            out.append((j - 1, item))
+            rank, index = self.links(j, index)
+            out.append((j - 1, int(self.items[j - 1][rank, 2])))
             j -= 1
         out.reverse()
         return out
@@ -537,7 +561,9 @@ class _Search:
     (`gen_l`) to the ell rows the search reads of them.  Once no split
     index can reach the value threshold, or r reaches the number of
     choices (then both sides hold every row and r = ell = that number),
-    the join phase sweeps every split with the two-class solver.
+    the join phase builds each generator's weights once (`weights`) and
+    sweeps every split with the two-class solver on (value, weight)
+    rows; the witness's picks come from walking back (`picks_of`).
 
     `k` = 0 is `solve`: each prefix list joins its first
     ell = ceil(r / lam) rows.  `k` >= 1 is `solve_k` with the k front
@@ -595,24 +621,25 @@ class _Search:
         return True
 
     def join(self) -> Choice | None:
-        n = self.n
-        limit = _iroot(self.ell, self.k) if self.k else INFINITE
+        n, ell, r, gen_l, gen_r = self.n, self.ell, self.r, self.gen_l, self.gen_r
+        limit = _iroot(ell, self.k) if self.k else INFINITE
+        w_l, w_r = gen_l.weights(), gen_r.weights()
         for j in range(1, n + 1):
-            prev = self.gen_l.lists[j - 1][: self.ell]
-            items = self.gen_l.items[j - 1]
+            prev = np.stack((gen_l.lists[j - 1][:ell], w_l[j - 1][:ell]), axis=1)
+            items = gen_l.items[j - 1]
             if j > self.k and limit < len(items):
                 # the items of value rank at most the limit, ties counted
                 items = items[: np.searchsorted(items[:, 0], items[limit, 0])]
             # L_{j-1}[:ell] + C_j as one outer sum, rows ordered (item, row of prev)
-            pairs = items[:, None, :2] + prev[None, :, :2]
-            suffix = self.gen_r.lists[n - j][: self.r]
+            pairs = items[:, None, :2] + prev[None]
+            suffix = np.stack((gen_r.lists[n - j][:r], w_r[n - j][:r]), axis=1)
             hit = solve_two_class(pairs.reshape(-1, 2), suffix, self.V, self.W)
             if hit is None:
                 continue
             item, t = divmod(hit[0], len(prev))
-            picks = dict(self.gen_l.picks_of(j - 1, t))
+            picks = dict(gen_l.picks_of(j - 1, t))
             picks[j - 1] = int(items[item, 2])
-            for rev_class, item_idx in self.gen_r.picks_of(n - j, hit[1]):
+            for rev_class, item_idx in gen_r.picks_of(n - j, hit[1]):
                 picks[n - 1 - rev_class] = item_idx
             return picks
         return None

@@ -36,6 +36,20 @@ def full_lists(classes):
     return gen
 
 
+def rows_of(gen, j):
+    """L_j as rows (value, weight, parent row, slot), L_0's as (0, 0, -1, -1).
+
+    The weights are the join's (`weights`), the parent rows and slots
+    the walk-back's (`links` and the item rows, as `picks_of` reads them).
+    """
+    if j:
+        rank, parent = gen.links(j, slice(None))
+        slot = gen.items[j - 1][rank, 2]
+    else:
+        parent = slot = np.full(len(gen.lists[0]), -1)
+    return np.stack((gen.lists[j], gen.weights()[j], parent, slot), axis=1).tolist()
+
+
 def test_brute_force_example():
     choice = K.brute_force(EXAMPLE)
     assert choice == {0: 1, 1: 0}  # items (3,1) and (2,2)
@@ -101,15 +115,15 @@ def test_solve_two_class_equals_pairing(rng):
 
 def test_generator_example():
     gen = full_lists(K.make_instance([[(1, 0), (3, 0)], [(2, 0), (4, 0)]], 0, 0).classes)
-    assert gen.lists[2][:, 0].tolist() == [3, 5, 5, 7]
-    assert gen.lists[0].tolist() == [[0, 0, -1, -1]]
+    assert [row[0] for row in rows_of(gen, 2)] == [3, 5, 5, 7]
+    assert rows_of(gen, 0) == [[0, 0, -1, -1]]
     single = value_lists(K.make_instance([[(5, 7)]], 0, 0).classes)
     single.step(K.FIRST_BLOCK)
-    assert single.lists[1][:, :2].tolist() == [[5, 7]]
+    assert [row[:2] for row in rows_of(single, 1)] == [[5, 7]]
     assert single.sizes == [1, 1]
-    before = single.lists[1]
+    before = single.lists[1], single.keeps[1]
     single.step(2 * K.FIRST_BLOCK)  # stepping a whole list leaves it alone
-    assert single.lists[1] is before
+    assert single.lists[1] is before[0] and single.keeps[1] is before[1]
 
 
 def test_generator_prefix_of_sorted_enumeration(rng):
@@ -131,19 +145,66 @@ def test_generator_prefix_of_sorted_enumeration(rng):
             expect = sorted(
                 sum(it.v for it in pick) for pick in itertools.product(*inst.classes[:j])
             )
-            got = gen.lists[j][:, 0].tolist()
+            rows = rows_of(gen, j)
+            got = [row[0] for row in rows]
             assert got == expect[: len(got)]
             assert len(got) == min(targets[-1], len(expect)) == min(targets[-1], gen.sizes[j])
             # the same rows, ties included, as the whole list's prefix
-            assert gen.lists[j].tolist() == whole.lists[j][: len(got)].tolist()
+            assert rows == rows_of(whole, j)[: len(got)]
             seen = set()
-            for t, e in enumerate(gen.lists[j].tolist()):
+            for t, e in enumerate(rows):
                 picks = gen.picks_of(j, t)
                 assert [c for c, _ in picks] == list(range(j))
                 assert sum(inst.classes[c][i].v for c, i in picks) == e[0]
                 assert sum(inst.classes[c][i].w for c, i in picks) == e[1]
                 seen.add(tuple(picks))
             assert len(seen) == len(got)  # no partial choice listed twice
+
+
+def subset_sum(rng, count):
+    """`count` classes of (a, 0), (0, a) with both thresholds near half the sum."""
+    nums = [rng.randint(1, 10 ** 6) for _ in range(count)]
+    V = sum(nums) // 2
+    return K.make_instance([[(a, 0), (0, a)] for a in nums], V, sum(nums) - V)
+
+
+def test_lists_hold_values_and_order_weights_built_at_the_join(rng, monkeypatch):
+    # while the lists grow, each row of L_1..L_n takes 16 bytes, its value
+    # and its position in the candidate array, plus one start per item of
+    # the class; no weight column is held and no list keeps a larger
+    # array alive.  One join builds each generator's weights once, and
+    # they are the sums of the picks the walk-back finds
+    built = []
+    weights = K.PrefixGenerator.weights
+    monkeypatch.setattr(K.PrefixGenerator, "weights",
+                        lambda gen: built.append(gen) or weights(gen))
+    instances = [random_knapsack(rng, max_n=7, max_lam=5, v_hi=30, t_hi=150) for _ in range(40)]
+    instances += [subset_sum(rng, count) for count in (12, 16, 18)]
+    for inst in instances:
+        search = K._Search(oriented(inst.classes)[0], inst.V, inst.W, inst.lam)
+        gens = search.gen_l, search.gen_r
+        stopped = False
+        while not stopped:
+            stopped = search.grow_step()
+            for gen in gens:
+                assert sorted(vars(gen)) == ["items", "keeps", "lists", "sizes", "starts"]
+                rows = sum(map(len, gen.lists[1:]))
+                held = gen.lists[1:] + gen.keeps[1:]
+                assert all(a.ndim == 1 and a.dtype == np.int64 and a.base is None for a in held)
+                assert sum(a.nbytes for a in held) == 16 * rows
+                assert gen.lists[0].tolist() == [0] and not len(gen.keeps[0])
+                assert [len(s) for s in gen.starts[1:]] == [len(c) for c in gen.items]
+        assert not built
+        search.join()
+        assert built == list(gens)
+        for gen in gens:
+            w = weights(gen)
+            slot_w = [dict(zip(c[:, 2].tolist(), c[:, 1].tolist())) for c in gen.items]
+            for j in range(gen.n + 1):
+                assert len(w[j]) == len(gen.lists[j])
+                for t in sorted(rng.sample(range(len(w[j])), min(30, len(w[j])))):
+                    assert sum(slot_w[c][i] for c, i in gen.picks_of(j, t)) == w[j][t]
+        built.clear()
 
 
 def test_weight_orientation_is_the_swapped_instance(rng):
@@ -569,10 +630,7 @@ def test_small_instance_stops_after_one_step(monkeypatch):
 def test_memory_guard_counts_the_rows_held(monkeypatch):
     # the guard raises at the step whose lists would pass the limit, and
     # at no earlier step: the prefix side counts ell rows, the suffix side r
-    rng = random.Random(18)
-    nums = [rng.randint(1, 10 ** 6) for _ in range(18)]
-    V = sum(nums) // 2
-    inst = K.make_instance([[(a, 0), (0, a)] for a in nums], V, sum(nums) - V)
+    inst = subset_sum(random.Random(18), 18)
     rows = oriented(inst.classes)[0]
 
     def steps_within(limit):
@@ -598,10 +656,7 @@ def test_memory_guard_counts_the_rows_held(monkeypatch):
 def test_memory_guard_counts_both_searches(monkeypatch):
     # solve holds the value- and weight-oriented searches together, so
     # at the limit that one search alone peaks at, the pair passes it
-    rng = random.Random(18)
-    nums = [rng.randint(1, 10 ** 6) for _ in range(18)]
-    V = sum(nums) // 2
-    inst = K.make_instance([[(a, 0), (0, a)] for a in nums], V, sum(nums) - V)
+    inst = subset_sum(random.Random(18), 18)
     assert K.reduce_instance(inst).decided is None
     peaks = []
     for rows, (v, w) in zip(oriented(inst.classes), ((inst.V, inst.W), (inst.W, inst.V))):
