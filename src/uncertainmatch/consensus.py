@@ -8,10 +8,11 @@ whose units stay within z in each (letters above z are left out).
 One builder, `_window_classes`, makes those classes as padded arrays
 straight off the units, for any number of windows at once;
 `wc_to_knapsack` is its one window over all positions.  One solver,
-`_consensus`, takes those arrays to the knapsack layer: one batched
-reduction (`knapsack.reduce_batch`) over its windows, then the search
-(`knapsack.search`) on the same arrays for each window left, so no
-window is reduced twice or rebuilt as `Item`s.
+`_consensus`, hands those arrays to the knapsack layer's one decision
+path, `knapsack.decide`: one batched reduction over its windows, then
+the search on the same arrays for each window left.  A window is
+rebuilt as `Item`s only where its classes reach lambda >= 3**6, to be
+merged.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
@@ -135,24 +136,10 @@ def _consensus(vw, alive, order, alphabet: str, z_units: int, k: int) -> list[st
 
     vw, alive and order are windows as `_window_classes` builds them,
     with thresholds z_units; a class past a window's count adds a
-    letter its caller cuts off.  One `knapsack.reduce_batch` decides most
-    windows; for each window it leaves, `knapsack.search` (k = 0 is
-    `solve`, k >= 1 `solve_k`) runs on the classes greedy did not
-    commit, with thresholds net of the committed items.  Greedy's slots
-    fill the committed classes.  `reduce_instance`'s class merging is
-    skipped: it only runs at lambda >= 3**6 = 729, which a consensus
-    class reaches only over an alphabet that large, and merging keeps
-    the feasible set, so no answer changes.
+    letter its caller cuts off.  `knapsack.decide` (k = 0 is `solve`,
+    k >= 1 `solve_k`) picks each class's slot, and `order` its letter.
     """
-    state, picks = knapsack.reduce_batch(vw, alive, np.full((2, len(alive)), z_units), neglog.INF)
-    for w in np.flatnonzero(state < 0).tolist():
-        kept = picks[w] < 0
-        # a committed item holds both minima of its class
-        V, W = (z_units - np.where(kept, 0, vw[:, w].min(axis=2)).sum(axis=1)).tolist()
-        found = knapsack.search(vw[:, w, kept], alive[w, kept], V, W, k)
-        if found is not None:
-            state[w] = 1
-            picks[w, np.flatnonzero(kept)] = [found[c] for c in range(len(found))]
+    state, picks = knapsack.decide(vw, alive, np.full((2, len(alive)), z_units), neglog.INF, k)
     letters = np.array(list(alphabet))[np.take_along_axis(order, picks[:, :, None], axis=2)[:, :, 0]]
     return ["".join(letters[w]) if s > 0 else None for w, s in enumerate(state.tolist())]
 
@@ -177,9 +164,11 @@ def knapsack_to_wc(inst: KnapsackInstance, normalize: bool = False) -> WcInstanc
     Item values are shifted non-negative per class, scaled by a power
     of two M >= max(n, V, W) and turned into letter probabilities of
     the form 2^-(ceil(M log |C_i|) + v)/M; an extra position equalizes
-    the two per-sequence thresholds into a single z.  With `normalize`
-    each row gains a completing letter (dead in the other sequence) so
-    probabilities sum to 1.
+    the two per-sequence thresholds into a single z.  An item whose
+    shifted value passes V, or shifted weight W, fits no choice, so its
+    letter is left out of both rows; |C_i| still counts it.  With
+    `normalize` each row gains a completing letter (dead in the other
+    sequence) so probabilities sum to 1.
     """
     lam = inst.lam
     if lam > len(_LETTER_POOL):
@@ -212,9 +201,11 @@ def knapsack_to_wc(inst: KnapsackInstance, normalize: bool = False) -> WcInstanc
         row_x = {}
         row_y = {}
         for ii, item in enumerate(cls):
-            letter = _LETTER_POOL[ii]
-            row_x[letter] = (ceil_log + item.v - v_mins[ci]) * unit
-            row_y[letter] = (ceil_log + item.w - w_mins[ci]) * unit
+            v, w = item.v - v_mins[ci], item.w - w_mins[ci]
+            if v <= V and w <= W:  # an item past either threshold fits no choice
+                letter = _LETTER_POOL[ii]
+                row_x[letter] = (ceil_log + v) * unit
+                row_y[letter] = (ceil_log + w) * unit
         rows_x.append(row_x)
         rows_y.append(row_y)
     zx_units = (V + sum(ceil_logs)) * unit
@@ -285,14 +276,15 @@ def gwpm(
 
     - ``auto`` or ``mim``: in blocks of `WALK_BLOCK` windows,
       `_window_classes` builds the windows' classes as padded arrays
-      (letters above z are left out) and `_consensus` decides them:
-      one batched pass of the knapsack reductions
-      (`knapsack.reduce_batch`: greedy commitment, then the rank test)
-      answers NO, or YES with the greedy witness, for most of them.
-      Each window left runs the meet-in-the-middle search of
-      `knapsack.solve` (or of `knapsack.solve_k` when `k` is given) on
-      the same arrays.  It beat the SDWC solver at every (z, m)
-      measured, so `gwpm` does not offer SDWC.
+      (letters above z are left out) and `_consensus` decides them
+      through `knapsack.decide`: one batched pass of the knapsack
+      reductions (greedy commitment, then the rank test) answers NO,
+      or YES with the greedy witness, for most of them.  Each window
+      left runs the meet-in-the-middle search of `knapsack.solve` (or
+      of `knapsack.solve_k` when `k` is given) on the same arrays,
+      after class merging where its classes reach lambda >= 3**6.  It
+      beat the SDWC solver at every (z, m) measured, so `gwpm` does
+      not offer SDWC.
     - ``naive``: the brute-force oracle, window by window.
 
     At z = inf (1/z = 0) a window occurs when some string has nonzero

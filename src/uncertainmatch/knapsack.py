@@ -11,25 +11,27 @@ solution can be missed, and each split index is finished with a
 vectorized two-class sweep.  Growth and the stop test read values
 alone, so a list holds its sorted values and the order that picked
 them, 16 bytes a row; the join builds the weights of every list once,
-and a witness is walked back through the stored orders.  `solve` and
-`solve_k` are one body, `_decide`: `solve` is k = 0, one search per
-orientation over the classes in order; `solve_k` guesses k front
-classes and searches each guess to its stop at most once per
-orientation.  Each search derives its rank budgets from k as exact
-integer roots (`_iroot`), so no budget can overflow a float.
+and a witness is walked back through the stored orders.  `solve_k`
+guesses k front classes: each orientation walks every guess, searching
+it to its stop, in turn with the other orientation, and the first to
+finish decides; `solve` is k = 0, one guess.  Each search derives its
+rank budgets from k as exact integer roots (`_iroot`), so no budget
+can overflow a float.
 
 Instance reductions shrink the class count to O(log A / log lambda)
 first: greedy commitment, then one rank test (`_may_fit`) on the
 second-smallest gaps and, for lambda >= 3**6, class merging and the
 same test on the ceil(lambda^(1/3))-th gaps of the large classes.
 Greedy commitment and the rank test run on padded numpy arrays of
-many instances at once (`reduce_batch`); one instance is a batch of
-one.  The search takes one reduced instance in the same padded form
-(`search`), so the consensus windows go from `reduce_batch` to the
-search as arrays, and only `solve` and `solve_k` build `Item`s.
+many instances at once (`reduce_batch`).  Every caller decides through
+`decide`: `reduce_batch` on a batch, then, for each instance left,
+`search` on the same arrays, after merging through `reduce_instance`
+(the `Item`s of that instance alone) when its classes reach lambda >=
+3**6.  `solve` and `solve_k` are `decide` on a batch of one; the
+consensus windows are a batch.
 
-Witnesses are always reconstructed: items carry their original
-(class, item) origins through every reduction.
+Witnesses are always reconstructed: the arrays keep each item's slot,
+and merged items carry their (class, slot) origins.
 """
 
 from __future__ import annotations
@@ -579,7 +581,6 @@ class _Search:
         self.choices = self.gen_l.sizes[-1]
         self.r = 0
         self.ell = 0
-        self.stopped = False
 
     @property
     def held(self) -> int:
@@ -593,8 +594,6 @@ class _Search:
         rows that another live search holds, would pass
         PREFIX_ROW_LIMIT rows.
         """
-        if self.stopped:
-            return True
         r = 2 * self.r if self.r else FIRST_BLOCK
         k = self.k
         ell = _iroot(r ** k - 1, k + 1) + 1 if k else -(-r // self.lam)
@@ -609,7 +608,6 @@ class _Search:
         self.gen_r.step(r)
         if whole:
             self.r = self.ell = self.choices
-            self.stopped = True
             return True
         self.r, self.ell = r, ell
         n, V = self.n, self.V
@@ -617,7 +615,6 @@ class _Search:
             # L_j's ell-th value plus the r-th value of the suffix list over classes j+1..n
             if self.gen_l.value_at(j, ell) + self.gen_r.value_at(n - j, r) <= V:
                 return False
-        self.stopped = True
         return True
 
     def join(self) -> Choice | None:
@@ -654,41 +651,21 @@ def _origins_to_choice(origins) -> Choice:
     return choice
 
 
-def _assemble(inst: KnapsackInstance, picks: Choice, fixed: tuple[Item, ...]) -> Choice:
-    origins = []
-    for ci, ii in picks.items():
-        origins.extend(inst.classes[ci][ii].origin)
-    for item in fixed:
-        origins.extend(item.origin)
-    return _origins_to_choice(origins)
-
-
-def _decide(inst: KnapsackInstance, k: int) -> Choice | None:
-    """`solve` (k = 0) and `solve_k`: `reduce_instance`, then `search`."""
-    red = reduce_instance(inst)
-    if red.decided is not None:
-        return _assemble(inst, {}, red.fixed) if red.decided else None
-    base = red.instance
-    vw, alive, _, _ = _item_arrays(base.classes, base.V, base.W)
-    picks = search(vw[:, 0], alive[0], base.V, base.W, k)
-    return None if picks is None else _assemble(base, picks, red.fixed)
-
-
 def search(vw, alive, V: int, W: int, k: int) -> Choice | None:
     """{class: slot} of a feasible choice of one reduced instance, or None.
 
     vw (2, n, S) holds the values and weights by slot, alive (n, S) the
     live slots, as `reduce_batch` takes one instance, and every class a
-    live item, as `reduce_batch` leaves them.  After the refusal (DomainError) of items
-    that could overflow int64 sums, each guess of k' = min(k, n) front
-    classes (those first, the others in index order; k = 0 is one empty
-    guess) runs both oriented searches in lock-step, and the first to
-    stop decides it.  A witness is the answer, and so is None when the
-    join left no item out, as every join does at k' = 0 or n.  Else
-    the None only clears the guess for that orientation: a guess can be
-    right for one orientation and wrong for the other.  Either
-    orientation is exact once it has cleared every guess, so the one
-    with fewer guesses left then searches those alone.  When a guess
+    live item, as `reduce_batch` leaves them.  After the refusal
+    (DomainError) of items that could overflow int64 sums, each
+    orientation walks the guesses of k' = min(k, n) front classes (those
+    first, the others in index order; k = 0 is one empty guess) in
+    order, each searched to its stop, and the two walks take one grow
+    step each in turn.  The first walk to finish decides: with a
+    witness, with None from a join that left no item out, as every join
+    does at k' = 0 or n, or with None once it has cleared every guess (a
+    guess can be right for one orientation and wrong for the other, but
+    each orientation is exact over all its guesses).  When a guess
     search at k' >= 1 passes the memory guard, the exact k = 0 search
     decides instead, and raises CapacityError if it passes it too.
     """
@@ -697,44 +674,88 @@ def search(vw, alive, V: int, W: int, k: int) -> Choice | None:
     vw = np.where(alive, vw, _CLIP).astype(np.int64)
     n, lam, k = len(alive), int(alive.sum(axis=1).max()), min(k, len(alive))
     by_v, by_w = oriented_rows(vw, alive)
-    oriented = ((by_v, V, W), (by_w, W, V))
+    live = {}  # each walk's current search
 
-    def run_lockstep(front, sides):
-        """Grow the searches of guess `front` in `sides` until one stops.
-
-        Returns (its orientation, its witness or None, whether its join
-        left no item out).
-        """
-        order = list(front) + [i for i in range(n) if i not in front]
-        searches = [_Search([rows[i] for i in order], V, W, lam, k)
-                    for rows, V, W in (oriented[side] for side in sides)]
-        while True:
-            for side, run in zip(sides, searches):
-                # the memory guard counts the rows of both live searches
-                if run.grow_step(sum(s.held for s in searches if s is not run)):
-                    witness = run.join()
-                    if witness is not None:
-                        witness = {order[c]: it for c, it in witness.items()}
-                    return side, witness, k in (0, n) or _iroot(run.ell, k) >= lam
-
-    try:
-        left = ([], [])  # the guesses each orientation has not cleared
+    def walk(side, rows, V, W):
+        """Search each guess in one orientation to its stop; returns the walk's answer."""
         for front in itertools.combinations(range(n), k):
-            side, witness, exact = run_lockstep(front, (0, 1))
-            if witness is not None or exact:
-                return witness
-            left[1 - side].append(front)
-        side = int(len(left[1]) < len(left[0]))
-        for front in left[side]:
-            _, witness, exact = run_lockstep(front, (side,))
-            if witness is not None or exact:
-                return witness
+            order = list(front) + [i for i in range(n) if i not in front]
+            run = live[side] = _Search([rows[i] for i in order], V, W, lam, k)
+            # the memory guard counts the rows of both live searches
+            while not run.grow_step(sum(s.held for s in live.values() if s is not run)):
+                yield
+            witness = run.join()
+            if witness is not None:
+                return {order[c]: it for c, it in witness.items()}
+            if k in (0, n) or _iroot(run.ell, k) >= lam:
+                return None  # the join left no item out
         return None
+
+    walks = [walk(0, by_v, V, W), walk(1, by_w, W, V)]
+    try:
+        while True:
+            for w in walks:
+                next(w)
+    except StopIteration as done:
+        return done.value
     except CapacityError:
         if not k:
             raise
-    # past the handler, which frees the guess searches' lists
+    # free the guess searches' lists first
+    walks.clear()
+    live.clear()
     return search(vw, alive, V, W, 0)
+
+
+def _merged_search(vw, alive, V: int, W: int, k: int) -> Choice | None:
+    """`search` on the classes after `reduce_instance` merges them: {class: slot} or None.
+
+    The classes become `Item`s whose origins are their slots.  Greedy
+    has committed every class it can, so `reduce_instance` either
+    answers NO or leaves merged classes, whose origins give the search's
+    slots back.
+    """
+    classes = tuple(
+        tuple(Item(v, w, ((c, s),)) for s, v, w in zip(slots, *vw[:, c, slots].tolist()))
+        for c, slots in enumerate(np.flatnonzero(a).tolist() for a in alive))
+    base = reduce_instance(KnapsackInstance(classes, V, W)).instance
+    if base is None:
+        return None
+    vw, alive, _, _ = _item_arrays(base.classes, base.V, base.W)
+    found = search(vw[:, 0], alive[0], base.V, base.W, k)
+    return found and _origins_to_choice(
+        itertools.chain.from_iterable(base.classes[c][i].origin for c, i in found.items()))
+
+
+def decide(vw, alive, caps, top, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decide B instances: (state, picks), one slot per class.
+
+    The arrays are as `reduce_batch` takes them.  state[b] is 1 (YES) or
+    0 (NO); where it is 1, picks[b, c] is the slot class c takes in a
+    feasible choice.  `reduce_batch` decides most instances; for each
+    one it leaves, `search` (k = 0 is `solve`, k >= 1 `solve_k`) runs on
+    the classes greedy did not commit, with thresholds net of the
+    committed items, and greedy's slots fill the committed classes.
+    When those classes reach lambda >= MERGE_LAMBDA_FLOOR,
+    `_merged_search` merges them through `reduce_instance` first.
+    """
+    state, picks = reduce_batch(vw, alive, caps, top)
+    for b in np.flatnonzero(state < 0).tolist():
+        kept = picks[b] < 0
+        # a committed item holds both minima of its class
+        V, W = (caps[:, b] - np.where(kept, 0, vw[:, b].min(axis=2)).sum(axis=1)).tolist()
+        merge = alive[b, kept].sum(axis=1).max() >= MERGE_LAMBDA_FLOOR
+        found = (_merged_search if merge else search)(vw[:, b, kept], alive[b, kept], V, W, k)
+        state[b] = found is not None
+        if found is not None:
+            picks[b, np.flatnonzero(kept)] = [found[c] for c in range(len(found))]
+    return state, picks
+
+
+def _solve(inst: KnapsackInstance, k: int) -> Choice | None:
+    """`solve` (k = 0) and `solve_k`: `decide` on the instance as a batch of one."""
+    state, picks = decide(*_item_arrays(inst.classes, inst.V, inst.W), k)
+    return dict(enumerate(picks[0].tolist())) if state[0] else None
 
 
 def solve(inst: KnapsackInstance) -> Choice | None:
@@ -743,7 +764,7 @@ def solve(inst: KnapsackInstance) -> Choice | None:
     Runs the value-oriented and weight-oriented searches in
     deterministic lock-step; whichever stops growing first decides.
     """
-    return _decide(inst, 0)
+    return _solve(inst, 0)
 
 
 def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
@@ -755,11 +776,12 @@ def solve_k(inst: KnapsackInstance, k: int) -> Choice | None:
     right guess the prefix before such a split holds all k' front
     items, so its rank, at most ell, is at least the middle item's rank
     to the k'-th power (rank(A) rank(B) <= rank(A u B)), whatever r the
-    search reached.  Each orientation searches each guess to its stop at
-    most once.  When a guess search would pass the memory guard, the
+    search reached.  Each orientation walks the guesses, searching each
+    to its stop once, in turn with the other; the first to finish
+    decides.  When a guess search would pass the memory guard, the
     answer is `solve`'s, which raises CapacityError only if it passes
     the guard too.
     """
     if k < 1:
         raise DomainError("k must be a positive integer")
-    return _decide(inst, k)
+    return _solve(inst, k)

@@ -294,7 +294,9 @@ def test_criterion_10():
     text = WeightedSequence(sigma, rows)
     start = n // 2
     pattern = "".join(heavy[start: start + m])
-    wpm("ac", WeightedSequence(sigma, rows[:64]), z)  # warm the jit
+    # a first call pays the one-time costs of numpy's first use of each
+    # routine; this 64-row call keeps them out of the timing
+    wpm("ac", WeightedSequence(sigma, rows[:64]), z)
     t0 = time.perf_counter()
     occ = wpm(pattern, text, z)
     elapsed = time.perf_counter() - t0

@@ -1,11 +1,12 @@
 import math
 import random
+import traceback
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from uncertainmatch import consensus, neglog
+from uncertainmatch import cli, consensus, io, neglog
 from uncertainmatch import knapsack as K
 from uncertainmatch.consensus import (
     GWPM_ALGOS,
@@ -192,6 +193,52 @@ def test_knapsack_to_wc_trivial_no():
     inst = K.make_instance([[(5, 5)]], 1, 1)
     wc = knapsack_to_wc(inst)
     assert naive_consensus(wc.X, wc.Y, wc.z) is None
+
+
+def test_knapsack_to_wc_leaves_out_items_past_a_threshold():
+    # an item whose shifted value passes V, or shifted weight W, fits no
+    # choice: its letter is left out of both rows, so an item of 2**70
+    # no longer overflows the int64 units, and the class sizes still set z
+    for classes, V, W in (([[(0, 0), (2 ** 70, 0)]], 1, 1),
+                          ([[(0, 2 ** 70), (2 ** 70, 0)]], 1, 1),
+                          ([[(0, 2 ** 70), (1, 0), (3, 3)], [(0, 0), (2 ** 80, 2 ** 80)]], 2, 3),
+                          ([[(5, 0), (0, 5)], [(2 ** 70, 1), (1, 2 ** 70), (2, 2)]], 4, 4)):
+        inst = K.make_instance(classes, V, W)
+        wc = knapsack_to_wc(inst)
+        s = naive_consensus(wc.X, wc.Y, wc.z)
+        assert (s is not None) == (K.brute_force(inst) is not None)
+        assert s is None or max(match_neglog(s, wc.X), match_neglog(s, wc.Y)) <= wc.z.units
+        assert wc.z.display <= 4 * math.prod(map(len, classes)) * (1 + 1e-9)
+        assert all(len(row) < len(cls) for row, cls in zip(wc.X.rows, classes))
+
+
+def pwm_file(tmp_path, seed, alphabet):
+    """The 4-row PWM `um gen --kind pwm` writes for `seed`, read back."""
+    path = tmp_path / f"{seed}.pwm"
+    assert cli.main(["gen", "--kind", "pwm", "--seed", str(seed), "--length", "4",
+                     "--alphabet", alphabet, "--out", str(path)]) == 0
+    return io.parse_pwm(path.read_text())
+
+
+def test_weighted_consensus_merges_large_alphabets(tmp_path, monkeypatch):
+    # two 4-row PWMs over 800 letters at z = 2^40 keep about 800 letters
+    # a class, past MERGE_LAMBDA_FLOOR: `decide` merges the classes through
+    # `reduce_instance` before the search, as `solve` does on the `Item`
+    # instance; searched unmerged, they passed the memory guard
+    alphabet = "".join(chr(0x100 + i) for i in range(800))
+    x, y = (pwm_file(tmp_path, seed, alphabet) for seed in (11, 13))
+    z = ProbThreshold.from_z(2.0 ** 40)
+    inst, letters = wc_to_knapsack(x, y, z)
+    assert inst.lam >= K.MERGE_LAMBDA_FLOOR
+    choice = K.solve(inst)
+    callers = []
+    reduce_instance = K.reduce_instance
+    monkeypatch.setattr(K, "reduce_instance", lambda inst: callers.append(
+        [frame.name for frame in traceback.extract_stack()]) or reduce_instance(inst))
+    got = weighted_consensus(x, y, z)
+    assert len(callers) == 1 and "decide" in callers[0]
+    assert got is not None and got == "".join(letters[c][choice[c]] for c in range(inst.n))
+    assert match_neglog(got, x) <= z.units and match_neglog(got, y) <= z.units
 
 
 def window(t: WeightedSequence, p: int, m: int) -> WeightedSequence:

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import traceback
 
 import numpy as np
 import pytest
@@ -468,6 +469,56 @@ def test_solve_k_on_planted_large_classes():
         for k in (1, 2):
             choice = K.solve_k(inst, k)
             assert choice is not None and K.is_feasible(inst, choice)
+
+
+def large_class_instance(rng, tight):
+    """One class of 730-800 items (v, C - v) and 2-3 classes {(a, 0), (0, a)}.
+
+    No item holds both minima of its class, so greedy commits nothing
+    and lambda >= MERGE_LAMBDA_FLOOR is left for the search.  Thresholds
+    come from random items, or, when `tight`, sit a few hundred above
+    the class minima, where merging's rank test answers NO.
+    """
+    C = 10 ** 5
+    big = [(v, C - v) for v in rng.sample(range(C), rng.randint(730, 800))]
+    classes = [big] + [[(a, 0), (0, a)] for a in rng.sample(range(1, 100), rng.randint(2, 3))]
+    rng.shuffle(classes)
+    if tight:
+        V, W = (sum(min(it[i] for it in c) for c in classes) + rng.randint(300, 900)
+                for i in (0, 1))
+    else:
+        V, W = (sum(c[rng.randrange(len(c))][i] for c in classes) for i in (0, 1))
+    return K.make_instance(classes, V, W)
+
+
+def test_large_classes_merge_on_the_decide_path(monkeypatch):
+    # `decide` merges the classes greedy left through `reduce_instance`
+    # once they reach MERGE_LAMBDA_FLOOR, then searches the merged
+    # classes; solve and solve_k agree with brute force, and merging's
+    # rank test, the search's YES and its NO all answer some instances
+    callers = []
+    reduce_instance = K.reduce_instance
+
+    def spy(inst):
+        callers.append([frame.name for frame in traceback.extract_stack()])
+        return reduce_instance(inst)
+
+    monkeypatch.setattr(K, "reduce_instance", spy)
+    rng = random.Random(25)
+    outcomes = []
+    for trial in range(30):
+        inst = large_class_instance(rng, trial % 3 == 2)
+        assert inst.lam >= K.MERGE_LAMBDA_FLOOR
+        expect = K.brute_force(inst) is not None
+        merged = reduce_instance(inst)
+        outcomes.append("no" if merged.decided is False else ("search no", "search yes")[expect])
+        for solver in (K.solve, lambda i: K.solve_k(i, 1), lambda i: K.solve_k(i, 2)):
+            callers.clear()
+            choice = solver(inst)
+            assert (choice is not None) == expect
+            assert choice is None or K.is_feasible(inst, choice)
+            assert len(callers) == 1 and "decide" in callers[0]
+    assert {outcomes.count(o) >= 5 for o in ("no", "search no", "search yes")} == {True}
 
 
 def test_solve_k_rejects_bad_k():
