@@ -10,9 +10,9 @@ straight off the units, for any number of windows at once;
 `wc_to_knapsack` is its one window over all positions.  One solver,
 `_consensus`, hands those arrays to the knapsack layer's one decision
 path, `knapsack.decide`: one batched reduction over its windows, then
-the search on the same arrays for each window left.  A window is
-rebuilt as `Item`s only where its classes reach lambda >= 3**6, to be
-merged.
+the search on the same arrays for each window left, after class
+merging on those arrays where its classes reach lambda >= 3**6.  No
+`Item` is built.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
@@ -282,7 +282,8 @@ def gwpm(
       or YES with the greedy witness, for most of them.  Each window
       left runs the meet-in-the-middle search of `knapsack.solve` (or
       of `knapsack.solve_k` when `k` is given) on the same arrays,
-      after class merging where its classes reach lambda >= 3**6.  It
+      after class merging on them where its classes reach lambda >=
+      3**6, so no `Item` is built.  It
       beat the SDWC solver at every (z, m) measured, so `gwpm` does
       not offer SDWC.
     - ``naive``: the brute-force oracle, window by window.

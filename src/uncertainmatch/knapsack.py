@@ -23,20 +23,21 @@ first: greedy commitment, then one rank test (`_may_fit`) on the
 second-smallest gaps and, for lambda >= 3**6, class merging and the
 same test on the ceil(lambda^(1/3))-th gaps of the large classes.
 Greedy commitment and the rank test run on padded numpy arrays of
-many instances at once (`reduce_batch`).  Every caller decides through
-`decide`: `reduce_batch` on a batch, then, for each instance left,
-`search` on the same arrays, after merging through `reduce_instance`
-(the `Item`s of that instance alone) when its classes reach lambda >=
-3**6.  `solve` and `solve_k` are `decide` on a batch of one; the
-consensus windows are a batch.
+many instances at once (`reduce_batch`); pruning and merging run on
+the padded arrays of one instance (`_merge`).  Every caller decides
+through `decide`: `reduce_batch` on a batch, then, for each instance
+left, `search` on the same arrays, after `_merge` when its classes
+reach lambda >= 3**6.  `solve` and `solve_k` are `decide` on a batch
+of one; the consensus windows are a batch.  `reduce_instance` and
+`prune_class` build `Item`s from the array code's output.
 
 Witnesses are always reconstructed: the arrays keep each item's slot,
-and merged items carry their (class, slot) origins.
+a merged slot records the slot it takes in each class it covers, and
+merged `Item`s carry their (class, slot) origins.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -471,66 +472,95 @@ def reduce_n_log(inst: KnapsackInstance) -> Reduction:
     return Reduction(None, fixed, bool(decided[0]))
 
 
+def _prune(rows) -> np.ndarray:
+    """The rows `prune_class` keeps of one class, rows (v, w, ...): their indices, in order.
+
+    While some item has a value rank and a weight rank (the items at or
+    below it) of at most m/3, the first such item drops every item it
+    strictly dominates; the rest keep their order.  Each pass drops at
+    least a third of the items.
+    """
+    keep = np.arange(len(rows))
+    while True:
+        x = rows[keep, :2]
+        low = np.flatnonzero(np.all([3 * np.sort(col).searchsorted(col, side="right") <= len(keep)
+                                     for col in x.T], axis=0))
+        if not len(low):
+            return keep
+        keep = keep[~(x > x[low[0]]).all(axis=1)]
+
+
 def prune_class(cls: tuple[Item, ...]) -> tuple[Item, ...]:
     """Remove dominated items until every survivor has a large rank.
 
     Afterwards max(rank_V(c), rank_W(c)) > |C|/3 for every item c.
     """
-    items = list(cls)
-    while True:
-        size = len(items)
-        by_v = sorted(it.v for it in items)
-        by_w = sorted(it.w for it in items)
-        pivot = None
-        for it in items:
-            rv = bisect.bisect_right(by_v, it.v)
-            rw = bisect.bisect_right(by_w, it.w)
-            if 3 * rv <= size and 3 * rw <= size:
-                pivot = it
-                break
-        if pivot is None:
-            return tuple(items)
-        items = [it for it in items if not (it.v > pivot.v and it.w > pivot.w)]
+    rows = np.array([(it.v, it.w) for it in cls], dtype=object).reshape(-1, 2)
+    return tuple(cls[i] for i in _prune(rows).tolist())
 
 
-def _merge_classes(c1: tuple[Item, ...], c2: tuple[Item, ...]) -> tuple[Item, ...]:
-    return tuple(
-        Item(a.v + b.v, a.w + b.w, a.origin + b.origin) for a in c1 for b in c2
-    )
+def _merge(vw, alive, caps, top):
+    """Class merging on one instance: (vw, alive, origin), or None (NO).
+
+    vw (2, n, S), alive (n, S) and the (2,) thresholds caps hold the
+    instance as `search` takes it, every dead slot at `top`.  With
+    lambda its largest class, every class is pruned (`_prune`); while
+    two classes hold at most isqrt(lambda) items, the first two become
+    their pruned product, rows in (first, second) order; the classes
+    past isqrt(lambda) items then come first, in order.  The rank test
+    on those large classes at t = ceil(lambda^(1/3)), when there are
+    any, may answer NO.  Otherwise the merged classes come back padded
+    the same way, with origin[c, s, i] the slot that live slot s of
+    merged class c takes in class i, or -1 where c does not cover
+    class i.
+    """
+    n, size = alive.shape
+    lam = int(alive.sum(axis=1).max())
+    root = math.isqrt(lam)
+    # rows (v, w, 1 + the slot taken in each class, or 0 where the row
+    # does not cover it): covers are disjoint, so a product's rows are sums
+    rows = np.zeros((n, size, n + 2), dtype=vw.dtype)
+    rows[..., :2] = vw.transpose(1, 2, 0)
+    rows[np.arange(n), :, np.arange(2, n + 2)] = np.arange(1, size + 1)
+    classes = [r[live][_prune(r[live])] for r, live in zip(rows, alive)]
+    while len(small := [i for i, c in enumerate(classes) if len(c) <= root]) >= 2:
+        product = (classes[small[0]][:, None] + classes.pop(small[1])[None]).reshape(-1, n + 2)
+        classes[small[0]] = product[_prune(product)]
+    classes.sort(key=lambda c: len(c) <= root)
+    sizes = np.array([len(c) for c in classes])
+    alive = np.arange(sizes.max()) < sizes[:, None]
+    rows = np.full((*alive.shape, n + 2), top, dtype=vw.dtype)
+    rows[alive] = np.concatenate(classes)
+    vw = rows[..., :2].transpose(2, 0, 1)
+    tested = sizes[None] > root
+    t = _iroot(lam - 1, 3) + 1  # ceil(lambda^(1/3))
+    if tested.any() and not _may_fit(vw[:, None], np.ones_like(tested), tested, t,
+                                     caps[:, None], top)[0]:
+        return None
+    return vw, alive, rows[..., 2:] - 1
 
 
 def reduce_instance(inst: KnapsackInstance) -> Reduction:
     """Full reduction pipeline: n' = O(log A / log lambda) classes.
 
-    Applies reduce_n_log; then, when lambda is large, repeatedly
-    merges pairs of small classes into Cartesian products (pruning
-    each) and re-tests feasibility with rank-based deltas.
+    `reduce_n_log`; then, when lambda >= MERGE_LAMBDA_FLOOR, `_merge`
+    on the classes it leaves, whose origins build the merged `Item`s.
     """
     first = reduce_n_log(inst)
-    if first.decided is not None:
-        return first
     base = first.instance
-    lam = base.lam
-    if lam < MERGE_LAMBDA_FLOOR:
+    if base is None or base.lam < MERGE_LAMBDA_FLOOR:
         return first
-    root = math.isqrt(lam)
-    classes = [prune_class(c) for c in base.classes]
-    while True:
-        small = [i for i, c in enumerate(classes) if len(c) <= root]
-        if len(small) < 2:
-            break
-        i, j = small[:2]
-        classes[i] = prune_class(_merge_classes(classes[i], classes[j]))
-        del classes[j]
-    big = [c for c in classes if len(c) > root]
-    classes = big + [c for c in classes if len(c) <= root]
-    reduced = KnapsackInstance(tuple(classes), base.V, base.W)
-    t = _iroot(lam - 1, 3) + 1  # ceil(lambda^(1/3))
-    vw, alive, caps, top = _item_arrays(classes, base.V, base.W)
-    tested = np.arange(len(classes))[None, :] < len(big)
-    if not big or _may_fit(vw, np.ones_like(tested), tested, t, caps, top)[0]:
-        return Reduction(reduced, first.fixed, None)
-    return Reduction(None, first.fixed, False)
+    vw, alive, caps, top = _item_arrays(base.classes, base.V, base.W)
+    merged = _merge(vw[:, 0], alive[0], caps[:, 0], top)
+    if merged is None:
+        return Reduction(None, first.fixed, False)
+    vw, alive, origin = merged
+    classes = tuple(
+        tuple(Item(v, w, tuple(itertools.chain.from_iterable(
+            base.classes[i][s].origin for i, s in enumerate(slots) if s >= 0)))
+            for v, w, slots in zip(*vw[:, c, live].tolist(), origin[c, live].tolist()))
+        for c, live in enumerate(alive))
+    return Reduction(KnapsackInstance(classes, base.V, base.W), first.fixed, None)
 
 
 # ---------------------------------------------------------------------------
@@ -707,26 +737,6 @@ def search(vw, alive, V: int, W: int, k: int) -> Choice | None:
     return search(vw, alive, V, W, 0)
 
 
-def _merged_search(vw, alive, V: int, W: int, k: int) -> Choice | None:
-    """`search` on the classes after `reduce_instance` merges them: {class: slot} or None.
-
-    The classes become `Item`s whose origins are their slots.  Greedy
-    has committed every class it can, so `reduce_instance` either
-    answers NO or leaves merged classes, whose origins give the search's
-    slots back.
-    """
-    classes = tuple(
-        tuple(Item(v, w, ((c, s),)) for s, v, w in zip(slots, *vw[:, c, slots].tolist()))
-        for c, slots in enumerate(np.flatnonzero(a).tolist() for a in alive))
-    base = reduce_instance(KnapsackInstance(classes, V, W)).instance
-    if base is None:
-        return None
-    vw, alive, _, _ = _item_arrays(base.classes, base.V, base.W)
-    found = search(vw[:, 0], alive[0], base.V, base.W, k)
-    return found and _origins_to_choice(
-        itertools.chain.from_iterable(base.classes[c][i].origin for c, i in found.items()))
-
-
 def decide(vw, alive, caps, top, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Decide B instances: (state, picks), one slot per class.
 
@@ -736,19 +746,28 @@ def decide(vw, alive, caps, top, k: int) -> tuple[np.ndarray, np.ndarray]:
     one it leaves, `search` (k = 0 is `solve`, k >= 1 `solve_k`) runs on
     the classes greedy did not commit, with thresholds net of the
     committed items, and greedy's slots fill the committed classes.
-    When those classes reach lambda >= MERGE_LAMBDA_FLOOR,
-    `_merged_search` merges them through `reduce_instance` first.
+    When those classes reach lambda >= MERGE_LAMBDA_FLOOR, `_merge`
+    merges them on the same arrays first, answers NO or hands the
+    search the merged classes, and their origins give each class's
+    slot back; no `Item` is built on any path.
     """
     state, picks = reduce_batch(vw, alive, caps, top)
     for b in np.flatnonzero(state < 0).tolist():
         kept = picks[b] < 0
         # a committed item holds both minima of its class
-        V, W = (caps[:, b] - np.where(kept, 0, vw[:, b].min(axis=2)).sum(axis=1)).tolist()
-        merge = alive[b, kept].sum(axis=1).max() >= MERGE_LAMBDA_FLOOR
-        found = (_merged_search if merge else search)(vw[:, b, kept], alive[b, kept], V, W, k)
+        net = caps[:, b] - np.where(kept, 0, vw[:, b].min(axis=2)).sum(axis=1)
+        vw_b, alive_b, origin = vw[:, b, kept], alive[b, kept], None
+        if alive_b.sum(axis=1).max() >= MERGE_LAMBDA_FLOOR:
+            merged = _merge(vw_b, alive_b, net, top)
+            if merged is None:
+                state[b] = 0
+                continue
+            vw_b, alive_b, origin = merged
+        found = search(vw_b, alive_b, *net.tolist(), k)
         state[b] = found is not None
         if found is not None:
-            picks[b, np.flatnonzero(kept)] = [found[c] for c in range(len(found))]
+            at = np.array([found[c] for c in range(len(found))])
+            picks[b, kept] = at if origin is None else origin[np.arange(len(at)), at].max(axis=0)
     return state, picks
 
 

@@ -212,19 +212,19 @@ def test_knapsack_to_wc_leaves_out_items_past_a_threshold():
         assert all(len(row) < len(cls) for row, cls in zip(wc.X.rows, classes))
 
 
-def pwm_file(tmp_path, seed, alphabet):
-    """The 4-row PWM `um gen --kind pwm` writes for `seed`, read back."""
+def pwm_file(tmp_path, seed, alphabet, length=4):
+    """The PWM `um gen --kind pwm` writes for `seed`, read back."""
     path = tmp_path / f"{seed}.pwm"
-    assert cli.main(["gen", "--kind", "pwm", "--seed", str(seed), "--length", "4",
+    assert cli.main(["gen", "--kind", "pwm", "--seed", str(seed), "--length", str(length),
                      "--alphabet", alphabet, "--out", str(path)]) == 0
     return io.parse_pwm(path.read_text())
 
 
 def test_weighted_consensus_merges_large_alphabets(tmp_path, monkeypatch):
     # two 4-row PWMs over 800 letters at z = 2^40 keep about 800 letters
-    # a class, past MERGE_LAMBDA_FLOOR: `decide` merges the classes through
-    # `reduce_instance` before the search, as `solve` does on the `Item`
-    # instance; searched unmerged, they passed the memory guard
+    # a class, past MERGE_LAMBDA_FLOOR: `decide` merges the classes on
+    # their arrays (`_merge`) before the search, as `solve` does on the
+    # `Item` instance; searched unmerged, they passed the memory guard
     alphabet = "".join(chr(0x100 + i) for i in range(800))
     x, y = (pwm_file(tmp_path, seed, alphabet) for seed in (11, 13))
     z = ProbThreshold.from_z(2.0 ** 40)
@@ -232,13 +232,45 @@ def test_weighted_consensus_merges_large_alphabets(tmp_path, monkeypatch):
     assert inst.lam >= K.MERGE_LAMBDA_FLOOR
     choice = K.solve(inst)
     callers = []
-    reduce_instance = K.reduce_instance
-    monkeypatch.setattr(K, "reduce_instance", lambda inst: callers.append(
-        [frame.name for frame in traceback.extract_stack()]) or reduce_instance(inst))
+    merge = K._merge
+    monkeypatch.setattr(K, "_merge", lambda *arrays: callers.append(
+        [frame.name for frame in traceback.extract_stack()]) or merge(*arrays))
     got = weighted_consensus(x, y, z)
     assert len(callers) == 1 and "decide" in callers[0]
     assert got is not None and got == "".join(letters[c][choice[c]] for c in range(inst.n))
     assert match_neglog(got, x) <= z.units and match_neglog(got, y) <= z.units
+
+
+def test_merge_path_builds_no_item(tmp_path, monkeypatch):
+    # the 800-letter pair, gwpm of its pattern in a 12-row text over the
+    # same letters, and `decide` on an MCK instance whose classes reach
+    # 1,166 items all merge their classes; with `Item` raising they
+    # answer as before: the consensus of `solve` on the `Item` instance,
+    # an occurrence at every window, and the same choice
+    alphabet = "".join(chr(0x100 + i) for i in range(800))
+    x, y = (pwm_file(tmp_path, seed, alphabet) for seed in (11, 13))
+    t = pwm_file(tmp_path, 17, alphabet, length=12)
+    z = ProbThreshold.from_z(2.0 ** 40)
+    inst, letters = wc_to_knapsack(x, y, z)
+    choice = K.solve(inst)
+    found = gwpm(x, t, z)
+    path = tmp_path / "m.mck"
+    assert cli.main(["gen", "--kind", "mck", "--seed", "1", "--classes", "4", "--lam", "2000",
+                     "--out", str(path)]) == 0
+    mck = io.parse_mck(path.read_text())
+    arrays = K._item_arrays(mck.classes, mck.V, mck.W)
+
+    def refuse(*args):
+        raise AssertionError("an Item was built")
+
+    monkeypatch.setattr(K, "Item", refuse)
+    assert weighted_consensus(x, y, z) == "".join(letters[c][choice[c]] for c in range(inst.n))
+    got = gwpm(x, t, z)
+    assert got.occurrences == found.occurrences == tuple(range(1, 10))
+    assert [gwpm_witness(got, p) for p in got.occurrences] == \
+        [gwpm_witness(found, p) for p in found.occurrences]
+    state, picks = K.decide(*arrays, 0)
+    assert state.tolist() == [1] and picks.tolist() == [[70, 22, 324, 115]]
 
 
 def window(t: WeightedSequence, p: int, m: int) -> WeightedSequence:

@@ -260,6 +260,9 @@ def test_prune_class_postcondition(rng):
         # only dominated items may be removed
         for it in set(cls) - set(kept):
             assert any(o.v < it.v and o.w < it.w for o in cls)
+        # items past 2**63 keep the same positions
+        scaled = tuple(K.Item(it.v << 64, it.w << 64, it.origin) for it in cls)
+        assert K.prune_class(scaled) == tuple(scaled[cls.index(it)] for it in kept)
 
 
 def test_prune_class_pareto_front_unchanged():
@@ -267,6 +270,7 @@ def test_prune_class_pareto_front_unchanged():
     assert K.prune_class(front) == front
     singleton = (K.Item(4, 4, ((0, 0),)),)
     assert K.prune_class(singleton) == singleton
+    assert K.prune_class(()) == ()
 
 
 def test_reduce_instance_preserves_feasibility(rng):
@@ -297,6 +301,104 @@ def test_reduce_instance_merges_small_classes(rng):
         assert red.instance.n < inst.n - len(red.fixed) + 1
         assert (K.brute_force(red.instance) is not None) == \
             (K.brute_force(inst) is not None)
+
+
+def defined_prune(cls):
+    """`prune_class` by definition: ranks counted over all pairs of items."""
+    items = list(cls)
+    while True:
+        vw = np.array([(it.v, it.w) for it in items], dtype=object).reshape(-1, 2)
+        ranks = (vw[None, :, :] <= vw[:, None, :]).sum(axis=1)
+        low = [it for it, (rv, rw) in zip(items, ranks) if 3 * max(rv, rw) <= len(items)]
+        if not low:
+            return tuple(items)
+        items = [it for it in items if not (it.v > low[0].v and it.w > low[0].w)]
+
+
+def defined_reduce(inst):
+    """`reduce_instance` by definition, and the step that decided it.
+
+    Merged classes are `itertools.product`s of Items, and the rank test
+    sums the class minima and the smallest half of the large classes'
+    t-th gaps, per threshold.
+    """
+    first = K.reduce_n_log(inst)
+    base = first.instance
+    if base is None or base.lam < K.MERGE_LAMBDA_FLOOR:
+        return first, "n log"
+    root = math.isqrt(base.lam)
+    t = next(t for t in itertools.count(1) if t ** 3 >= base.lam)
+    classes = [defined_prune(c) for c in base.classes]
+    while len(small := [i for i, c in enumerate(classes) if len(c) <= root]) >= 2:
+        i, j = small[:2]
+        classes[i] = defined_prune(tuple(K.Item(a.v + b.v, a.w + b.w, a.origin + b.origin)
+                                         for a, b in itertools.product(classes[i], classes[j])))
+        del classes[j]
+    big = [c for c in classes if len(c) > root]
+    reduced = K.KnapsackInstance(tuple(big + [c for c in classes if len(c) <= root]),
+                                 base.V, base.W)
+    if not big:
+        return K.Reduction(reduced, first.fixed, None), "no large class"
+    for key, cap in ((operator.attrgetter("v"), base.V), (operator.attrgetter("w"), base.W)):
+        gaps = sorted(sorted(map(key, c))[t - 1] - min(map(key, c)) for c in big)
+        if sum(min(map(key, c)) for c in classes) + sum(gaps[: (len(big) + 1) // 2]) <= cap:
+            return K.Reduction(reduced, first.fixed, None), "large classes"
+    return K.Reduction(None, first.fixed, False), "merge no"
+
+
+def merge_corpus_instance(rng, kind, scale):
+    """One class of 729-800 items, of `kind`, and 1-5 smaller classes, times `scale`.
+
+    "front" is a Pareto front; in "cut", (0, 5) and (5, 0) dominate
+    every other item, so pruning cuts the class to those two, and the
+    thresholds sit at most 100 above the class minima; "tight" puts
+    them a few hundred above, with two-item classes {(a, 0), (0, a)}.
+    Otherwise they are the sums of random items.
+    """
+    C = rng.choice([30, 10 ** 5])
+    lam = rng.randint(729, 800)
+    if kind in ("front", "tight"):
+        big = [(v, C - v) for v in rng.sample(range(C + 1000), lam)]
+    elif kind == "cut":
+        big = [(0, 5), (5, 0)] + [(rng.randint(10, C + 10), rng.randint(10, C + 10))
+                                  for _ in range(lam - 2)]
+    else:
+        big = [(rng.randint(-C, C), rng.randint(-C, C)) for _ in range(lam)]
+    classes = [big]
+    for _ in range(rng.randint(1, 5)):
+        if kind == "tight":
+            a = rng.randint(1, 100)
+            classes.append([(a, 0), (0, a)])
+        else:
+            size = rng.choice([1, 2, 3, 5, 20, rng.randint(1, 400)])
+            classes.append([(rng.randint(-C, C), rng.randint(-C, C)) for _ in range(size)])
+    rng.shuffle(classes)
+    if kind in ("tight", "cut"):
+        slack = (300, 900) if kind == "tight" else (0, 100)
+        V, W = (sum(min(it[i] for it in c) for c in classes) + rng.randint(*slack)
+                for i in (0, 1))
+    else:
+        V, W = (sum(c[rng.randrange(len(c))][i] for c in classes) for i in (0, 1))
+    return K.make_instance([[(v * scale, w * scale) for v, w in c] for c in classes],
+                           V * scale, W * scale)
+
+
+def test_reduce_instance_equals_its_definition():
+    # origins included, on a corpus that reaches the merge NO, a large
+    # class left after merging, none left (so no rank test, which would
+    # answer NO on some of them), and items past 2**60, where the arrays
+    # hold Python ints
+    rng = random.Random(26)
+    steps = set()
+    for trial in range(24):
+        scale = 1 << 61 if trial % 3 == 0 else 1
+        inst = merge_corpus_instance(rng, ("front", "cut", "random", "tight")[trial % 4], scale)
+        want, step = defined_reduce(inst)
+        assert K.reduce_instance(inst) == want
+        steps.add((step, scale > 1))
+    for step in ("merge no", "large classes", "no large class"):
+        assert (step, False) in steps
+    assert ("large classes", True) in steps
 
 
 def test_rank_submultiplicative(rng):
@@ -492,25 +594,25 @@ def large_class_instance(rng, tight):
 
 
 def test_large_classes_merge_on_the_decide_path(monkeypatch):
-    # `decide` merges the classes greedy left through `reduce_instance`
+    # `decide` merges the classes greedy left on their arrays (`_merge`)
     # once they reach MERGE_LAMBDA_FLOOR, then searches the merged
     # classes; solve and solve_k agree with brute force, and merging's
     # rank test, the search's YES and its NO all answer some instances
     callers = []
-    reduce_instance = K.reduce_instance
+    merge = K._merge
 
-    def spy(inst):
+    def spy(*arrays):
         callers.append([frame.name for frame in traceback.extract_stack()])
-        return reduce_instance(inst)
+        return merge(*arrays)
 
-    monkeypatch.setattr(K, "reduce_instance", spy)
+    monkeypatch.setattr(K, "_merge", spy)
     rng = random.Random(25)
     outcomes = []
     for trial in range(30):
         inst = large_class_instance(rng, trial % 3 == 2)
         assert inst.lam >= K.MERGE_LAMBDA_FLOOR
         expect = K.brute_force(inst) is not None
-        merged = reduce_instance(inst)
+        merged = K.reduce_instance(inst)
         outcomes.append("no" if merged.decided is False else ("search no", "search yes")[expect])
         for solver in (K.solve, lambda i: K.solve_k(i, 1), lambda i: K.solve_k(i, 2)):
             callers.clear()
