@@ -4,9 +4,9 @@
 pattern + separator + text: level t names every length-2^t factor,
 built by prefix doubling in numpy up to the longest possible answer,
 the pattern length m, so a batch of queries costs O(log m) gathers.
-Level 0 holds dense letter ids, so every name fits in bit_length(N)
-bits for N indexed letters; while N < 2^21 each doubling round sorts
-one packed int64 key, and past it the round argsorts a two-name key.
+Level 0 holds dense letter ids; while two names fit side by side in
+31 bits a doubling round packs them into the next name with no sort,
+and otherwise it sorts the pair and ranks it into dense names again.
 Positions are 1-based, as in the rest of the package.  `mismatch_walk`
 is the one mismatch walk of the matchers: batched kangaroo rounds over
 all live windows at once.
@@ -33,17 +33,22 @@ def _encode(text: str) -> np.ndarray:
 def _rank_levels(codes: np.ndarray, cap: int) -> np.ndarray:
     """KMR names of the length-2^t factors, for every 2^t <= cap.
 
-    Level t holds an int32 name in 0..n-1 of every length-2^t factor
-    (n < 2^31), cut short at the text end, and is padded at index n
-    with -1, the name of the empty suffix.  Level 0 names the letters by
-    dense ids in code-point order, read from one table sized by the
-    largest code point.  Each round sorts the key (name[i],
-    name[i + 2^t] + 1) and stops once all keys differ: then no lcp of
-    distinct positions reaches 2^(t+1).  With b = bit_length(n) and
-    3b <= 63, that is n < 2^21, the round sorts one int64 packing
-    (name[i], name[i + 2^t] + 1, i) in b bits each, so the low bits
-    give the order; past 2^21 it argsorts the two-name key.  Either way
-    level t >= 1 holds the ranks of the same sorted distinct keys.
+    Level t holds an int32 name >= 1 of every length-2^t factor, cut
+    short at the text end; two positions share a name exactly when
+    their factors are equal.  Index n holds 0, the name of the empty
+    suffix, which is also what a round reads past the text end.  Level
+    0 names the letters by dense ids 1..D in code-point order, read
+    from one table sized by the largest code point, and every name is
+    below 2^w, with w = bit_length(D).  Round t -> t+1 (k = 2^t) names
+    the pair (name[i], name[i + k]):
+    - while 2w <= 31 it packs the pair, (name[i] << w) | name[i + k],
+      into the next int32 name with no sort, and w doubles;
+    - otherwise it sorts the 2w-bit pair key and ranks the distinct
+      pairs 1..D', so w = bit_length(D').  It stops once all pairs
+      differ: then no lcp of distinct positions reaches 2^(t+1).  With
+      b = bit_length(n) and 2w + b <= 63 the sort key is one int64
+      packing (pair, i), whose low bits give the order; past that the
+      round argsorts the pair key.
     """
     n = len(codes)
     # one block, so rows never touched cost no memory and the levels
@@ -52,16 +57,24 @@ def _rank_levels(codes: np.ndarray, cap: int) -> np.ndarray:
     ids = np.zeros(int(codes.max()) + 1, dtype=np.int32)
     ids[codes] = 1
     rank = levels[0]
-    rank[:n] = np.cumsum(ids, out=ids)[codes] - 1
-    rank[n] = -1
+    rank[:n] = np.cumsum(ids, out=ids)[codes]
+    rank[n] = 0
+    w = int(ids[-1]).bit_length()
     b = n.bit_length()
     t = 0
     while t + 1 < len(levels):
         k = 1 << t
+        if 2 * w <= 31:
+            t += 1
+            nxt = levels[t]
+            np.left_shift(rank, w, out=nxt)
+            nxt[: n - k] |= rank[k:n]
+            rank, w = nxt, 2 * w
+            continue
         key = rank[:n].astype(np.int64)
-        key <<= b
-        key[: n - k] += rank[k:n] + 1
-        if 3 * b <= 63:
+        key <<= w
+        key[: n - k] |= rank[k:n]
+        if 2 * w + b <= 63:
             key <<= b
             key += np.arange(n)
             key.sort()
@@ -70,14 +83,15 @@ def _rank_levels(codes: np.ndarray, cap: int) -> np.ndarray:
         else:
             order = np.argsort(key)
             key = key[order]
-        new = key[1:] != key[:-1]
+        new = np.ones(n, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
         if new.all():
             break
         t += 1
         rank = levels[t]
-        rank[n] = -1
-        rank[order[0]] = 0
-        rank[order[1:]] = np.cumsum(new, dtype=np.int32)
+        rank[n] = 0
+        rank[order] = np.cumsum(new, dtype=np.int32)
+        w = int(rank[order[-1]]).bit_length()
     return levels[: t + 1]
 
 

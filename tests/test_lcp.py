@@ -132,14 +132,17 @@ def test_cross_lcp_over_wide_alphabets(pair):
 
 @pytest.mark.parametrize("past", [False, True], ids=["packed", "argsort"])
 def test_both_order_paths(past, monkeypatch):
-    # N = m + 1 + n letters: the packed key needs N < 2^21, past it the
-    # rounds argsort; a periodic text keeps names tied through all 6 levels
+    # 4 letters and the separator take w = 3 bits, so rounds 0-2 pack
+    # the pair with no sort and round 3 sorts a 48-bit pair key: packed
+    # with the index while 48 + bit_length(N) <= 63, that is N < 2^15,
+    # argsorted from N = 2^15 on; N = m + 1 + n letters.  A periodic
+    # text keeps names tied, so round 4 packs again and all 6 levels stay
     m = 32
-    n = ((1 << 21) + 6 if past else (1 << 21) - 1) - m - 1
-    text = ("aabab" * (n // 5 + 1))[:n]
-    pattern = text[7:7 + m - 1] + "b"
-    calls = []
-    argsort = np.argsort
+    n = ((1 << 15) if past else (1 << 15) - 1) - m - 1
+    text = ("aacgt" * (n // 5 + 1))[:n]
+    pattern = text[7:7 + m - 1] + "g"
+    calls, ranked = [], []
+    argsort, cumsum = np.argsort, np.cumsum
 
     def spy(*args, **kwargs):
         if not past:
@@ -147,16 +150,61 @@ def test_both_order_paths(past, monkeypatch):
         calls.append(1)
         return argsort(*args, **kwargs)
 
+    def count(*args, **kwargs):
+        ranked.append(1)
+        return cumsum(*args, **kwargs)
+
     monkeypatch.setattr(lcp.np, "argsort", spy)
+    monkeypatch.setattr(lcp.np, "cumsum", count)
     idx = CrossLcpIndex(pattern, text)
     monkeypatch.undo()
-    assert (m + 1 + n).bit_length() == (22 if past else 21)
-    assert len(idx.levels) == 6 and bool(calls) == past
+    assert (m + 1 + n).bit_length() == (16 if past else 15)
+    assert len(idx.levels) == 6 and len(calls) == past
+    # the letter ids, then the one sort round's dense names
+    assert len(ranked) == 2
     rng = np.random.default_rng(21)
     i, j = rng.integers(1, m + 1, size=300), rng.integers(1, n + 1, size=300)
     # an answer never exceeds m letters of the text
     assert idx.cross_lcp_batch(i, j).tolist() == \
         [naive_lcp(pattern[a - 1:], text[b - 1:b - 1 + m]) for a, b in zip(i.tolist(), j.tolist())]
+
+
+# 1, 3, 4, 20 and 300 letters, past the BMP among them: with the
+# separator, level 0 takes w = 2, 3, 3, 5 and 9 bits, so the first
+# sort round comes after 4, 3, 3, 2 and 1 packing rounds, and a short
+# or periodic text leaves few enough names that the next round packs
+ALPHABETS = {
+    "1": "a",
+    "3": "a\u00e9\U0001d11e",
+    "4": "acgt",
+    "20": "ACDEFGHIKLMNPQRSTVWY",
+    "300": "".join(chr(0x10000 + 7 * c) for c in range(300)),
+}
+
+
+@pytest.mark.parametrize("letters", list(ALPHABETS.values()), ids=list(ALPHABETS))
+def test_levels_name_the_factors(letters):
+    # by definition: at every level t kept, two positions share a name
+    # exactly when their length-2^t factors, cut at the text end, are
+    # equal, and no factor's name is the empty suffix's, at index N
+    rng = random.Random(len(letters))
+    for m in range(1, 65):
+        n = rng.randint(1, 100)
+        period = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+        for text in ("".join(rng.choice(letters) for _ in range(n)), (period * n)[:n]):
+            start = rng.randrange(n)
+            pattern = (text[start:] + "".join(rng.choice(letters) for _ in range(m)))[:m]
+            idx = CrossLcpIndex(pattern, text)
+            assert 1 <= len(idx.levels) <= m.bit_length()
+            s = pattern + SEPARATOR + text
+            for t, level in enumerate(idx.levels.tolist()):
+                assert level[len(s)] == 0 and min(level[:-1]) >= 1
+                factors = [s[p:p + (1 << t)] for p in range(len(s))]
+                assert len(set(zip(factors, level))) == len(set(factors)) == len(set(level[:-1]))
+            i = np.array([rng.randint(1, m) for _ in range(200)])
+            j = np.array([rng.randint(1, n) for _ in range(200)])
+            assert idx.cross_lcp_batch(i, j).tolist() == \
+                [naive_lcp(pattern[a - 1:], text[b - 1:]) for a, b in zip(i.tolist(), j.tolist())]
 
 
 def test_repetitive_text():
