@@ -32,7 +32,9 @@ assert choice is not None and is_feasible(inst, choice)
 subset = sorted(i for i, item in choice.items() if item == 0)
 print(f"solved 2^30 search space in {elapsed:.2f}s")
 print("subset found:", subset)
-print("sums to target:", sum(nums[i] for i in subset) == target)
+sums = sum(nums[i] for i in subset) == target
+print("sums to target:", sums)
+assert sums
 
 # An infeasible twin: after doubling every number both sums are even,
 # but the odd budgets now jointly fall two short of the grand total.
@@ -40,4 +42,6 @@ odd = make_instance(
     [[(2 * a, 0), (0, 2 * a)] for a in nums], 2 * target - 1,
     2 * (sum(nums) - target) - 1
 )
-print("perturbed instance feasible:", solve(odd) is not None)
+odd_feasible = solve(odd) is not None
+print("perturbed instance feasible:", odd_feasible)
+assert not odd_feasible

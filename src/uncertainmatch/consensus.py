@@ -12,7 +12,9 @@ straight off the units, for any number of windows at once;
 path, `knapsack.decide`: one batched reduction over its windows, then
 the search on the same arrays for each window left, after class
 merging on those arrays where its classes reach lambda >= 3**6.  No
-`Item` is built.
+`Item` is built.  The reverse reduction, `knapsack_to_wc`, builds X
+and Y as one units array from the same padded classes, those of
+`knapsack._item_arrays`.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
@@ -168,63 +170,46 @@ def knapsack_to_wc(inst: KnapsackInstance, normalize: bool = False) -> WcInstanc
     shifted value passes V, or shifted weight W, fits no choice, so its
     letter is left out of both rows; |C_i| still counts it.  With
     `normalize` each row gains a completing letter (dead in the other
-    sequence) so probabilities sum to 1.
+    sequence) so probabilities sum to 1.  X and Y are one units array
+    built from the padded classes of `knapsack._item_arrays`, item i of
+    a class in column i.
     """
-    lam = inst.lam
+    lam, n = inst.lam, inst.n
     if lam > len(_LETTER_POOL):
         raise DomainError(f"class size {lam} exceeds the letter pool")
-    v_mins = [min(it.v for it in cls) for cls in inst.classes]
-    w_mins = [min(it.w for it in cls) for cls in inst.classes]
-    V = inst.V - sum(v_mins)
-    W = inst.W - sum(w_mins)
+    vw, alive, _, _ = knapsack._item_arrays(inst.classes, inst.V, inst.W)
+    alive = alive[0]
+    mins = vw[:, 0].min(axis=2)  # dead slots sit at top, above every item
+    V, W = inst.V - int(mins[0].sum()), inst.W - int(mins[1].sum())
     if V < 0 or W < 0:
         # no choice fits even the per-class minima: any NO instance works
-        no_x = WeightedSequence("ab", [{"a": 0}])
-        no_y = WeightedSequence("ab", [{"b": 0}])
-        return WcInstance(no_x, no_y, ProbThreshold.from_z(1))
-    M = 1
-    while M < max(inst.n, V, W, 1):
-        M *= 2
+        no = np.array([[0, neglog.INF]])
+        return WcInstance(WeightedSequence.from_units("ab", no),
+                          WeightedSequence.from_units("ab", no[:, ::-1]), ProbThreshold.from_z(1))
+    M = 1 << (max(n, V, W, 1) - 1).bit_length()
     if M > neglog.SCALE:
         raise DomainError("thresholds too large for exact fixed-point reduction")
     unit = neglog.SCALE // M  # exact: M is a power of two <= 2**32
-    rows_x = []
-    rows_y = []
-    ceil_logs = []
-    for ci, cls in enumerate(inst.classes):
-        size = len(cls)
-        if size & (size - 1) == 0:
-            ceil_log = M * (size.bit_length() - 1)
-        else:
-            ceil_log = math.ceil(M * math.log2(size))
-        ceil_logs.append(ceil_log)
-        row_x = {}
-        row_y = {}
-        for ii, item in enumerate(cls):
-            v, w = item.v - v_mins[ci], item.w - w_mins[ci]
-            if v <= V and w <= W:  # an item past either threshold fits no choice
-                letter = _LETTER_POOL[ii]
-                row_x[letter] = (ceil_log + v) * unit
-                row_y[letter] = (ceil_log + w) * unit
-        rows_x.append(row_x)
-        rows_y.append(row_y)
-    zx_units = (V + sum(ceil_logs)) * unit
-    zy_units = (W + sum(ceil_logs)) * unit
-    z_units = max(zx_units, zy_units)
-    rows_x.append({_EQUALIZER: z_units - zx_units})
-    rows_y.append({_EQUALIZER: z_units - zy_units})
+    ceil_log = np.array([math.ceil(M * math.log2(size)) for size in alive.sum(axis=1).tolist()],
+                        dtype=np.int64)
+    shifted = vw[:, 0] - mins[:, :, None]
+    # an item past either threshold fits no choice
+    rows, cols = np.nonzero(alive & (shifted <= np.array([V, W])[:, None, None]).all(axis=0))
+    units = np.full((2, n + 1, lam + 1), neglog.INF)
+    units[:, rows, cols] = (shifted[:, rows, cols] + ceil_log[rows]) * unit
+    zs = (np.array([V, W]) + ceil_log.sum()) * unit
+    z_units = int(zs.max())
+    units[:, n, lam] = z_units - zs
     alphabet = _LETTER_POOL[:lam] + _EQUALIZER
     if normalize:
         alphabet += "!?"
-        for row_x, row_y in zip(rows_x, rows_y):
-            rem_x = 1.0 - sum(neglog.to_probability(u) for u in row_x.values())
-            rem_y = 1.0 - sum(neglog.to_probability(u) for u in row_y.values())
-            if rem_x > 0:
-                row_x["!"] = neglog.from_probability(min(rem_x, 1.0))
-            if rem_y > 0:
-                row_y["?"] = neglog.from_probability(min(rem_y, 1.0))
-    X = WeightedSequence(alphabet, rows_x)
-    Y = WeightedSequence(alphabet, rows_y)
+        # each row's probabilities in Python floats (numpy's SIMD power can
+        # differ in the last bit), added left to right
+        probs = np.frompyfunc(neglog.to_probability, 1, 1)(units).astype(np.float64)
+        rest = neglog.from_probabilities(np.maximum(1.0 - probs.cumsum(axis=2)[:, :, -1], 0.0))
+        units = np.concatenate(
+            (units, np.where(np.eye(2, dtype=bool)[:, None], rest[:, :, None], neglog.INF)), axis=2)
+    X, Y = (WeightedSequence.from_units(alphabet, u) for u in units)
     z = ProbThreshold(units=z_units, display=2.0 ** (z_units / neglog.SCALE))
     return WcInstance(X, Y, z)
 

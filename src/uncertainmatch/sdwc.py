@@ -192,36 +192,33 @@ def star_lists(inst: SdwcInstance, L, R, V: str):
 
     l_star = {}
     r_star = {}
-    for a in range(1, n + 2):
-        l_star[(a, a)] = L[a]
-        r_star[(a, a)] = R[a]
-    j = 1
-    while (1 << (j - 1)) <= n:
-        step = 1 << j
-        for a in range(1, n + 2, step):
-            b = min(n + 1, a + step - 1)
-            c = a + (1 << (j - 1)) - 1
-            if c >= b:
-                continue  # the interval coincides with its left child
-            hseg = "".join(hv[c: min(b, n)])
-            add_x = sum(hv_x[c: min(b, n)])
-            add_y = sum(hv_y[c: min(b, n)])
-            ext = [
-                SolidFactorRep(r.letters + hseg, r.p1 + add_x, r.p2 + add_y)
-                for r in l_star[(a, c)]
-                if r.p1 + add_x <= z_units and r.p2 + add_y <= z_units
-            ]
-            l_star[(a, b)] = ext + l_star[(c + 1, b)]
-            pseg = "".join(hv[a - 1: c])
-            pre_x = sum(hv_x[a - 1: c])
-            pre_y = sum(hv_y[a - 1: c])
-            ext2 = [
-                SolidFactorRep(pseg + r.letters, r.p1 + pre_x, r.p2 + pre_y)
-                for r in r_star[(c + 1, b)]
-                if r.p1 + pre_x <= z_units and r.p2 + pre_y <= z_units
-            ]
-            r_star[(a, b)] = r_star[(a, c)] + ext2
-        j += 1
+    # layer 0 first, then each layer by start: both children come first
+    for a, b, j in basic_intervals(n):
+        if j == 0:
+            l_star[(a, a)] = L[a]
+            r_star[(a, a)] = R[a]
+            continue
+        c = a + (1 << (j - 1)) - 1
+        if c >= b:
+            continue  # the interval coincides with its left child
+        hseg = "".join(hv[c: min(b, n)])
+        add_x = sum(hv_x[c: min(b, n)])
+        add_y = sum(hv_y[c: min(b, n)])
+        ext = [
+            SolidFactorRep(r.letters + hseg, r.p1 + add_x, r.p2 + add_y)
+            for r in l_star[(a, c)]
+            if r.p1 + add_x <= z_units and r.p2 + add_y <= z_units
+        ]
+        l_star[(a, b)] = ext + l_star[(c + 1, b)]
+        pseg = "".join(hv[a - 1: c])
+        pre_x = sum(hv_x[a - 1: c])
+        pre_y = sum(hv_y[a - 1: c])
+        ext2 = [
+            SolidFactorRep(pseg + r.letters, r.p1 + pre_x, r.p2 + pre_y)
+            for r in r_star[(c + 1, b)]
+            if r.p1 + pre_x <= z_units and r.p2 + pre_y <= z_units
+        ]
+        r_star[(a, b)] = r_star[(a, c)] + ext2
     return l_star, r_star
 
 

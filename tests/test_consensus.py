@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uncertainmatch import cli, consensus, io, neglog
+from uncertainmatch import cli, consensus, io, neglog, weighted
 from uncertainmatch import knapsack as K
 from uncertainmatch.consensus import (
     GWPM_ALGOS,
@@ -211,6 +211,118 @@ def test_knapsack_to_wc_leaves_out_items_past_a_threshold():
         assert wc.z.display <= 4 * math.prod(map(len, classes)) * (1 + 1e-9)
         assert all(len(row) < len(cls) for row, cls in zip(wc.X.rows, classes))
 
+
+
+def _knapsack_to_wc_by_definition(inst, normalize=False):
+    """The reduction as its docstring states it, one letter -> units row per position."""
+    pool, lam = consensus._LETTER_POOL, inst.lam
+    if lam > len(pool):
+        raise DomainError(f"class size {lam} exceeds the letter pool")
+    v_mins = [min(it.v for it in cls) for cls in inst.classes]
+    w_mins = [min(it.w for it in cls) for cls in inst.classes]
+    V, W = inst.V - sum(v_mins), inst.W - sum(w_mins)
+    if V < 0 or W < 0:
+        return WcInstance(WeightedSequence("ab", [{"a": 0}]), WeightedSequence("ab", [{"b": 0}]),
+                          ProbThreshold.from_z(1))
+    M = 1
+    while M < max(inst.n, V, W, 1):
+        M *= 2
+    if M > neglog.SCALE:
+        raise DomainError("thresholds too large for exact fixed-point reduction")
+    unit = neglog.SCALE // M
+    rows_x, rows_y, ceil_logs = [], [], []
+    for cls, v_min, w_min in zip(inst.classes, v_mins, w_mins):
+        size = len(cls)
+        if size & (size - 1) == 0:
+            ceil_log = M * (size.bit_length() - 1)
+        else:
+            ceil_log = math.ceil(M * math.log2(size))
+        ceil_logs.append(ceil_log)
+        row_x, row_y = {}, {}
+        for letter, item in zip(pool, cls):
+            v, w = item.v - v_min, item.w - w_min
+            if v <= V and w <= W:
+                row_x[letter] = (ceil_log + v) * unit
+                row_y[letter] = (ceil_log + w) * unit
+        rows_x.append(row_x)
+        rows_y.append(row_y)
+    zx, zy = (V + sum(ceil_logs)) * unit, (W + sum(ceil_logs)) * unit
+    z = max(zx, zy)
+    rows_x.append({"$": z - zx})
+    rows_y.append({"$": z - zy})
+    alphabet = pool[:lam] + "$"
+    if normalize:
+        alphabet += "!?"
+        for rows, fill in ((rows_x, "!"), (rows_y, "?")):
+            for row in rows:
+                rest = 1.0 - sum(neglog.to_probability(u) for u in row.values())
+                if rest > 0:
+                    row[fill] = neglog.from_probability(min(rest, 1.0))
+    return WcInstance(WeightedSequence(alphabet, rows_x), WeightedSequence(alphabet, rows_y),
+                      ProbThreshold(units=z, display=2.0 ** (z / neglog.SCALE)))
+
+
+def _wc_outcome(reduce, inst, normalize):
+    try:
+        wc = reduce(inst, normalize)
+    except DomainError as e:
+        return str(e)
+    return (wc.X.alphabet, wc.Y.alphabet, wc.X.units.tolist(), wc.Y.units.tolist(),
+            wc.z.units, wc.z.display)
+
+
+def _wc_corpus(rng, count):
+    """Seeded instances, cycling through the cases the reduction tells apart."""
+    for i in range(count):
+        case = i % 8
+        lam = {1: 62, 2: 63}.get(case, rng.randint(1, 6))
+        lo, hi = rng.choice([(0, 8), (-20, 20), (-(1 << 40), 1 << 40), (0, 1 << 31)])
+        classes = [[[rng.randint(lo, hi), rng.randint(lo, hi)] for _ in range(rng.randint(1, lam))]
+                   for _ in range(0 if case == 0 else rng.randint(1, 4))]
+        if case == 3:  # items of 2**60 and more, mostly past the thresholds
+            for item in rng.choice(classes):
+                item[rng.randrange(2)] = rng.choice([1, 1, -1]) * rng.randint(1 << 60, 1 << 80)
+        # thresholds above the class minima: up to 2**32 (M = 2**32), or past it
+        spread = rng.choice([0, 3, 20, 1 << 20, 1 << 32, (1 << 32) + 1])
+        V, W = (sum(min(item[k] for item in cls) for cls in classes)
+                + rng.choice([rng.randint(-2 if case == 4 else 0, spread), spread]) for k in (0, 1))
+        yield K.make_instance(classes, V, W), rng.random() < 0.5
+
+
+def test_knapsack_to_wc_equals_its_definition():
+    reached = set()
+    for inst, normalize in _wc_corpus(random.Random(28), 1200):
+        got = _wc_outcome(knapsack_to_wc, inst, normalize)
+        assert got == _wc_outcome(_knapsack_to_wc_by_definition, inst, normalize), inst
+        if isinstance(got, str):
+            reached.add(got.split()[0])
+            continue
+        big = max((abs(x) for cls in inst.classes for it in cls for x in (it.v, it.w)), default=0)
+        V = inst.V - sum(min(it.v for it in cls) for cls in inst.classes)
+        W = inst.W - sum(min(it.w for it in cls) for cls in inst.classes)
+        reached.update(k for k, hit in (
+            ("normalize", normalize), ("plain", not normalize), ("NO", got[0] == "ab"),
+            ("empty", inst.n == 0 and got[0] != "ab"), ("lam62", inst.lam == 62),
+            ("negative", any(it.v < 0 or it.w < 0 for cls in inst.classes for it in cls)),
+            ("past", got[0] != "ab" and any(u >= neglog.INF for row, cls in zip(got[2], inst.classes)
+                                            for u in row[:len(cls)])),
+            ("2**60", big >= 1 << 60 and got[0] != "ab"),
+            ("M=2**32", got[0] != "ab" and max(V, W) > 1 << 31)) if hit)
+    assert reached == {"normalize", "plain", "NO", "empty", "lam62", "negative", "past",
+                       "2**60", "M=2**32", "class", "thresholds"}
+
+
+def test_knapsack_to_wc_builds_no_dict_rows(monkeypatch):
+    # X and Y come from one units array, never from letter -> units rows
+    def refuse(*args):
+        raise AssertionError("knapsack_to_wc built a row table")
+
+    monkeypatch.setattr(weighted, "_table", refuse)
+    for classes, V, W in (([[(3, 1), (1, 4)], [(2, 2), (5, 0), (9, 9)]], 5, 5),
+                          ([[(5, 5)]], 1, 1), ([], 3, 0), ([[(0, 2 ** 70), (1, 0)]], 2, 2)):
+        for normalize in (False, True):
+            wc = knapsack_to_wc(K.make_instance(classes, V, W), normalize)
+            assert wc.X.n == wc.Y.n == (len(classes) + 1 if wc.X.alphabet != "ab" else 1)
 
 def pwm_file(tmp_path, seed, alphabet, length=4):
     """The PWM `um gen --kind pwm` writes for `seed`, read back."""
