@@ -3,7 +3,9 @@
 `CrossLcpIndex` is the Karp-Miller-Rosenberg rank levels alone over
 pattern + separator + text: level t names every length-2^t factor,
 built by prefix doubling in numpy up to the longest possible answer,
-the pattern length m, so a batch of queries costs O(log m) gathers.
+the pattern length m.  A batch of queries costs one gather pair that
+compares the first letters of every pair, then O(log m) gathers for
+only the pairs whose first letters agree.
 Level 0 holds dense letter ids; while two names fit side by side in
 31 bits a doubling round packs them into the next name with no sort,
 and otherwise it sorts the pair and ranks it into dense names again.
@@ -96,12 +98,27 @@ def _rank_levels(codes: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _lift(levels: np.ndarray, a, b: np.ndarray) -> np.ndarray:
-    """lcp of the 0-based suffixes a != b, if below 2^len(levels): top
-    level down, add 2^t wherever the names at the current offsets agree."""
-    out = np.zeros(len(b), dtype=np.int64)
-    for t in range(len(levels) - 1, -1, -1):
-        level = levels[t]
-        out += (level[a + out] == level[b + out]) << t
+    """lcp of the 0-based suffixes a != b, if below 2^len(levels); `a`
+    is one position or an array like `b`.
+
+    One gather pair compares the first letters (level 0) of the whole
+    batch; most answers of the matchers' walks end there at 0.  Only
+    the pairs whose first letters agree are lifted, top level down,
+    adding 2^t wherever the names at the current offsets agree, and
+    their answers are scattered back.
+    """
+    first = levels[0]
+    agree = first[a] == first[b]
+    out = agree.astype(np.int64)
+    rest = np.flatnonzero(agree)
+    if len(rest):
+        a = a[rest] if np.ndim(a) else a
+        b = b[rest]
+        got = np.zeros(len(rest), dtype=np.int64)
+        for t in range(len(levels) - 1, -1, -1):
+            level = levels[t]
+            got += (level[a + got] == level[b + got]) << t
+        out[rest] = got
     return out
 
 
@@ -133,6 +150,8 @@ class CrossLcpIndex:
         """`cross_lcp(i, j)` for every j in `js`; `i` is one position or an array like `js`."""
         i = np.asarray(i, dtype=np.int64)
         js = np.asarray(js, dtype=np.int64)
+        if i.ndim and i.shape != js.shape:
+            raise DomainError(f"{len(i)} pattern positions for {len(js)} text positions")
         if i.size and not (1 <= i.min() and i.max() <= self.m):
             raise DomainError(f"pattern position out of range: {i.min()}..{i.max()}")
         if len(js) and not (1 <= js.min() and js.max() <= self.n):

@@ -138,7 +138,8 @@ def profile_match(profile: ScoringMatrix, text: str, threshold: int) -> list[int
     Lookahead scan: every window starts at the heavy string's score and
     loses score only at its mismatches with it.  In batched kangaroo
     rounds (`mismatch_walk`) every live window finds its next mismatch
-    with one lcp query, loses its score there in one gather, and is
+    with one lcp query, loses its score there in one gather from a flat
+    penalty table (heavy score minus score, per offset and letter), and is
     dropped below the threshold: at most floor(log2 M) + 1 queries per
     window, M = `count_matching_strings`.
     """
@@ -159,10 +160,14 @@ def profile_match(profile: ScoringMatrix, text: str, threshold: int) -> list[int
     slack = min(slack, 1 << 62)
     idx = build_cross_index(heavy_string(profile), text)
     loss = np.zeros(n - m + 1, dtype=np.int64)
+    # the loss of letter c at offset f, flat at f * sigma + c
+    penalty = (best[:, None] - scores).ravel()
+    sigma = scores.shape[1]
 
     def step(w, f):
-        loss[w] += best[f] - scores[f, col[w + f]]
-        return loss[w] <= slack
+        lost = loss[w] + penalty[f * sigma + col[w + f]]
+        loss[w] = lost
+        return lost <= slack
 
     return (mismatch_walk(idx, np.arange(n - m + 1), step) + 1).tolist()
 

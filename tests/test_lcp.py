@@ -10,6 +10,7 @@ from uncertainmatch.errors import DomainError
 from uncertainmatch.lcp import (
     SEPARATOR,
     CrossLcpIndex,
+    _lift,
     build_cross_index,
     mismatch_walk,
     naive_lcp,
@@ -253,7 +254,9 @@ def test_cross_lcp_batch_pairwise(pattern, text, data):
 
 def test_cross_lcp_batch_range_checks():
     idx = build_cross_index("ab", "abab")
-    for i, j in (([0], [1]), ([3], [1]), ([1], [0]), ([1], [5]), ([1, 2], [1, 4 + 1])):
+    # out of range, then an array `i` of another length than `js`
+    for i, j in (([0], [1]), ([3], [1]), ([1], [0]), ([1], [5]), ([1, 2], [1, 4 + 1]),
+                 ([1, 2], [1]), ([1], [1, 2]), ([], [1])):
         with pytest.raises(DomainError):
             idx.cross_lcp_batch(np.array(i), np.array(j))
     with pytest.raises(DomainError):
@@ -280,3 +283,70 @@ def test_mismatch_walk_finds_every_mismatch_within_budget(pattern, text, budget)
         want = [i for i in range(m) if pattern[i] != text[p + i]]
         assert found[p] == want[: budget + 1]
     assert ended.tolist() == [p for p in starts.tolist() if len(found[p]) <= budget]
+
+
+def _lift_by_definition(levels, a, b):
+    """The lift with no first-letter test: every pair, top level down."""
+    out = np.zeros(len(b), dtype=np.int64)
+    for t in range(len(levels) - 1, -1, -1):
+        level = levels[t]
+        out += (level[a + out] == level[b + out]) << t
+    return out
+
+
+def test_lift_equals_its_definition():
+    # seeded batches over 2, 300 and past-the-BMP letters, random and
+    # periodic texts, scalar and array `i`, and empty batches: the
+    # first-letter test, the lift of the pairs that pass it and the
+    # scatter back give the top-down lift over every pair, and the
+    # lcp by definition
+    rng = random.Random(29)
+    alphabets = {"2": "ab", "300": "".join(chr(0x100 + c) for c in range(300)),
+                 "astral": "\U00010000\U0001d11e\U0010ffff"}
+    cases = ["differ", "agree", "past level 0", "pattern end"]
+    seen = dict.fromkeys([(name, case) for name in alphabets for case in cases]
+                         + ["scalar i", "array i", "empty", "periodic"], 0)
+    for name, letters in alphabets.items():
+        for trial in range(24):
+            n = rng.randint(1, 120)
+            periodic = trial % 2 == 1
+            if periodic:
+                period = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+                text = (period * n)[:n]
+            else:
+                text = "".join(rng.choice(letters) for _ in range(n))
+            m = rng.randint(1, 40)
+            start = rng.randrange(n)
+            # a pattern read off the text, so that first letters agree
+            # and answers run to the pattern end, with random letters past it
+            pattern = (text[start:start + rng.randint(0, m)]
+                       + "".join(rng.choice(letters) for _ in range(m)))[:m]
+            idx = CrossLcpIndex(pattern, text)
+
+            def text_position(p):
+                # half the pairs at the text position pattern[p] was read from
+                q = start + p
+                return q if q <= n and rng.random() < 0.5 else rng.randint(1, n)
+
+            for size in (0, rng.randint(1, 300)):
+                scalar, first = rng.random() < 0.5, rng.randint(1, m)
+                ps = [first if scalar else rng.randint(1, m) for _ in range(size)]
+                pairs = [(p, text_position(p)) for p in ps]
+                i = first if scalar else np.array(ps, dtype=np.int64)
+                js = np.array([q for _, q in pairs], dtype=np.int64)
+                a = i - 1
+                want = [naive_lcp(pattern[p - 1:], text[q - 1:]) for p, q in pairs]
+                b = js + m
+                assert _lift(idx.levels, a, b).tolist() == want
+                assert _lift_by_definition(idx.levels, a, b).tolist() == want
+                assert idx.cross_lcp_batch(i, js).tolist() == want
+                seen["periodic"] += periodic
+                seen["empty"] += size == 0
+                seen["scalar i" if scalar else "array i"] += 1
+                for (p, q), k in zip(pairs, want):
+                    seen[name, "differ"] += k == 0
+                    seen[name, "agree"] += k >= 1
+                    seen[name, "past level 0"] += k >= 2
+                    # stopped by the separator, not by a letter or the text end
+                    seen[name, "pattern end"] += p + k - 1 == m and q + k - 1 < n
+    assert all(seen.values()), seen

@@ -225,3 +225,31 @@ def test_scoring_matrix_rejects_bad_shapes():
         with pytest.raises(DomainError):
             ScoringMatrix("ab", rows)
 
+
+
+def test_profile_match_equals_naive_at_extreme_scores(rng):
+    # scores at +-(2^31 - 1), so a loss in the flat penalty table is up
+    # to 2^32 - 2; negative, huge and edge thresholds Z; 1-, 2- and
+    # 300-letter alphabets, texts read off the heavy string so windows
+    # mismatch it in few places
+    top = (1 << 31) - 1
+    alphabets = {"1": "a", "2": "ab", "300": "".join(chr(0x100 + c) for c in range(300))}
+    seen = dict.fromkeys(["all", "some", "none"] + list(alphabets), 0)
+    for name, sigma in alphabets.items():
+        for _ in range(40):
+            m = rng.randint(1, 6)
+            rows = tuple(tuple(rng.choice((top, -top, 0, rng.randint(-9, 9))) for _ in sigma)
+                         for _ in range(m))
+            prof = ScoringMatrix(sigma, rows)
+            heavy = heavy_string(prof)
+            text = "".join(c if rng.random() < 0.7 else rng.choice(sigma)
+                           for c in heavy * rng.randint(1, 8))
+            best = score(heavy, prof)
+            windows = len(text) - m + 1
+            for threshold in (best, best + 1, best - top, best - 2 * top, best - (top << 1) - 1,
+                              -top * m, -top * m - 1, -1, 0, 10 ** 30, -10 ** 30):
+                got = profile_match(prof, text, threshold)
+                assert got == naive_profile_match(prof, text, threshold)
+                seen[name] += 1
+                seen["all" if len(got) == windows else "none" if not got else "some"] += 1
+    assert all(seen.values()), seen
