@@ -31,9 +31,13 @@ reach lambda >= 3**6.  `solve` and `solve_k` are `decide` on a batch
 of one; the consensus windows are a batch.  `reduce_instance` and
 `prune_class` build `Item`s from the array code's output.
 
-Witnesses are always reconstructed: the arrays keep each item's slot,
-a merged slot records the slot it takes in each class it covers, and
-merged `Item`s carry their (class, slot) origins.
+A witness is one slot per class, as one int64 array, from the join
+to `decide`.  The join reads the prefix and suffix slots back through
+the stored orders (`picks_of`) around the middle item's slot; the walk
+puts a guess's classes back in index order; `decide` writes the array
+into its picks, through the origins of the merged slots after
+`_merge` (the slot each takes in every class it covers).  Merged
+`Item`s carry their (class, slot) origins.
 """
 
 from __future__ import annotations
@@ -339,14 +343,12 @@ class PrefixGenerator:
             return int(lst[ell - 1])
         return INFINITE
 
-    def picks_of(self, j: int, index: int) -> list[tuple[int, int]]:
-        """(class, item) picks of the index-th (0-based) element of L_j."""
-        out = []
-        while j > 0:
-            rank, index = self.links(j, index)
-            out.append((j - 1, int(self.items[j - 1][rank, 2])))
-            j -= 1
-        out.reverse()
+    def picks_of(self, j: int, index: int) -> np.ndarray:
+        """The item slots of classes 1..j, in class order, of the index-th (0-based) row of L_j."""
+        out = np.empty(j, dtype=np.int64)
+        for c in range(j - 1, -1, -1):
+            rank, index = self.links(c + 1, index)
+            out[c] = self.items[c][rank, 2]
         return out
 
 
@@ -422,8 +424,8 @@ def _may_fit(vw, classes, tested, t: int, caps, top) -> np.ndarray:
     return (bound <= caps).any(axis=0)
 
 
-def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray]:
-    """`reduce_n_log`'s decision for B instances at once: (decided, picks).
+def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`reduce_n_log`'s decision for B instances at once: (decided, picks, nets).
 
     Instance b's class c holds the items vw[:, b, c, s] (value, weight)
     where alive[b, c, s], in slot order; every dead slot holds `top`,
@@ -431,9 +433,11 @@ def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray]:
     holds the (2, B) value and weight thresholds.  decided[b] is 1
     (YES: the greedy picks are a feasible choice), 0 (NO) or -1 (the
     rank test leaves a search); picks[b, c] is the slot greedy commits
-    in class c, or -1.  An instance with a class of no live item has no
-    choice at all, so it is decided 0 before the rank test, whose sums
-    of `top` could wrap around in int64.
+    in class c, or -1; nets holds the (2, B) thresholds net of the
+    committed items, those the search of the classes left takes.  An
+    instance with a class of no live item has no choice at all, so it
+    is decided 0 before the rank test, whose sums of `top` could wrap
+    around in int64.
     """
     picks = _greedy_picks(vw, alive)
     kept = picks < 0
@@ -441,7 +445,7 @@ def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray]:
     caps = caps - np.where(kept, 0, vw.min(axis=3)).sum(axis=2)
     decided = np.where(kept.any(axis=1), np.where(_may_fit(vw, kept, kept, 2, caps, top), -1, 0),
                        (caps >= 0).all(axis=0))
-    return np.where(alive.any(axis=2).all(axis=1), decided, 0), picks
+    return np.where(alive.any(axis=2).all(axis=1), decided, 0), picks, caps
 
 
 def _commit(inst: KnapsackInstance, picks) -> tuple[KnapsackInstance, tuple[Item, ...]]:
@@ -465,7 +469,7 @@ def reduce_n_log(inst: KnapsackInstance) -> Reduction:
 
     `reduce_batch` on this one instance.
     """
-    decided, picks = reduce_batch(*_item_arrays(inst.classes, inst.V, inst.W))
+    decided, picks, _ = reduce_batch(*_item_arrays(inst.classes, inst.V, inst.W))
     reduced, fixed = _commit(inst, picks[0])
     if decided[0] < 0:
         return Reduction(reduced, fixed, None)
@@ -595,7 +599,7 @@ class _Search:
     choices (then both sides hold every row and r = ell = that number),
     the join phase builds each generator's weights once (`weights`) and
     sweeps every split with the two-class solver on (value, weight)
-    rows; the witness's picks come from walking back (`picks_of`).
+    rows; the witness's slots come from walking back (`picks_of`).
 
     `k` = 0 is `solve`: each prefix list joins its first
     ell = ceil(r / lam) rows.  `k` >= 1 is `solve_k` with the k front
@@ -647,7 +651,13 @@ class _Search:
                 return False
         return True
 
-    def join(self) -> Choice | None:
+    def join(self) -> np.ndarray | None:
+        """The slots of a feasible choice, one per class of `rows` in order, or None.
+
+        The prefix's slots, the middle item's slot, then the suffix's
+        slots reversed, since the suffix lists run over the classes
+        from the last.
+        """
         n, ell, r, gen_l, gen_r = self.n, self.ell, self.r, self.gen_l, self.gen_r
         limit = _iroot(ell, self.k) if self.k else INFINITE
         w_l, w_r = gen_l.weights(), gen_r.weights()
@@ -664,11 +674,8 @@ class _Search:
             if hit is None:
                 continue
             item, t = divmod(hit[0], len(prev))
-            picks = dict(gen_l.picks_of(j - 1, t))
-            picks[j - 1] = int(items[item, 2])
-            for rev_class, item_idx in gen_r.picks_of(n - j, hit[1]):
-                picks[n - 1 - rev_class] = item_idx
-            return picks
+            return np.concatenate((gen_l.picks_of(j - 1, t), items[item, 2:],
+                                   gen_r.picks_of(n - j, hit[1])[::-1]))
         return None
 
 
@@ -681,8 +688,10 @@ def _origins_to_choice(origins) -> Choice:
     return choice
 
 
-def search(vw, alive, V: int, W: int, k: int) -> Choice | None:
-    """{class: slot} of a feasible choice of one reduced instance, or None.
+def search(vw, alive, V: int, W: int, k: int) -> np.ndarray | None:
+    """The slots of a feasible choice of one reduced instance, or None.
+
+    The answer is an int64 array holding one live slot per class.
 
     vw (2, n, S) holds the values and weights by slot, alive (n, S) the
     live slots, as `reduce_batch` takes one instance, and every class a
@@ -716,7 +725,7 @@ def search(vw, alive, V: int, W: int, k: int) -> Choice | None:
                 yield
             witness = run.join()
             if witness is not None:
-                return {order[c]: it for c, it in witness.items()}
+                return witness[np.argsort(order)]
             if k in (0, n) or _iroot(run.ell, k) >= lam:
                 return None  # the join left no item out
         return None
@@ -744,29 +753,28 @@ def decide(vw, alive, caps, top, k: int) -> tuple[np.ndarray, np.ndarray]:
     0 (NO); where it is 1, picks[b, c] is the slot class c takes in a
     feasible choice.  `reduce_batch` decides most instances; for each
     one it leaves, `search` (k = 0 is `solve`, k >= 1 `solve_k`) runs on
-    the classes greedy did not commit, with thresholds net of the
-    committed items, and greedy's slots fill the committed classes.
-    When those classes reach lambda >= MERGE_LAMBDA_FLOOR, `_merge`
-    merges them on the same arrays first, answers NO or hands the
-    search the merged classes, and their origins give each class's
-    slot back; no `Item` is built on any path.
+    the classes greedy did not commit, with the thresholds
+    `reduce_batch` nets of the committed items; its slot array fills
+    the classes left and greedy's slots the committed ones.  When the
+    classes left reach lambda >= MERGE_LAMBDA_FLOOR, `_merge` merges
+    them on the same arrays first, answers NO or hands the search the
+    merged classes, and their origins turn each merged slot back into
+    a slot of every class it covers; no `Item` or dict is built on any
+    path.
     """
-    state, picks = reduce_batch(vw, alive, caps, top)
+    state, picks, nets = reduce_batch(vw, alive, caps, top)
     for b in np.flatnonzero(state < 0).tolist():
         kept = picks[b] < 0
-        # a committed item holds both minima of its class
-        net = caps[:, b] - np.where(kept, 0, vw[:, b].min(axis=2)).sum(axis=1)
         vw_b, alive_b, origin = vw[:, b, kept], alive[b, kept], None
         if alive_b.sum(axis=1).max() >= MERGE_LAMBDA_FLOOR:
-            merged = _merge(vw_b, alive_b, net, top)
+            merged = _merge(vw_b, alive_b, nets[:, b], top)
             if merged is None:
                 state[b] = 0
                 continue
             vw_b, alive_b, origin = merged
-        found = search(vw_b, alive_b, *net.tolist(), k)
-        state[b] = found is not None
-        if found is not None:
-            at = np.array([found[c] for c in range(len(found))])
+        at = search(vw_b, alive_b, *nets[:, b].tolist(), k)
+        state[b] = at is not None
+        if at is not None:
             picks[b, kept] = at if origin is None else origin[np.arange(len(at)), at].max(axis=0)
     return state, picks
 

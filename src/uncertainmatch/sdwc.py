@@ -175,12 +175,26 @@ def basic_intervals(n: int) -> list[tuple[int, int, int]]:
         j += 1
 
 
+def _splits(n: int):
+    """(a, c, b) of each internal node (a, b, j) of `basic_intervals(n)`, in order.
+
+    An internal node has layer j >= 1 and a <= c < b, where
+    c = a + 2^(j-1) - 1 ends its left child (a, c); (c+1, b) is its
+    right child.  Any other interval of layer j >= 1 ends at n+1, at
+    or before c, so it coincides with its left child.
+    """
+    for a, b, j in basic_intervals(n):
+        if j and (c := a + (1 << (j - 1)) - 1) < b:
+            yield a, c, b
+
+
 def star_lists(inst: SdwcInstance, L, R, V: str):
     """L*_{a,b} and R*_{a,b} over all basic intervals, as (a, b) dicts.
 
-    Layer 0 equals L_a / R_a; a parent list extends its left child's
-    prefixes (prepends its right child's suffixes) with letters heavy
-    in V and adds the other child's list.  The lists keep no order.
+    Layer 0 equals L_a / R_a; an internal node's list extends its left
+    child's prefixes (prepends its right child's suffixes) with letters
+    heavy in V and adds the other child's list.  The lists keep no
+    order.
     """
     X, Y = inst.X, inst.Y
     n = inst.n
@@ -190,17 +204,10 @@ def star_lists(inst: SdwcInstance, L, R, V: str):
     hv_x = [X.letter_units(i, hv[i - 1]) for i in range(1, n + 1)]
     hv_y = [Y.letter_units(i, hv[i - 1]) for i in range(1, n + 1)]
 
-    l_star = {}
-    r_star = {}
-    # layer 0 first, then each layer by start: both children come first
-    for a, b, j in basic_intervals(n):
-        if j == 0:
-            l_star[(a, a)] = L[a]
-            r_star[(a, a)] = R[a]
-            continue
-        c = a + (1 << (j - 1)) - 1
-        if c >= b:
-            continue  # the interval coincides with its left child
+    l_star = {(a, a): L[a] for a in range(1, n + 2)}
+    r_star = {(a, a): R[a] for a in range(1, n + 2)}
+    # each layer by start: both children come first
+    for a, c, b in _splits(n):
         hseg = "".join(hv[c: min(b, n)])
         add_x = sum(hv_x[c: min(b, n)])
         add_y = sum(hv_y[c: min(b, n)])
@@ -246,34 +253,23 @@ def solve(inst: SdwcInstance) -> str | None:
     """A consensus string of the instance, or None.
 
     Tries the four orientation choices in a fixed order; within each,
-    a divide-and-conquer over basic intervals meets prefix and suffix
-    star lists at every split.  The first verified witness wins.
+    meets the prefix and suffix star lists at the split of every
+    internal node of the basic intervals (`_splits`).  The first
+    verified witness wins.
     """
     n = inst.n
     if n == 0:
         return ""
     z_units = inst.z.units
-    top_layer = n.bit_length()
     for U in ("X", "Y"):
         for V in ("X", "Y"):
             L, R = build_L_R(inst, U, V)
             l_star, r_star = star_lists(inst, L, R, V)
-
-            def rec(a: int, b: int, j: int) -> str | None:
-                if a >= b or j == 0:
-                    return None
-                c = a + (1 << (j - 1)) - 1
-                if c >= b:
-                    return rec(a, b, j - 1)
+            for a, c, b in _splits(n):
                 s = meet(l_star[(a, c)], r_star[(c + 1, b)], inst.z)
-                if s is not None:
+                if s is not None and match_neglog(s, inst.X) <= z_units \
+                        and match_neglog(s, inst.Y) <= z_units:
                     return s
-                return rec(a, c, j - 1) or rec(c + 1, b, j - 1)
-
-            s = rec(1, n + 1, top_layer)
-            if s is not None and match_neglog(s, inst.X) <= z_units \
-                    and match_neglog(s, inst.Y) <= z_units:
-                return s
     return None
 
 

@@ -657,9 +657,15 @@ def test_reduce_windows_equals_reduce_instance():
         alpha = np.array([unit * rng.randint(0, 2) for _ in range(B)])
         beta = np.array([unit * rng.randint(0, 2) for _ in range(B)])
         vw, alive, order = consensus._window_classes(P, T, z, starts, d, count, alpha, beta)
-        state, picks = K.reduce_batch(vw, alive, np.full((2, B), z.units), inf)
+        state, picks, nets = K.reduce_batch(vw, alive, np.full((2, B), z.units), inf)
         found = consensus._consensus(vw, alive, order, P.alphabet, z.units, 0)
         for w in range(B):
+            # the thresholds net of the items greedy commits, each at both minima
+            committed = [(c, s) for c, s in enumerate(picks[w].tolist()) if s >= 0]
+            assert all(vw[:, w, c, s].tolist() == vw[:, w, c].min(axis=1).tolist()
+                       for c, s in committed)
+            assert nets[:, w].tolist() == [z.units - sum(int(vw[i, w, c, s]) for c, s in committed)
+                                           for i in (0, 1)]
             c = count[w]
             rows_x, rows_y = pu[d[w, :c]], tu[starts[w] + d[w, :c]]
             rows_x[0] = np.where(rows_x[0] < inf, rows_x[0] + beta[w], inf)

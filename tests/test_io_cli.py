@@ -679,6 +679,18 @@ def test_cli_non_utf8_input(tmp_path, capsys):
     assert_input_error(capsys, ["consensus", "--x", str(bad), "--y", str(bad), "--z", "4"])
 
 
+def test_cli_consensus_refuses_unequal_lengths(tmp_path, capsys):
+    # PWMs of 4 and 2 rows: one `error:` line naming both lengths, under
+    # both solvers
+    x = gen(tmp_path, "x.pwm", "--kind", "pwm", "--seed", "1", "--length", "4")
+    y = gen(tmp_path, "y.pwm", "--kind", "pwm", "--seed", "2", "--length", "2")
+    for algo in ("auto", "k=1"):
+        argv = ["consensus", "--x", str(x), "--y", str(y), "--z", "64", "--algo", algo]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sequences must have equal length, got 4 and 2\n"
+
+
 def test_cli_consensus_naive_enumeration_guard(tmp_path, capsys):
     x = tmp_path / "x.pwm"
     x.write_text(FIG_PWM)

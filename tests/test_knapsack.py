@@ -154,7 +154,7 @@ def test_generator_prefix_of_sorted_enumeration(rng):
             assert rows == rows_of(whole, j)[: len(got)]
             seen = set()
             for t, e in enumerate(rows):
-                picks = gen.picks_of(j, t)
+                picks = list(enumerate(gen.picks_of(j, t).tolist()))
                 assert [c for c, _ in picks] == list(range(j))
                 assert sum(inst.classes[c][i].v for c, i in picks) == e[0]
                 assert sum(inst.classes[c][i].w for c, i in picks) == e[1]
@@ -204,7 +204,7 @@ def test_lists_hold_values_and_order_weights_built_at_the_join(rng, monkeypatch)
             for j in range(gen.n + 1):
                 assert len(w[j]) == len(gen.lists[j])
                 for t in sorted(rng.sample(range(len(w[j])), min(30, len(w[j])))):
-                    assert sum(slot_w[c][i] for c, i in gen.picks_of(j, t)) == w[j][t]
+                    assert sum(slot_w[c][i] for c, i in enumerate(gen.picks_of(j, t))) == w[j][t]
         built.clear()
 
 
@@ -621,6 +621,82 @@ def test_large_classes_merge_on_the_decide_path(monkeypatch):
             assert choice is None or K.is_feasible(inst, choice)
             assert len(callers) == 1 and "decide" in callers[0]
     assert {outcomes.count(o) >= 5 for o in ("no", "search no", "search yes")} == {True}
+
+
+def decide_batch(insts, k):
+    """`decide` on the instances as one batch, each padded to the largest class."""
+    arrays = [K._item_arrays(inst.classes, inst.V, inst.W) for inst in insts]
+    size = max(vw.shape[3] for vw, *_ in arrays)
+
+    def pad(x, fill):
+        return np.concatenate((x, np.full((*x.shape[:-1], size - x.shape[-1]), fill)), axis=-1)
+    vw = np.concatenate([pad(vw, K._CLIP) for vw, *_ in arrays], axis=1)
+    alive = np.concatenate([pad(alive, False) for _, alive, *_ in arrays])
+    caps = np.concatenate([caps for _, _, caps, _ in arrays], axis=1)
+    return K.decide(vw, alive, caps, K._CLIP, k)
+
+
+def test_search_returns_one_slot_per_class(monkeypatch):
+    # a witness is one int64 slot array from the join to `decide`: every
+    # search answers None or one live slot per class whose choice fits
+    # the thresholds it was given, and `decide` on a batch picks, for
+    # each instance, the choice `solve` or `solve_k` returns on it alone
+    searched = []
+    search = K.search
+
+    def spy(vw, alive, V, W, k):
+        at = search(vw, alive, V, W, k)
+        if at is not None:
+            assert type(at) is np.ndarray and at.dtype == np.int64 and at.shape == (len(alive),)
+            assert alive[np.arange(len(at)), at].all()
+            v, w = vw[:, np.arange(len(at)), at].sum(axis=1).tolist()
+            assert v <= V and w <= W
+        searched.append((k, vw.shape[2] >= K.MERGE_LAMBDA_FLOOR, at is not None))
+        return at
+
+    merged = []
+    merge = K._merge
+    monkeypatch.setattr(K, "_merge", lambda *a: merged.append(1) or merge(*a))
+    monkeypatch.setattr(K, "search", spy)
+    rng = random.Random(30)
+    groups = {}
+    for trial in range(200):
+        if trial % 40 == 0:
+            inst = large_class_instance(rng, False)
+        elif trial % 4 == 0:
+            inst = subset_sum(rng, rng.randint(6, 12))
+        elif trial % 4 == 2:
+            # items (v, C - v) with one choice planted at the top value rank
+            # of a class in any position: guesses past the first must
+            # answer, and `solve_k`'s rank limit leaves items out
+            C, lam = 10 ** 4, rng.randint(6, 20)
+            values = [sorted(rng.sample(range(C), lam)) for _ in range(rng.randint(3, 4))]
+            planted = [lam - 1, 0] + [rng.randrange(lam) for _ in values[2:]]
+            rng.shuffle(planted)
+            V = sum(vs[p] for vs, p in zip(values, planted))
+            inst = K.make_instance([[(v, C - v) for v in vs] for vs in values], V,
+                                   len(values) * C - V)
+        else:
+            # negative values, and values past 2**40; classes of up to 20
+            # items in instances of up to 5 classes, of up to 4 past that
+            hi, n = rng.choice((10, 1000, 1 << 41)), rng.randint(1, 9)
+            classes = [[(rng.randint(-hi // 4, hi), rng.randint(-hi // 4, hi))
+                        for _ in range(rng.randint(1, 20 if n <= 5 else 4))] for _ in range(n)]
+            V, W = (sum(c[rng.randrange(len(c))][i] for c in classes) + rng.randint(-hi, hi) // 8
+                    for i in (0, 1))
+            inst = K.make_instance(classes, V, W)
+        groups.setdefault(inst.n, []).append(inst)
+    for k in range(4):
+        for insts in groups.values():
+            state, picks = decide_batch(insts, k)
+            for inst, yes, slots in zip(insts, state.tolist(), picks.tolist()):
+                expect = K.solve_k(inst, k) if k else K.solve(inst)
+                assert (dict(enumerate(slots)) if yes else None) == expect
+                assert expect is None or K.is_feasible(inst, expect)
+    # each k searched instances of both answers, and merged classes answered YES
+    assert {searched.count((k, False, yes)) > 5 for k in range(4) for yes in (True, False)} \
+        == {True}
+    assert merged and any(big and yes for _, big, yes in searched)
 
 
 def test_solve_k_rejects_bad_k():

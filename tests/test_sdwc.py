@@ -227,6 +227,33 @@ def test_solve_equals_naive(rng):
             assert match_neglog(got, inst.Y) <= z.units
 
 
+def test_solve_meets_each_internal_node_once(rng, monkeypatch):
+    # per orientation, one meet per internal node (a, b, j) of the basic
+    # intervals, j >= 1 and a <= c < b with c = a + 2^(j-1) - 1, of the
+    # star lists L*_{a,c} and R*_{c+1,b}, in basic-interval order: a NO
+    # instance meets all 4 x |internal nodes|, a YES one stops at its witness
+    stars, met = [], []
+    star_lists, original = sdwc.star_lists, sdwc.meet
+    monkeypatch.setattr(sdwc, "star_lists", lambda *a: stars.append(star_lists(*a)) or stars[-1])
+    monkeypatch.setattr(sdwc, "meet", lambda L, R, z: met.append((len(stars) - 1, L, R))
+                        or original(L, R, z))
+    answers = []
+    for _ in range(240):
+        z = ProbThreshold.from_z(rng.choice([4, 16, 64]))
+        inst = random_dissimilar(rng, rng.randint(1, min(8, 2 * z.log2_floor)), z)
+        stars.clear()
+        met.clear()
+        got = sdwc.solve(inst)
+        nodes = [(a, a + 2 ** (j - 1) - 1, b) for a, b, j in basic_intervals(inst.n)
+                 if j and a + 2 ** (j - 1) - 1 < b]
+        expect = [(o, (a, c), (c + 1, b)) for o in range(4) for a, c, b in nodes]
+        keys = [(o, next(k for k, v in stars[o][0].items() if v is L),
+                 next(k for k, v in stars[o][1].items() if v is R)) for o, L, R in met]
+        assert keys == (expect if got is None else expect[: len(keys)])
+        answers.append(got is None)
+    assert answers.count(True) > 20 and answers.count(False) > 20
+
+
 def test_solve_fast_equals_solve(rng):
     for _ in range(150):
         z = ProbThreshold.from_z(rng.choice([4, 16]))
