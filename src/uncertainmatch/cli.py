@@ -131,6 +131,7 @@ def _run_consensus(args) -> int:
     z = parse_z(args.z)
     x = _parse(io_mod.parse_pwm, args.x)
     y = _parse(io_mod.parse_pwm, args.y)
+    consensus_mod.WcInstance(x, y, z)  # refuses unequal lengths under every solver
     if algo == "naive":
         witness = reference.naive_consensus(x, y, z)
     else:

@@ -99,8 +99,7 @@ def wc_to_knapsack(
 
 def _whole_window(X: WeightedSequence, Y: WeightedSequence, z: ProbThreshold):
     """`_window_classes` of the one window over all positions of X and Y."""
-    if X.n != Y.n:
-        raise DomainError(f"sequences must have equal length, got {X.n} and {Y.n}")
+    WcInstance(X, Y, z)  # refuses unequal lengths
     zero = np.zeros(1, dtype=np.int64)
     return _window_classes(X, Y, z, zero, np.arange(X.n)[None], np.array([X.n]), zero, zero)
 

@@ -23,13 +23,15 @@ first: greedy commitment, then one rank test (`_may_fit`) on the
 second-smallest gaps and, for lambda >= 3**6, class merging and the
 same test on the ceil(lambda^(1/3))-th gaps of the large classes.
 Greedy commitment and the rank test run on padded numpy arrays of
-many instances at once (`reduce_batch`); pruning and merging run on
-the padded arrays of one instance (`_merge`).  Every caller decides
-through `decide`: `reduce_batch` on a batch, then, for each instance
-left, `search` on the same arrays, after `_merge` when its classes
-reach lambda >= 3**6.  `solve` and `solve_k` are `decide` on a batch
-of one; the consensus windows are a batch.  `reduce_instance` and
-`prune_class` build `Item`s from the array code's output.
+many instances at once (`reduce_batch`); merging runs on the padded
+arrays of one instance (`_merge`), and keeps only the strict Pareto
+front (`_front`) of every class and every product, the one dominance
+rule of the reductions.  Every caller decides through `decide`:
+`reduce_batch` on a batch, then, for each instance left, `search` on
+the same arrays, after `_merge` when its classes reach lambda >= 3**6.
+`solve` and `solve_k` are `decide` on a batch of one; the consensus
+windows are a batch.  `reduce_instance` and `prune_class` build
+`Item`s from the array code's output.
 
 A witness is one slot per class, as one int64 array, from the join
 to `decide`.  The join reads the prefix and suffix slots back through
@@ -476,31 +478,32 @@ def reduce_n_log(inst: KnapsackInstance) -> Reduction:
     return Reduction(None, fixed, bool(decided[0]))
 
 
-def _prune(rows) -> np.ndarray:
-    """The rows `prune_class` keeps of one class, rows (v, w, ...): their indices, in order.
+def _front(rows) -> np.ndarray:
+    """The strict Pareto front of one class, rows (v, w, ...): its indices, in order.
 
-    While some item has a value rank and a weight rank (the items at or
-    below it) of at most m/3, the first such item drops every item it
-    strictly dominates; the rest keep their order.  Each pass drops at
-    least a third of the items.
+    An item is on the front when no other item has both a smaller value
+    and a smaller weight.  One lexsort orders the rows by value, ties by
+    weight descending; a row is beaten exactly when the running minimum
+    of the weights up to it is below its own.  Object rows (items past
+    2**63) sort the same way.
     """
-    keep = np.arange(len(rows))
-    while True:
-        x = rows[keep, :2]
-        low = np.flatnonzero(np.all([3 * np.sort(col).searchsorted(col, side="right") <= len(keep)
-                                     for col in x.T], axis=0))
-        if not len(low):
-            return keep
-        keep = keep[~(x > x[low[0]]).all(axis=1)]
+    order = np.lexsort((-rows[:, 1], rows[:, 0]))
+    w = rows[order, 1]
+    return np.sort(order[np.minimum.accumulate(w) >= w])
 
 
 def prune_class(cls: tuple[Item, ...]) -> tuple[Item, ...]:
-    """Remove dominated items until every survivor has a large rank.
+    """The items of `cls` that no other item beats in both value and weight.
 
-    Afterwards max(rank_V(c), rank_W(c)) > |C|/3 for every item c.
+    Afterwards max(rank_V(c), rank_W(c)) > |C|/3 for every item c, with
+    ranks counting the items at or below c in the pruned class C: if
+    both ranks of c were at most |C|/3, at least |C|/3 items of C would
+    have both a larger value and a larger weight than c, so c would beat
+    them, and no beaten item is kept.  `_merge`'s rank test at
+    t = ceil(lambda^(1/3)) relies on this.
     """
     rows = np.array([(it.v, it.w) for it in cls], dtype=object).reshape(-1, 2)
-    return tuple(cls[i] for i in _prune(rows).tolist())
+    return tuple(cls[i] for i in _front(rows).tolist())
 
 
 def _merge(vw, alive, caps, top):
@@ -508,11 +511,13 @@ def _merge(vw, alive, caps, top):
 
     vw (2, n, S), alive (n, S) and the (2,) thresholds caps hold the
     instance as `search` takes it, every dead slot at `top`.  With
-    lambda its largest class, every class is pruned (`_prune`); while
-    two classes hold at most isqrt(lambda) items, the first two become
-    their pruned product, rows in (first, second) order; the classes
-    past isqrt(lambda) items then come first, in order.  The rank test
-    on those large classes at t = ceil(lambda^(1/3)), when there are
+    lambda its largest class, every class is cut to its strict Pareto
+    front (`_front`); while two classes hold at most isqrt(lambda)
+    items, the first two become the front of their product, rows in
+    (first, second) order; the classes past isqrt(lambda) items then
+    come first, in order.  Every item of a front has a value or a
+    weight rank above a third of its class (`prune_class`), so the rank
+    test on the large classes at t = ceil(lambda^(1/3)), when there are
     any, may answer NO.  Otherwise the merged classes come back padded
     the same way, with origin[c, s, i] the slot that live slot s of
     merged class c takes in class i, or -1 where c does not cover
@@ -526,10 +531,10 @@ def _merge(vw, alive, caps, top):
     rows = np.zeros((n, size, n + 2), dtype=vw.dtype)
     rows[..., :2] = vw.transpose(1, 2, 0)
     rows[np.arange(n), :, np.arange(2, n + 2)] = np.arange(1, size + 1)
-    classes = [r[live][_prune(r[live])] for r, live in zip(rows, alive)]
+    classes = [r[live][_front(r[live])] for r, live in zip(rows, alive)]
     while len(small := [i for i, c in enumerate(classes) if len(c) <= root]) >= 2:
         product = (classes[small[0]][:, None] + classes.pop(small[1])[None]).reshape(-1, n + 2)
-        classes[small[0]] = product[_prune(product)]
+        classes[small[0]] = product[_front(product)]
     classes.sort(key=lambda c: len(c) <= root)
     sizes = np.array([len(c) for c in classes])
     alive = np.arange(sizes.max()) < sizes[:, None]

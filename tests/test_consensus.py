@@ -382,7 +382,8 @@ def test_merge_path_builds_no_item(tmp_path, monkeypatch):
     assert [gwpm_witness(got, p) for p in got.occurrences] == \
         [gwpm_witness(found, p) for p in found.occurrences]
     state, picks = K.decide(*arrays, 0)
-    assert state.tolist() == [1] and picks.tolist() == [[70, 22, 324, 115]]
+    assert state.tolist() == [1] and picks.tolist() == [[70, 22, 21, 115]]
+    assert K.is_feasible(mck, dict(enumerate(picks[0].tolist())))
 
 
 def window(t: WeightedSequence, p: int, m: int) -> WeightedSequence:

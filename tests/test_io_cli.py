@@ -681,10 +681,10 @@ def test_cli_non_utf8_input(tmp_path, capsys):
 
 def test_cli_consensus_refuses_unequal_lengths(tmp_path, capsys):
     # PWMs of 4 and 2 rows: one `error:` line naming both lengths, under
-    # both solvers
+    # every solver
     x = gen(tmp_path, "x.pwm", "--kind", "pwm", "--seed", "1", "--length", "4")
     y = gen(tmp_path, "y.pwm", "--kind", "pwm", "--seed", "2", "--length", "2")
-    for algo in ("auto", "k=1"):
+    for algo in ("auto", "mim", "k=1", "naive"):
         argv = ["consensus", "--x", str(x), "--y", str(y), "--z", "64", "--algo", algo]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

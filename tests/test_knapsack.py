@@ -263,6 +263,9 @@ def test_prune_class_postcondition(rng):
         # items past 2**63 keep the same positions
         scaled = tuple(K.Item(it.v << 64, it.w << 64, it.origin) for it in cls)
         assert K.prune_class(scaled) == tuple(scaled[cls.index(it)] for it in kept)
+        # every dominated item is removed: the strict Pareto front, in order
+        for c in (cls, scaled):
+            assert K.prune_class(c) == defined_prune(c)
 
 
 def test_prune_class_pareto_front_unchanged():
@@ -304,15 +307,8 @@ def test_reduce_instance_merges_small_classes(rng):
 
 
 def defined_prune(cls):
-    """`prune_class` by definition: ranks counted over all pairs of items."""
-    items = list(cls)
-    while True:
-        vw = np.array([(it.v, it.w) for it in items], dtype=object).reshape(-1, 2)
-        ranks = (vw[None, :, :] <= vw[:, None, :]).sum(axis=1)
-        low = [it for it, (rv, rw) in zip(items, ranks) if 3 * max(rv, rw) <= len(items)]
-        if not low:
-            return tuple(items)
-        items = [it for it in items if not (it.v > low[0].v and it.w > low[0].w)]
+    """`prune_class` by definition: the strict Pareto front, over all pairs of items."""
+    return tuple(it for it in cls if not any(o.v < it.v and o.w < it.w for o in cls))
 
 
 def defined_reduce(inst):
