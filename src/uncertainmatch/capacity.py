@@ -21,11 +21,17 @@ ENUMERATION_LIMIT = 1 << 20
 # on top: growing a list to `target` rows from a class of lambda items
 # takes about H(lambda) * target entries (H the harmonic number) for
 # item ranks, rows of the previous list, values and their order.
-# `um knapsack` on `um gen --kind mck --seed 1..3 --classes 12 --lam 30`
-# runs into this guard (exit 2) at a peak of 181-226 MB RSS (CPython
-# 3.11, numpy 2.4, x86-64 Linux).  Apart from the tests that run a
-# search into this guard, the test suite peaks near 3.6 * 10**5 rows
-# and the mck-solve benchmark jobs near 9 * 10**4.
+# `um knapsack` on 10-12 anti-correlated classes of 30-60 items
+# (x, 2**20 - x), x distinct, with V the x sum of a planted choice and
+# W = n 2**20 - V, and on their NO twins (items doubled, thresholds
+# 2V + 1 and 2W - 1), runs into this guard (exit 2) at a peak of
+# 153-188 MB RSS under `mim` and `k=1` (CPython 3.11, numpy 2.4, x86-64
+# Linux; `anti_correlated` in tests/conftest.py builds them).  The
+# Lagrangian bounds of `knapsack.decide` leave these instances; they
+# answer `um gen --kind mck` ones of the same sizes before any search.
+# Apart from the tests that run a search into this guard, the test
+# suite peaks near 3.6 * 10**5 rows and the mck-solve benchmark jobs
+# near 9 * 10**4.
 PREFIX_ROW_LIMIT = 1 << 22
 
 # Magnitude bounds enforced at parse time: sums of up to 2**20 items

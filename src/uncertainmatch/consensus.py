@@ -9,12 +9,12 @@ One builder, `_window_classes`, makes those classes as padded arrays
 straight off the units, for any number of windows at once;
 `wc_to_knapsack` is its one window over all positions.  One solver,
 `_consensus`, hands those arrays to the knapsack layer's one decision
-path, `knapsack.decide`: one batched reduction over its windows, then
-the search on the same arrays for each window left, after class
-merging on those arrays where its classes reach lambda >= 3**6.  No
-`Item` is built.  The reverse reduction, `knapsack_to_wc`, builds X
-and Y as one units array from the same padded classes, those of
-`knapsack._item_arrays`.
+path, `knapsack.decide`: one batched reduction and one pass of
+Lagrangian bounds over its windows, then the search on the same
+arrays for each window left, after class merging on those arrays
+where its classes reach lambda >= 3**6.  No `Item` is built.  The
+reverse reduction, `knapsack_to_wc`, builds X and Y as one units
+array from the same padded classes, those of `knapsack._item_arrays`.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
@@ -263,7 +263,8 @@ def gwpm(
       (letters above z are left out) and `_consensus` decides them
       through `knapsack.decide`: one batched pass of the knapsack
       reductions (greedy commitment, then the rank test) answers NO,
-      or YES with the greedy witness, for most of them.  Each window
+      or YES with the greedy witness, for most of them, and one pass
+      of its Lagrangian bounds for most of the rest.  Each window
       left runs the meet-in-the-middle search of `knapsack.solve` (or
       of `knapsack.solve_k` when `k` is given) on the same arrays,
       after class merging on them where its classes reach lambda >=

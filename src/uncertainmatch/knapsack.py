@@ -27,11 +27,17 @@ many instances at once (`reduce_batch`); merging runs on the padded
 arrays of one instance (`_merge`), and keeps only the strict Pareto
 front (`_front`) of every class and every product, the one dominance
 rule of the reductions.  Every caller decides through `decide`:
-`reduce_batch` on a batch, then, for each instance left, `search` on
-the same arrays, after `_merge` when its classes reach lambda >= 3**6.
-`solve` and `solve_k` are `decide` on a batch of one; the consensus
-windows are a batch.  `reduce_instance` and `prune_class` build
-`Item`s from the array code's output.
+`reduce_batch` on a batch; then Lagrangian bounds (`_lagrange`), one
+vector pass over a fixed grid of multiplier pairs that answers NO
+where a weighted sum of the class minima passes the same sum of the
+thresholds, and YES where a per-class minimizing choice fits (the LP
+relaxation of Sinha and Zoltners, exact in both directions); then,
+for each instance left, `search` on the same arrays, after `_merge`
+when its classes reach lambda >= 3**6.  The bounds add to the
+reductions and change neither them nor the search's bound.  `solve`
+and `solve_k` are `decide` on a batch of one; the consensus windows
+are a batch.  `reduce_instance` and `prune_class` build `Item`s from
+the array code's output; they stop before the bounds.
 
 A witness is one slot per class, as one int64 array, from the join
 to `decide`.  The join reads the prefix and suffix slots back through
@@ -450,6 +456,58 @@ def reduce_batch(vw, alive, caps, top) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.where(alive.any(axis=2).all(axis=1), decided, 0), picks, caps
 
 
+# The multiplier pairs (a, b) of `_lagrange`, in the order its YES picks
+# are tried: (1, 0), (0, 1), (1, 1), then (2**e, 1) and (1, 2**e).
+LAGRANGE_PAIRS = np.array([(1, 0), (0, 1), (1, 1)] + [(1 << e, 1) for e in range(1, 9)]
+                          + [(1, 1 << e) for e in range(1, 9)], dtype=np.int64)
+
+
+def _lagrange(vw, alive, picks, nets, state) -> None:
+    """Lagrangian bounds on the instances `reduce_batch` leaves, in place.
+
+    The arrays are `reduce_batch`'s input and output.  For a, b >= 0
+    every feasible choice of the classes greedy left (picks < 0) has
+    a*v + b*w <= a*V' + b*W' with V', W' the netted thresholds, so for
+    each pair of `LAGRANGE_PAIRS` the sum over those classes of
+    min_s (a*v + b*w) above a*V' + b*W' is an exact NO; the choice of
+    each class's first slot at that minimum is an exact YES where it
+    fits both thresholds, and the first such pair gives its slots.
+    Every threshold is clipped into [sum of minima - 1, sum of maxima +
+    1] first, which changes no answer; a pair is used only where (a +
+    b) times the sum of the classes' largest item magnitudes is below
+    2**62, so no product or sum wraps around.  Object (Python int)
+    batches are left to the search.
+    """
+    todo = np.flatnonzero(state < 0)
+    if not len(todo) or vw.dtype == object:
+        return
+    a, b = LAGRANGE_PAIRS.T[:, :, None]  # (pairs, 1)
+    ok_below = -(-_CLIP // (a + b))  # (a + b) * mag < 2**62
+    # large batches go in chunks of at most about 2**20 entries a pair array
+    chunk = max(1, (1 << 20) // (len(LAGRANGE_PAIRS) * alive[0].size))
+    for ids in np.array_split(todo, range(chunk, len(todo), chunk)):
+        kept = picks[ids] < 0
+        live = alive[ids] & kept[:, :, None]
+        sub = vw[:, ids]
+        items = np.where(live, sub, 0)
+        lo = np.where(kept, np.where(live, sub, _CLIP).min(axis=3), 0).sum(axis=2)
+        hi = np.where(kept, np.where(live, sub, -_CLIP).max(axis=3), 0).sum(axis=2)
+        caps = np.clip(nets[:, ids], lo - 1, hi + 1)
+        ok = abs(items).max(axis=(0, 3)).sum(axis=1) < ok_below
+        # a committed class costs 0; a dead slot of a class left is never the minimum
+        cost = np.where(live, a[..., None, None] * items[0] + b[..., None, None] * items[1],
+                        np.where(kept, _CLIP, 0)[:, :, None])
+        at = cost.argmin(axis=3)
+        no = (ok & (cost.min(axis=3).sum(axis=2) > a * caps[0] + b * caps[1])).any(axis=0)
+        sums = np.take_along_axis(items[:, None], at[None, ..., None], axis=4)[..., 0].sum(axis=3)
+        fits = ok & (sums <= caps[:, None]).all(axis=0)
+        yes = fits.any(axis=0) & ~no
+        state[ids] = np.where(no, 0, np.where(yes, 1, -1))
+        rows = np.flatnonzero(yes)
+        picks[ids[rows]] = np.where(kept[rows], at[fits.argmax(axis=0)[rows], rows],
+                                    picks[ids[rows]])
+
+
 def _commit(inst: KnapsackInstance, picks) -> tuple[KnapsackInstance, tuple[Item, ...]]:
     """The instance without the classes `picks` commits, and the committed items."""
     picks = picks.tolist()
@@ -756,11 +814,16 @@ def decide(vw, alive, caps, top, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     The arrays are as `reduce_batch` takes them.  state[b] is 1 (YES) or
     0 (NO); where it is 1, picks[b, c] is the slot class c takes in a
-    feasible choice.  `reduce_batch` decides most instances; for each
-    one it leaves, `search` (k = 0 is `solve`, k >= 1 `solve_k`) runs on
-    the classes greedy did not commit, with the thresholds
-    `reduce_batch` nets of the committed items; its slot array fills
-    the classes left and greedy's slots the committed ones.  When the
+    feasible choice.  `reduce_batch` decides most instances, and
+    `_lagrange`, on the classes greedy did not commit and the netted
+    thresholds, most of those it leaves: for a, b >= 0 every feasible
+    choice has a*v + b*w <= a*V + b*W, so a sum of class minima above
+    it is a NO, and a choice of class minimizers that fits is a YES,
+    both exact.  For each instance still left, `search` (k = 0 is
+    `solve`, k >= 1 `solve_k`) runs on the classes greedy did not
+    commit, with the thresholds `reduce_batch` nets of the committed
+    items; its slot array fills the classes left and greedy's slots the
+    committed ones.  When the
     classes left reach lambda >= MERGE_LAMBDA_FLOOR, `_merge` merges
     them on the same arrays first, answers NO or hands the search the
     merged classes, and their origins turn each merged slot back into
@@ -768,6 +831,7 @@ def decide(vw, alive, caps, top, k: int) -> tuple[np.ndarray, np.ndarray]:
     path.
     """
     state, picks, nets = reduce_batch(vw, alive, caps, top)
+    _lagrange(vw, alive, picks, nets, state)
     for b in np.flatnonzero(state < 0).tolist():
         kept = picks[b] < 0
         vw_b, alive_b, origin = vw[:, b, kept], alive[b, kept], None

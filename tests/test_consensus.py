@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uncertainmatch import cli, consensus, io, neglog, weighted
+from uncertainmatch import consensus, neglog, weighted
 from uncertainmatch import knapsack as K
 from uncertainmatch.consensus import (
     GWPM_ALGOS,
@@ -28,7 +28,13 @@ from uncertainmatch.weighted import (
     prune,
 )
 
-from conftest import random_knapsack, random_rows, random_weighted
+from conftest import (
+    anti_correlated,
+    large_class_instance,
+    random_knapsack,
+    random_rows,
+    random_weighted,
+)
 
 
 def fig_sequence():
@@ -324,22 +330,37 @@ def test_knapsack_to_wc_builds_no_dict_rows(monkeypatch):
             wc = knapsack_to_wc(K.make_instance(classes, V, W), normalize)
             assert wc.X.n == wc.Y.n == (len(classes) + 1 if wc.X.alphabet != "ab" else 1)
 
-def pwm_file(tmp_path, seed, alphabet, length=4):
-    """The PWM `um gen --kind pwm` writes for `seed`, read back."""
-    path = tmp_path / f"{seed}.pwm"
-    assert cli.main(["gen", "--kind", "pwm", "--seed", str(seed), "--length", str(length),
-                     "--alphabet", alphabet, "--out", str(path)]) == 0
-    return io.parse_pwm(path.read_text())
+def merge_path_pwms(rng, size, rows):
+    """A 2-row X, a `rows`-row Y over `size` letters, and z, for the merge path.
+
+    Letter s holds B + x_s units in X (x distinct, below 10**5; B = 10
+    bits, so no row sums past 1) and B + S - x_s in every row of Y; X's
+    second row holds only a planted letter p and one of smaller x, and
+    S = x_p + x_t for a planted t of middle x.  X against any two rows
+    of Y is then one anti-correlated class of `size` items and one of
+    two, z = 2B + S units: exactly the pairs whose x sum to S fit, and
+    the Lagrangian bounds leave the instance.
+    """
+    B = 10 * neglog.SCALE
+    xs = rng.sample(range(10 ** 5), size)
+    order = sorted(range(size), key=xs.__getitem__)
+    t, p = order[rng.randint(size // 4, 3 * size // 4)], order[rng.randint(1, size - 1)]
+    q = order[rng.randrange(order.index(p))]
+    S = xs[t] + xs[p]
+    units = np.array([B + x for x in xs])
+    X = np.stack((units, np.where(np.isin(np.arange(size), (p, q)), units, neglog.INF)))
+    alphabet = "".join(chr(0x100 + i) for i in range(size))
+    Y = np.tile(2 * B + S - units, (rows, 1))
+    z = ProbThreshold(units=2 * B + S, display=2.0 ** ((2 * B + S) / neglog.SCALE))
+    return WeightedSequence.from_units(alphabet, X), WeightedSequence.from_units(alphabet, Y), z
 
 
-def test_weighted_consensus_merges_large_alphabets(tmp_path, monkeypatch):
-    # two 4-row PWMs over 800 letters at z = 2^40 keep about 800 letters
-    # a class, past MERGE_LAMBDA_FLOOR: `decide` merges the classes on
-    # their arrays (`_merge`) before the search, as `solve` does on the
-    # `Item` instance; searched unmerged, they passed the memory guard
-    alphabet = "".join(chr(0x100 + i) for i in range(800))
-    x, y = (pwm_file(tmp_path, seed, alphabet) for seed in (11, 13))
-    z = ProbThreshold.from_z(2.0 ** 40)
+def test_weighted_consensus_merges_large_alphabets(monkeypatch):
+    # two 2-row sequences over 800 letters whose first position keeps
+    # all 800 letters, past MERGE_LAMBDA_FLOOR, and which the Lagrangian
+    # bounds leave: `decide` merges the classes on their arrays
+    # (`_merge`) before the search, as `solve` does on the `Item` instance
+    x, y, z = merge_path_pwms(random.Random(11), 800, 2)
     inst, letters = wc_to_knapsack(x, y, z)
     assert inst.lam >= K.MERGE_LAMBDA_FLOOR
     choice = K.solve(inst)
@@ -353,23 +374,18 @@ def test_weighted_consensus_merges_large_alphabets(tmp_path, monkeypatch):
     assert match_neglog(got, x) <= z.units and match_neglog(got, y) <= z.units
 
 
-def test_merge_path_builds_no_item(tmp_path, monkeypatch):
-    # the 800-letter pair, gwpm of its pattern in a 12-row text over the
-    # same letters, and `decide` on an MCK instance whose classes reach
-    # 1,166 items all merge their classes; with `Item` raising they
+def test_merge_path_builds_no_item(monkeypatch):
+    # the 800-letter pair, gwpm of its pattern in a 10-row text of the
+    # same rows, and `decide` on an MCK instance whose large class holds
+    # 730-800 items all merge their classes; with `Item` raising they
     # answer as before: the consensus of `solve` on the `Item` instance,
     # an occurrence at every window, and the same choice
-    alphabet = "".join(chr(0x100 + i) for i in range(800))
-    x, y = (pwm_file(tmp_path, seed, alphabet) for seed in (11, 13))
-    t = pwm_file(tmp_path, 17, alphabet, length=12)
-    z = ProbThreshold.from_z(2.0 ** 40)
+    x, y, z = merge_path_pwms(random.Random(11), 800, 2)
+    t = merge_path_pwms(random.Random(11), 800, 10)[1]
     inst, letters = wc_to_knapsack(x, y, z)
     choice = K.solve(inst)
     found = gwpm(x, t, z)
-    path = tmp_path / "m.mck"
-    assert cli.main(["gen", "--kind", "mck", "--seed", "1", "--classes", "4", "--lam", "2000",
-                     "--out", str(path)]) == 0
-    mck = io.parse_mck(path.read_text())
+    mck = large_class_instance(random.Random(1), "yes")
     arrays = K._item_arrays(mck.classes, mck.V, mck.W)
 
     def refuse(*args):
@@ -382,7 +398,7 @@ def test_merge_path_builds_no_item(tmp_path, monkeypatch):
     assert [gwpm_witness(got, p) for p in got.occurrences] == \
         [gwpm_witness(found, p) for p in found.occurrences]
     state, picks = K.decide(*arrays, 0)
-    assert state.tolist() == [1] and picks.tolist() == [[70, 22, 21, 115]]
+    assert state.tolist() == [1] and picks.tolist() == [[115, 1, 1]]
     assert K.is_feasible(mck, dict(enumerate(picks[0].tolist())))
 
 
@@ -720,7 +736,9 @@ def test_reduce_batch_answers_empty_classes_no():
 def test_weighted_consensus_equals_the_item_path(monkeypatch):
     # the array path of `weighted_consensus` against `solve` and `solve_k`
     # on the `Item` instance of `wc_to_knapsack`, letter for letter: rows
-    # hold INF letters, tied units and, at small z, letters above z
+    # hold INF letters, tied units and, at small z, letters above z; every
+    # other pair is `knapsack_to_wc` of anti-correlated classes or their
+    # NO twin, which the Lagrangian bounds leave to the search
     rng = random.Random(21)
     unit = neglog.SCALE // 2
     searched = []
@@ -732,12 +750,16 @@ def test_weighted_consensus_equals_the_item_path(monkeypatch):
         return found
 
     monkeypatch.setattr(K, "search", spy)
-    for _ in range(300):
+    for trial in range(300):
         n = rng.randint(1, 10)
-        X = WeightedSequence.from_units("acgt", random_units(rng, n, 4, unit, 6))
-        Y = WeightedSequence.from_units("gcau", random_units(rng, n, 4, unit, 6))
-        for zv in (1, 2, 16, 2 ** 20, math.inf):
-            z = ProbThreshold.from_z(zv)
+        if trial % 2:
+            wc = knapsack_to_wc(anti_correlated(rng, n, rng.randint(3, 4), 50, trial % 4 == 3))
+            cases = [(wc.X, wc.Y, wc.z)]
+        else:
+            X = WeightedSequence.from_units("acgt", random_units(rng, n, 4, unit, 6))
+            Y = WeightedSequence.from_units("gcau", random_units(rng, n, 4, unit, 6))
+            cases = [(X, Y, ProbThreshold.from_z(zv)) for zv in (1, 2, 16, 2 ** 20, math.inf)]
+        for X, Y, z in cases:
             inst, letters = wc_to_knapsack(X, Y, z)
             for k in (None, 1, 2):
                 choice, mark = None, len(searched)
@@ -745,7 +767,7 @@ def test_weighted_consensus_equals_the_item_path(monkeypatch):
                     choice = K.solve(inst) if k is None else K.solve_k(inst, k)
                 del searched[mark:]  # only the array path's searches count
                 expect = None if choice is None else "".join(
-                    letters[ci][choice[ci]] for ci in range(n))
+                    letters[ci][choice[ci]] for ci in range(X.n))
                 assert weighted_consensus(X, Y, z, k) == expect
     # at each k, the array path searched instances of both answers
     assert {searched.count((k, yes)) > 10 for k in (0, 1, 2) for yes in (True, False)} == {True}

@@ -3,6 +3,7 @@ import contextlib
 import io as stdio
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 
 import uncertainmatch
 from uncertainmatch import cli, io, neglog
-from uncertainmatch.consensus import weighted_consensus
+from uncertainmatch.consensus import knapsack_to_wc, weighted_consensus
 from uncertainmatch.errors import DomainError, ParseError
 from uncertainmatch.knapsack import make_instance
 from uncertainmatch.profile import ScoringMatrix
 from uncertainmatch.weighted import WeightedSequence, from_probabilities, match_neglog
+
+from conftest import anti_correlated
 
 FIG_PWM = "PWM 4 ab\n0.5 0.5\n1.0 0.0\n0.75 0.25\n0.0 1.0\n"
 
@@ -595,10 +598,11 @@ def test_cli_knapsack(tmp_path, capsys):
 
 
 def test_cli_knapsack_memory_guard(tmp_path):
-    # 60 classes of 60 items: the prefix lists would outgrow memory long
-    # before the search stops, so `um knapsack` must refuse with status 2
-    inst = gen(tmp_path, "big.mck", "--kind", "mck", "--seed", "3", "--classes", "60",
-               "--lam", "60")
+    # 12 anti-correlated classes of 30 items, which the Lagrangian bounds
+    # leave: the prefix lists would outgrow memory long before the search
+    # stops, so `um knapsack` must refuse with status 2
+    inst = tmp_path / "big.mck"
+    inst.write_text(io.serialize_mck(anti_correlated(random.Random(3), 12, 30, 1 << 20)))
     src = str(Path(uncertainmatch.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
@@ -744,17 +748,24 @@ def test_cli_gen_refuses_empty_mck(tmp_path, capsys):
 
 def test_cli_consensus_auto_is_meet_in_the_middle(tmp_path, capsys, monkeypatch):
     # `auto` and `mim` both run the search of knapsack.solve (k = 0),
-    # `k=1` that of solve_k; at z = 256 these two rows reach the search
+    # `k=1` that of solve_k; this pair, `knapsack_to_wc` of 6
+    # anti-correlated classes, reaches the search past the Lagrangian
+    # bounds, and its files and z read back to the same units
     from uncertainmatch import knapsack
 
-    x = gen(tmp_path, "x.pwm", "--kind", "pwm", "--seed", "3", "--length", "6")
-    y = gen(tmp_path, "y.pwm", "--kind", "pwm", "--seed", "5", "--length", "6")
+    wc = knapsack_to_wc(anti_correlated(random.Random(3), 6, 4, 50))
+    x, y = tmp_path / "x.pwm", tmp_path / "y.pwm"
+    for path, seq in ((x, wc.X), (y, wc.Y)):
+        path.write_text(io.serialize_pwm(seq))
+        assert (io.parse_pwm(path.read_text()).units == seq.units).all()
+    z = repr(wc.z.display)
+    assert cli.parse_z(z).units == wc.z.units
     calls = []
     original = knapsack.search
     monkeypatch.setattr(knapsack, "search", lambda *a: calls.append(a[-1]) or original(*a))
     for algo in ("auto", "mim", "k=1"):
         calls.clear()
-        assert cli.main(["consensus", "--x", str(x), "--y", str(y), "--z", "256",
+        assert cli.main(["consensus", "--x", str(x), "--y", str(y), "--z", z,
                          "--algo", algo]) == 0
         assert calls == ([1] if algo == "k=1" else [0])
     capsys.readouterr()

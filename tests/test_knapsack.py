@@ -16,7 +16,7 @@ from uncertainmatch import cli, io
 from uncertainmatch import knapsack as K
 from uncertainmatch.errors import CapacityError, DomainError
 
-from conftest import random_knapsack
+from conftest import anti_correlated, large_class_instance, random_knapsack
 
 EXAMPLE = K.make_instance([[(1, 5), (3, 1)], [(2, 2), (4, 0)]], 5, 3)
 
@@ -482,16 +482,13 @@ def test_solve_k_equals_brute_force(rng):
                 assert K.is_feasible(inst, got)
 
 
-def test_solve_k_searches_each_guess_once(tmp_path, monkeypatch):
-    # 14 classes of at most 4 items survive the reductions; each
-    # orientation searches each guess of k front classes to its stop at
-    # most once
-    path = tmp_path / "g.mck"
-    assert cli.main(["gen", "--kind", "mck", "--seed", "7", "--classes", "30", "--lam", "4",
-                     "--out", str(path)]) == 0
-    inst = io.parse_mck(path.read_text())
+def test_solve_k_searches_each_guess_once(monkeypatch):
+    # 12 anti-correlated classes of 4 items survive the reductions and
+    # the Lagrangian bounds; each orientation searches each guess of k
+    # front classes to its stop at most once
+    inst = anti_correlated(random.Random(7), 12, 4, 1000)
     base = K.reduce_instance(inst).instance
-    assert base.n == 14 and base.V != base.W
+    assert base.n == 12 and base.V != base.W
     stops = []
     join = K._Search.join
     monkeypatch.setattr(K._Search, "join", lambda search: stops.append(search.V) or join(search))
@@ -569,26 +566,6 @@ def test_solve_k_on_planted_large_classes():
             assert choice is not None and K.is_feasible(inst, choice)
 
 
-def large_class_instance(rng, tight):
-    """One class of 730-800 items (v, C - v) and 2-3 classes {(a, 0), (0, a)}.
-
-    No item holds both minima of its class, so greedy commits nothing
-    and lambda >= MERGE_LAMBDA_FLOOR is left for the search.  Thresholds
-    come from random items, or, when `tight`, sit a few hundred above
-    the class minima, where merging's rank test answers NO.
-    """
-    C = 10 ** 5
-    big = [(v, C - v) for v in rng.sample(range(C), rng.randint(730, 800))]
-    classes = [big] + [[(a, 0), (0, a)] for a in rng.sample(range(1, 100), rng.randint(2, 3))]
-    rng.shuffle(classes)
-    if tight:
-        V, W = (sum(min(it[i] for it in c) for c in classes) + rng.randint(300, 900)
-                for i in (0, 1))
-    else:
-        V, W = (sum(c[rng.randrange(len(c))][i] for c in classes) for i in (0, 1))
-    return K.make_instance(classes, V, W)
-
-
 def test_large_classes_merge_on_the_decide_path(monkeypatch):
     # `decide` merges the classes greedy left on their arrays (`_merge`)
     # once they reach MERGE_LAMBDA_FLOOR, then searches the merged
@@ -605,7 +582,7 @@ def test_large_classes_merge_on_the_decide_path(monkeypatch):
     rng = random.Random(25)
     outcomes = []
     for trial in range(30):
-        inst = large_class_instance(rng, trial % 3 == 2)
+        inst = large_class_instance(rng, ("yes", "no", "tight")[trial % 3])
         assert inst.lam >= K.MERGE_LAMBDA_FLOOR
         expect = K.brute_force(inst) is not None
         merged = K.reduce_instance(inst)
@@ -619,8 +596,8 @@ def test_large_classes_merge_on_the_decide_path(monkeypatch):
     assert {outcomes.count(o) >= 5 for o in ("no", "search no", "search yes")} == {True}
 
 
-def decide_batch(insts, k):
-    """`decide` on the instances as one batch, each padded to the largest class."""
+def batch_arrays(insts):
+    """The instances as one batch, each padded to the largest class: (vw, alive, caps)."""
     arrays = [K._item_arrays(inst.classes, inst.V, inst.W) for inst in insts]
     size = max(vw.shape[3] for vw, *_ in arrays)
 
@@ -629,6 +606,12 @@ def decide_batch(insts, k):
     vw = np.concatenate([pad(vw, K._CLIP) for vw, *_ in arrays], axis=1)
     alive = np.concatenate([pad(alive, False) for _, alive, *_ in arrays])
     caps = np.concatenate([caps for _, _, caps, _ in arrays], axis=1)
+    return vw, alive, caps
+
+
+def decide_batch(insts, k):
+    """`decide` on the instances as one batch, each padded to the largest class."""
+    vw, alive, caps = batch_arrays(insts)
     return K.decide(vw, alive, caps, K._CLIP, k)
 
 
@@ -658,7 +641,7 @@ def test_search_returns_one_slot_per_class(monkeypatch):
     groups = {}
     for trial in range(200):
         if trial % 40 == 0:
-            inst = large_class_instance(rng, False)
+            inst = large_class_instance(rng, "yes")
         elif trial % 4 == 0:
             inst = subset_sum(rng, rng.randint(6, 12))
         elif trial % 4 == 2:
@@ -693,6 +676,105 @@ def test_search_returns_one_slot_per_class(monkeypatch):
     assert {searched.count((k, False, yes)) > 5 for k in range(4) for yes in (True, False)} \
         == {True}
     assert merged and any(big and yes for _, big, yes in searched)
+
+
+def lagrange_corpus(rng, count):
+    """Small instances of every kind the Lagrangian filter sees or skips.
+
+    In turn: anti-correlated classes (x, K - x) with V + W near nK;
+    values from -hi/4 to hi, hi up to 2**40; the same with one
+    threshold past 2**60 (clipped to +-2**62 in int64) and the other
+    from random items; and one item of 2**60 or more, which puts the
+    instance on the object dtype.
+    """
+    for trial in range(count):
+        n, kind = rng.randint(1, 5), trial % 4
+        sizes = [rng.randint(1, 4) for _ in range(n)]
+        if kind == 0:
+            top = rng.choice((50, 1 << 20, 1 << 40))
+            classes = [[(x, top - x) for x in rng.sample(range(top), s)] for s in sizes]
+            V = sum(c[rng.randrange(len(c))][0] for c in classes) + rng.randint(-2, 2)
+            yield K.make_instance(classes, V, n * top - V + rng.randint(-2, 2))
+            continue
+        hi = rng.choice((10, 1000, 1 << 40))
+        classes = [[[rng.randint(-hi // 4, hi), rng.randint(-hi // 4, hi)] for _ in range(s)]
+                   for s in sizes]
+        if kind == 3:
+            item = rng.choice(rng.choice(classes))
+            item[rng.randrange(2)] = rng.choice((1, -1)) * rng.randint(1 << 60, 1 << 62)
+        V, W = (sum(c[rng.randrange(len(c))][i] for c in classes) + rng.randint(-hi, hi) // 8
+                for i in (0, 1))
+        if kind == 2:
+            far = rng.choice((1, -1)) * rng.choice((1 << 61, 3 << 60, 1 << 62, 1 << 70))
+            V, W = (far, W) if rng.random() < 0.5 else (V, far)
+        yield K.make_instance(classes, V, W)
+
+
+def test_lagrange_bound_is_exact(monkeypatch):
+    # every NO of the filter is brute force's, every YES pick fits, and
+    # `decide` agrees with brute force at k = 0, 1 and 2; the filter
+    # answers both ways, and leaves object batches and sums of largest
+    # item magnitudes whose multiples reach 2**62 to the search
+    spied = []
+    lagrange = K._lagrange
+
+    def spy(vw, alive, picks, nets, state):
+        before = state.copy()
+        lagrange(vw, alive, picks, nets, state)
+        spied.append((vw.dtype, before, state.copy(), picks.copy()))
+
+    monkeypatch.setattr(K, "_lagrange", spy)
+    insts = list(lagrange_corpus(random.Random(32), 2000))
+    expect = [K.brute_force(inst) is not None for inst in insts]
+    groups = {}
+    for i, inst in enumerate(insts):
+        wide = K._item_arrays(inst.classes, inst.V, inst.W)[0].dtype == object
+        # object arrays carry their own top, so each is decided alone
+        groups.setdefault((inst.n, i if wide else -1), []).append(i)
+    decided = {"no": 0, "yes": 0, "object": 0}
+    for k in range(3):
+        for (_, alone), ids in groups.items():
+            spied.clear()
+            if alone >= 0:
+                inst = insts[alone]
+                state, picks = K.decide(*K._item_arrays(inst.classes, inst.V, inst.W), k)
+            else:
+                state, picks = decide_batch([insts[i] for i in ids], k)
+            (dtype, before, after, chosen), = spied
+            for i, was, now, mine, yes, slots in zip(ids, before.tolist(), after.tolist(),
+                                                      chosen.tolist(), state.tolist(),
+                                                      picks.tolist()):
+                assert yes == expect[i]
+                assert not yes or K.is_feasible(insts[i], dict(enumerate(slots)))
+                if dtype == object:
+                    assert now == was
+                    decided["object"] += was < 0
+                elif was < 0 <= now:
+                    assert now == expect[i] and mine == slots
+                    decided[("no", "yes")[now]] += 1
+    assert min(decided.values()) > 20, decided
+    # 16 copies of the int64 batch of 5 classes take more than one chunk
+    # of 2**20 entries a pair array, and each copy is decided as the
+    # batch alone
+    vw, alive, caps = batch_arrays([insts[i] for i in groups[5, -1]])
+    outs = []
+    for copies in (1, 16):
+        arrays = np.tile(vw, (1, copies, 1, 1)), np.tile(alive, (copies, 1, 1))
+        state, picks, nets = K.reduce_batch(*arrays, np.tile(caps, (1, copies)), K._CLIP)
+        lagrange(*arrays, picks, nets, state)
+        outs.append((state, picks))
+    assert 16 * len(alive) * len(K.LAGRANGE_PAIRS) * alive[0].size > 1 << 20
+    assert (outs[1][0] == np.tile(outs[0][0], 16)).all()
+    assert (outs[1][1] == np.tile(outs[0][1], (16, 1))).all()
+    # two int64 classes {(2**61, 0), (0, 1)}: (1, 0) picks a fitting
+    # (0, 1) twice, but 2**61 + 2**61 reaches 2**62, so the instance is
+    # left to the search, which refuses it
+    spied.clear()
+    vw = np.array([[[1 << 61, 0]] * 2, [[0, 1]] * 2], dtype=np.int64)[:, None]
+    with pytest.raises(DomainError):
+        K.decide(vw, np.ones((1, 2, 2), dtype=bool), np.array([[0], [2]]), K._CLIP, 0)
+    (_, before, after, _), = spied
+    assert before.tolist() == after.tolist() == [-1]
 
 
 def test_solve_k_rejects_bad_k():
@@ -769,7 +851,9 @@ def test_cli_jsonl_witness_from_search(tmp_path):
 
 def test_growth_stops_within_bound(monkeypatch):
     # the search that decides stops at r <= max(first block, 4 ceil(sqrt(a lambda))),
-    # a = min(A_V, A_W); a first block of 1 checks the doubling itself
+    # a = min(A_V, A_W); a first block of 1 checks the doubling itself.
+    # Anti-correlated classes and their NO twins: the Lagrangian bounds
+    # leave every instance the reductions leave
     stops = []
     join = K._Search.join
 
@@ -783,7 +867,8 @@ def test_growth_stops_within_bound(monkeypatch):
         rng = random.Random(block)
         searched = 0
         for _ in range(300):
-            inst = random_knapsack(rng, max_n=6, max_lam=4, v_hi=30, t_hi=120)
+            inst = anti_correlated(rng, rng.randint(1, 6), rng.randint(3, 4), 1000,
+                                   rng.random() < 0.5)
             red = K.reduce_instance(inst)
             stops.clear()
             K.solve(inst)
@@ -899,15 +984,11 @@ def test_memory_guard_counts_both_searches(monkeypatch):
 
 
 def test_solve_k_past_the_guard_falls_back_to_solve(monkeypatch):
-    # the guard lowered to the fewest rows `solve` needs on this instance:
-    # the k = 1 guess searches pass it, so the exact k = 0 search answers
+    # the guard lowered to the fewest rows `solve` needs on this
+    # anti-correlated instance, which the Lagrangian bounds leave: the
+    # k = 1 guess searches pass it, so the exact k = 0 search answers
     # with `solve`'s witness; one row less and both raise
-    rng = random.Random(69)
-    classes = [[(rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(rng.randint(2, 6))]
-               for _ in range(6)]
-    V = sum(c[rng.randrange(len(c))][0] for c in classes)
-    W = sum(c[rng.randrange(len(c))][1] for c in classes)
-    inst = K.make_instance(classes, V, W)
+    inst = anti_correlated(random.Random(0), 6, 6, 1000)
 
     def answers(solver, limit):
         monkeypatch.setattr(K, "PREFIX_ROW_LIMIT", limit)
