@@ -14,6 +14,7 @@ import json
 import math
 import random
 import sys
+from functools import partial
 
 from . import consensus as consensus_mod
 from . import io as io_mod
@@ -149,9 +150,14 @@ def _run_gwpm(args) -> int:
     z = parse_z(args.z)
     p = _parse(io_mod.parse_pwm, args.pattern)
     t = _parse(io_mod.parse_pwm, args.text)
-    result = consensus_mod.gwpm(p, t, z, algo="mim" if algo == "k" else algo, k=k)
-    witness_of = (lambda pos: consensus_mod.gwpm_witness(result, pos)) if args.witness else None
-    _emit_positions(result.occurrences, args.format, witness_of)
+    if algo == "naive":
+        found = reference.naive_gwpm(p, t, z)
+        positions, witness_of = found, found.get
+    else:
+        result = consensus_mod.gwpm(p, t, z, k=k)
+        positions = result.occurrences
+        witness_of = partial(consensus_mod.gwpm_witness, result)
+    _emit_positions(positions, args.format, witness_of if args.witness else None)
     return EXIT_OK
 
 

@@ -21,7 +21,10 @@ text: each window walks over the positions where the heavy strings
 mismatch, dropped as soon as an exact min-sum bound passes z, and
 reduces to a consensus instance restricted to those positions.  The
 windows with mismatches go to `_consensus` block by block;
-`weighted_consensus` is its one window over all positions.
+`weighted_consensus` is its one window over all positions.  This
+module imports no oracle: `reference.naive_consensus` and
+`reference.naive_gwpm`, which the tests compare against, share none of
+this code.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from itertools import compress
 import numpy as np
 
 from . import knapsack, neglog
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .knapsack import KnapsackInstance, make_instance
 from .lcp import WALK_BLOCK, build_cross_index, mismatch_walk
-from .reference import naive_consensus
 from .weighted import (
     ProbThreshold,
     WeightedSequence,
@@ -234,15 +236,8 @@ class GwpmResult:
     _records: dict[int, _Occurrence]
 
 
-GWPM_ALGOS = ("auto", "mim", "naive")
-
-
 def gwpm(
-    P: WeightedSequence,
-    T: WeightedSequence,
-    z: ProbThreshold,
-    algo: str = "auto",
-    k: int | None = None,
+    P: WeightedSequence, T: WeightedSequence, z: ProbThreshold, k: int | None = None
 ) -> GwpmResult:
     """Positions p where some string matches both P and T[p..p+m-1].
 
@@ -256,35 +251,26 @@ def gwpm(
     its (2 floor(log2 z) + 1)-th mismatch, since it cannot match.  A
     window left with no mismatch occurs with the heavy letters; each of
     the others reduces to a consensus instance restricted to its
-    mismatch set, solved by `algo`:
-
-    - ``auto`` or ``mim``: in blocks of `WALK_BLOCK` windows,
-      `_window_classes` builds the windows' classes as padded arrays
-      (letters above z are left out) and `_consensus` decides them
-      through `knapsack.decide`: one batched pass of the knapsack
-      reductions (greedy commitment, then the rank test) answers NO,
-      or YES with the greedy witness, for most of them, and one pass
-      of its Lagrangian bounds for most of the rest.  Each window
-      left runs the meet-in-the-middle search of `knapsack.solve` (or
-      of `knapsack.solve_k` when `k` is given) on the same arrays,
-      after class merging on them where its classes reach lambda >=
-      3**6, so no `Item` is built.  It
-      beat the SDWC solver at every (z, m) measured, so `gwpm` does
-      not offer SDWC.
-    - ``naive``: the brute-force oracle, window by window.
+    mismatch set.  In blocks of `WALK_BLOCK` windows, `_window_classes`
+    builds the windows' classes as padded arrays (letters above z are
+    left out) and `_consensus` decides them through `knapsack.decide`:
+    one batched pass of the knapsack reductions (greedy commitment,
+    then the rank test) answers NO, or YES with the greedy witness, for
+    most of them, and one pass of its Lagrangian bounds for most of the
+    rest.  Each window left runs the meet-in-the-middle search of
+    `knapsack.solve` (or of `knapsack.solve_k` when `k` is given) on
+    the same arrays, after class merging on them where its classes
+    reach lambda >= 3**6, so no `Item` is built.  That search beat the
+    SDWC solver at every (z, m) measured, so `gwpm` does not offer
+    SDWC.  `reference.naive_gwpm` is the per-window oracle.
 
     At z = inf (1/z = 0) a window occurs when some string has nonzero
-    probability in it and in P; ``naive`` refuses z = inf, as its
-    oracle does.
+    probability in it and in P.
     """
-    if algo not in GWPM_ALGOS:
-        raise DomainError(f"unknown gwpm algorithm {algo!r}")
     if k is not None and k < 1:
         raise DomainError("k must be a positive integer")
     unbounded = math.isinf(z.display)
     if unbounded:
-        if algo == "naive":
-            raise CapacityError("gwpm: the naive oracle does not enumerate at z = inf")
         # 1/z = 0: a string matches where all its letters are alive, so
         # this is gwpm at z = 1 over the alive letters made free, with
         # no mismatch budget; every sum stays small and exact
@@ -344,44 +330,22 @@ def gwpm(
         - np.where(mism, units_t[starts[:, None] + d], 0).sum(axis=1)
     beta_rest = heavy_sum_p - np.where(mism, units_p[d], 0).sum(axis=1)
     # a window with no mismatch occurs with the heavy letters; the others
-    # go block by block to `_consensus`, or under ``naive`` to the oracle
+    # go block by block to `_consensus`
     records = {int(p) + 1: _Occurrence((), "") for p in starts[count == 0].tolist()}
     todo = np.flatnonzero(count)
     for first in range(0, len(todo), WALK_BLOCK):
         b = todo[first: first + WALK_BLOCK]
-        if algo == "naive":
-            found = [_naive_window(P, T, z, starts[w], d[w, :count[w]], alpha_rest[w], beta_rest[w])
-                     for w in b.tolist()]
-        else:
-            # no class past the block's most mismatches
-            D = int(count[b].max())
-            found = _consensus(*_window_classes(P, T, z, starts[b], d[b, :D], count[b],
-                                                alpha_rest[b], beta_rest[b]),
-                               P.alphabet, z_units, k or 0)
+        # no class past the block's most mismatches
+        D = int(count[b].max())
+        found = _consensus(*_window_classes(P, T, z, starts[b], d[b, :D], count[b],
+                                            alpha_rest[b], beta_rest[b]),
+                           P.alphabet, z_units, k or 0)
         for w, witness in zip(b.tolist(), found):
             if witness is not None:
                 c = int(count[w])
                 records[int(starts[w]) + 1] = _Occurrence(tuple((d[w, :c] + 1).tolist()),
                                                           witness[:c])
     return GwpmResult(tuple(sorted(records)), m, heavy_t, records)
-
-
-def _naive_window(P, T, z, start, d, alpha_rest, beta_rest):
-    """The oracle's consensus over the mismatch offsets d of the window at start, or None.
-
-    The rows of P at d and of T at start + d (0-based) stand for the
-    whole window: the heavy units outside d, beta_rest of the pattern
-    and alpha_rest of the window, are added to the first row.
-    """
-    rows_x = P.units[d]
-    rows_y = T.units[start + d]
-    rows_x[0] = np.where(rows_x[0] < neglog.INF, rows_x[0] + beta_rest, neglog.INF)
-    rows_y[0] = np.where(rows_y[0] < neglog.INF, rows_y[0] + alpha_rest, neglog.INF)
-    X = prune(WeightedSequence.from_units(P.alphabet, rows_x), z)
-    Y = prune(WeightedSequence.from_units(T.alphabet, rows_y), z)
-    if (X.units.min(axis=1) >= neglog.INF).any() or (Y.units.min(axis=1) >= neglog.INF).any():
-        return None
-    return naive_consensus(X, Y, z)
 
 
 def gwpm_witness(result: GwpmResult, p: int) -> str:

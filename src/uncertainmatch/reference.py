@@ -2,8 +2,10 @@
 
 Each function is a direct transcription of the matching definition,
 kept deliberately naive; the optimized solvers are tested against
-these.  All probability arithmetic stays in the shared NegLog
-fixed-point domain so comparisons are bit-exact.
+these, and `um --algo naive` runs them.  They call no fast matcher,
+index or solver, so a fault there cannot show up in both.  All
+probability arithmetic stays in the shared NegLog fixed-point domain
+so comparisons are bit-exact.
 """
 
 from __future__ import annotations
@@ -82,6 +84,25 @@ def naive_consensus(x: WeightedSequence, y: WeightedSequence, z: ProbThreshold) 
         if s in solid_in_y:
             return s
     return None
+
+
+def naive_gwpm(pattern: WeightedSequence, text: WeightedSequence,
+               z: ProbThreshold) -> dict[int, str]:
+    """Per-window consensus against the general matching definition.
+
+    Position p (1-based) occurs when some string matches both the
+    pattern and the window text[p..p+m-1]; it maps to that window's
+    `naive_consensus`, in position order.  z past the enumeration guard
+    is refused before any window, so also where there is none.
+    """
+    check_enumeration(z.display, "naive_gwpm")
+    m = pattern.n
+    occ = {}
+    for p in range(1, text.n - m + 2):
+        witness = naive_consensus(pattern, text.factor(p, p + m - 1), z)
+        if witness is not None:
+            occ[p] = witness
+    return occ
 
 
 def hamming(a: str, b: str) -> int:

@@ -9,7 +9,6 @@ import pytest
 from uncertainmatch import consensus, neglog, weighted
 from uncertainmatch import knapsack as K
 from uncertainmatch.consensus import (
-    GWPM_ALGOS,
     WcInstance,
     gwpm,
     gwpm_witness,
@@ -18,7 +17,7 @@ from uncertainmatch.consensus import (
     weighted_consensus,
 )
 from uncertainmatch.errors import CapacityError, DomainError
-from uncertainmatch.reference import hamming, naive_consensus
+from uncertainmatch.reference import hamming, naive_consensus, naive_gwpm
 from uncertainmatch.weighted import (
     ProbThreshold,
     WeightedSequence,
@@ -433,9 +432,8 @@ def test_gwpm_algo_variants_agree(rng):
         t_seq = random_weighted(rng, n)
         z = ProbThreshold.from_z(rng.choice([4, 16]))
         base = gwpm(p_seq, t_seq, z).occurrences
-        assert gwpm(p_seq, t_seq, z, algo="naive").occurrences == base
-        assert gwpm(p_seq, t_seq, z, algo="mim").occurrences == base
-        assert gwpm(p_seq, t_seq, z, algo="mim", k=1).occurrences == base
+        assert tuple(naive_gwpm(p_seq, t_seq, z)) == base
+        assert gwpm(p_seq, t_seq, z, k=1).occurrences == base
 
 
 def peaked_rows(rng, n, sigma="acgt", lo=0.85, hi=0.95):
@@ -473,8 +471,7 @@ def test_gwpm_at_sdwc_length_bound():
             p_seq = from_probabilities("acgt", pat_rows)
             t_seq = from_probabilities("acgt", rows)
             res = gwpm(p_seq, t_seq, z)
-            for algo in ("mim", "naive"):
-                assert gwpm(p_seq, t_seq, z, algo=algo).occurrences == res.occurrences
+            assert tuple(naive_gwpm(p_seq, t_seq, z)) == res.occurrences
             for p in res.occurrences:
                 w = gwpm_witness(res, p)
                 win = window(t_seq, p, m)
@@ -556,9 +553,9 @@ def test_gwpm_window_reweighting():
     y = from_probabilities("acgt", [{"c": 0.5, "g": 0.5}, {"c": 0.7, "a": 0.3}, {"c": 1.0}])
     z = ProbThreshold.from_z(4)
     assert naive_consensus(x, y, z) is None
-    for algo in GWPM_ALGOS:
-        assert gwpm(x, y, z, algo=algo).occurrences == ()
-        assert gwpm(y, x, z, algo=algo).occurrences == ()
+    for p_seq, t_seq in ((x, y), (y, x)):
+        assert gwpm(p_seq, t_seq, z).occurrences == ()
+        assert naive_gwpm(p_seq, t_seq, z) == {}
 
 
 def min_sum_rows(rng, n, z, sigma="acgt"):
@@ -593,22 +590,16 @@ def passes_min_sum(p_seq, t_seq, p, z):
 
 
 def test_gwpm_prefilter_is_exact(monkeypatch):
-    # windows handed to the class builder or to the oracle, to check
-    # that the walk drops every window the min-sum test rejects
+    # windows handed to the class builder, to check that the walk
+    # drops every window the min-sum test rejects
     solved = []
     window_classes = consensus._window_classes
-    naive_window = consensus._naive_window
 
     def spy_classes(P, T, z, starts, *args):
         solved.extend((starts + 1).tolist())
         return window_classes(P, T, z, starts, *args)
 
-    def spy_naive(P, T, z, start, *args):
-        solved.append(int(start) + 1)
-        return naive_window(P, T, z, start, *args)
-
     monkeypatch.setattr(consensus, "_window_classes", spy_classes)
-    monkeypatch.setattr(consensus, "_naive_window", spy_naive)
     rng = random.Random(1974)
     rejected = spied = 0
     for _ in range(240):
@@ -623,7 +614,6 @@ def test_gwpm_prefilter_is_exact(monkeypatch):
         ]
         solved.clear()
         assert list(gwpm(p_seq, t_seq, z).occurrences) == expect
-        assert list(gwpm(p_seq, t_seq, z, "naive").occurrences) == expect
         kept = {p for p in range(1, n - m + 2) if passes_min_sum(p_seq, t_seq, p, z)}
         assert set(expect) <= kept
         assert set(solved) <= kept
@@ -862,8 +852,7 @@ def test_gwpm_windows_at_the_mismatch_budget():
             ]
             assert list(res.occurrences) == expect
             assert (3 in res.occurrences) == matches
-            for algo in ("mim", "naive"):
-                assert gwpm(p_seq, t_seq, z, algo=algo).occurrences == res.occurrences
+            assert tuple(naive_gwpm(p_seq, t_seq, z)) == res.occurrences
             for p in res.occurrences:
                 w = gwpm_witness(res, p)
                 assert match_neglog(w, p_seq) <= z.units
@@ -889,7 +878,6 @@ def test_gwpm_at_infinite_z_equals_per_window_consensus(rng):
             if weighted_consensus(p_seq, t_seq.factor(p, p + m - 1), z) is not None
         ]
         assert list(res.occurrences) == expect
-        assert gwpm(p_seq, t_seq, z, algo="mim").occurrences == res.occurrences
         for p in res.occurrences:
             w = gwpm_witness(res, p)
             assert match_neglog(w, p_seq) < neglog.INF
@@ -925,5 +913,4 @@ def test_gwpm_at_infinite_z_long_windows():
     assert res.occurrences == (1,)
     assert gwpm_witness(res, 1) == "b" * 40
     with pytest.raises(CapacityError):
-        gwpm(p_seq, from_probabilities("ab", rows), ProbThreshold.from_z(math.inf),
-             algo="naive")
+        naive_gwpm(p_seq, from_probabilities("ab", rows), ProbThreshold.from_z(math.inf))

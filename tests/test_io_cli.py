@@ -21,6 +21,7 @@ from uncertainmatch.consensus import knapsack_to_wc, weighted_consensus
 from uncertainmatch.errors import DomainError, ParseError
 from uncertainmatch.knapsack import make_instance
 from uncertainmatch.profile import ScoringMatrix
+from uncertainmatch.reference import naive_consensus
 from uncertainmatch.weighted import WeightedSequence, from_probabilities, match_neglog
 
 from conftest import anti_correlated
@@ -580,6 +581,38 @@ def test_cli_gwpm_at_infinite_z(tmp_path, capsys):
         assert match_neglog(witness, t_seq.factor(int(p), int(p) + 2)) < neglog.INF
     assert_input_error(capsys, ["gwpm", "--pattern", str(pat), "--text", str(text),
                                 "--z", "inf", "--algo", "naive"])
+
+
+def test_cli_gwpm_naive_shares_no_fast_code(tmp_path, monkeypatch):
+    # `um gwpm --algo naive` is the per-window oracle: with the lcp index,
+    # the mismatch walk and the knapsack layer broken it still prints each
+    # window's `naive_consensus`, so a fault there cannot hide in a diff
+    # of the two algorithms
+    from uncertainmatch import consensus, knapsack
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle reached the fast path")
+
+    monkeypatch.setattr(consensus, "mismatch_walk", broken)
+    monkeypatch.setattr(consensus, "build_cross_index", broken)
+    monkeypatch.setattr(knapsack, "decide", broken)
+    for alphabet, z, pattern, text in (("ab", "2^4", ("23", "8"), ("19", "400")),
+                                       ("acgt", "64", ("11", "4"), ("4", "60"))):
+        pat, txt = (gen(tmp_path, f"{name}-{alphabet}.pwm", "--kind", "pwm", "--seed", seed,
+                        "--length", length, "--alphabet", alphabet)
+                    for name, (seed, length) in (("p", pattern), ("t", text)))
+        p_seq, t_seq = io.parse_pwm(pat.read_text()), io.parse_pwm(txt.read_text())
+        m, threshold = p_seq.n, cli.parse_z(z)
+        expect = []
+        for p in range(1, t_seq.n - m + 2):
+            witness = naive_consensus(p_seq, t_seq.factor(p, p + m - 1), threshold)
+            if witness is not None:
+                expect.append(f"{p}\t{witness}\n")
+        assert 0 < len(expect) < t_seq.n - m + 1
+        argv = ["gwpm", "--pattern", str(pat), "--text", str(txt), "--z", z, "--witness"]
+        assert run_um(argv + ["--algo", "naive"]) == (0, "".join(expect), "")
+        with pytest.raises(AssertionError, match="fast path"):
+            run_um(argv)
 
 
 def test_cli_knapsack(tmp_path, capsys):
