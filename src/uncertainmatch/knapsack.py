@@ -127,17 +127,13 @@ class PartialChoice:
             raise DomainError("picks must align with the domain")
 
     def sums(self, inst: KnapsackInstance) -> tuple[int, int]:
-        v = w = 0
-        for ci, ii in zip(self.domain, self.picks):
-            item = inst.classes[ci][ii]
-            v += item.v
-            w += item.w
-        return v, w
+        return choice_sums(inst, zip(self.domain, self.picks))
 
 
-def choice_sums(inst: KnapsackInstance, choice: Choice) -> tuple[int, int]:
+def choice_sums(inst: KnapsackInstance, picks) -> tuple[int, int]:
+    """Value and weight sums of the items at (class, item) pairs `picks`."""
     v = w = 0
-    for ci, ii in choice.items():
+    for ci, ii in picks:
         item = inst.classes[ci][ii]
         v += item.v
         w += item.w
@@ -149,7 +145,7 @@ def is_feasible(inst: KnapsackInstance, choice: Choice) -> bool:
         return False
     if not all(0 <= ii < len(inst.classes[ci]) for ci, ii in choice.items()):
         return False
-    v, w = choice_sums(inst, choice)
+    v, w = choice_sums(inst, choice.items())
     return v <= inst.V and w <= inst.W
 
 
@@ -161,11 +157,7 @@ def brute_force(inst: KnapsackInstance) -> Choice | None:
     """First feasible choice in lexicographic pick order, or None."""
     check_enumeration(inst.num_choices(), "knapsack brute force")
     for picks in itertools.product(*(range(len(c)) for c in inst.classes)):
-        v = w = 0
-        for ci, ii in enumerate(picks):
-            item = inst.classes[ci][ii]
-            v += item.v
-            w += item.w
+        v, w = choice_sums(inst, enumerate(picks))
         if v <= inst.V and w <= inst.W:
             return _origins_to_choice(
                 itertools.chain.from_iterable(

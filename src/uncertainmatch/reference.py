@@ -3,9 +3,10 @@
 Each function is a direct transcription of the matching definition,
 kept deliberately naive; the optimized solvers are tested against
 these, and `um --algo naive` runs them.  They call no fast matcher,
-index or solver, so a fault there cannot show up in both.  All
-probability arithmetic stays in the shared NegLog fixed-point domain
-so comparisons are bit-exact.
+index or solver, so a fault there cannot show up in both; their solid
+strings come from `weighted.solid_prefix_walk`, which reads only
+`sorted_rows` and calls none either.  All probability arithmetic stays
+in the shared NegLog fixed-point domain so comparisons are bit-exact.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from . import neglog
 from .capacity import check_enumeration
 from .profile import ScoringMatrix, score
-from .weighted import ProbThreshold, WeightedSequence
+from .weighted import ProbThreshold, WeightedSequence, solid_prefix_walk
 
 
 def naive_profile_match(profile: ScoringMatrix, text: str, threshold: int) -> list[int]:
@@ -43,38 +44,11 @@ def naive_wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[in
 
 
 def enumerate_solid_strings(x: WeightedSequence, z: ProbThreshold) -> list[tuple[str, int]]:
-    """All strings matching `x` with probability >= 1/z, with their units.
-
-    Depth first, letters in `sorted_rows` order at each position; the
-    stack holds one letter iterator per position, so any length runs
-    without recursion.
-    """
+    """All strings matching `x` with probability >= 1/z, with their units:
+    the full-length maximal prefixes of `solid_prefix_walk`, in its order."""
     check_enumeration(z.display, "enumerate_solid_strings")
-    if x.n == 0:
-        return [("", 0)]
-    rows = x.sorted_rows
-    out: list[tuple[str, int]] = []
-    prefix: list[str] = []
-    units = [0]  # units[i]: the units of prefix[:i]
-    stack = [iter(rows[0])]
-    while stack:
-        i = len(stack) - 1
-        for letter, u in stack[-1]:
-            if units[i] + u <= z.units:
-                break
-        else:  # position i is exhausted: step back to i - 1
-            stack.pop()
-            if prefix:
-                prefix.pop()
-                units.pop()
-            continue
-        if i + 1 == x.n:
-            out.append(("".join(prefix) + letter, units[i] + u))
-        else:
-            prefix.append(letter)
-            units.append(units[i] + u)
-            stack.append(iter(rows[i + 1]))
-    return out
+    n = x.n
+    return [(s, u) for s, u in solid_prefix_walk(x, z) if len(s) == n]
 
 
 def naive_consensus(x: WeightedSequence, y: WeightedSequence, z: ProbThreshold) -> str | None:

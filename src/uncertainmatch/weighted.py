@@ -18,7 +18,7 @@ first use, for the small-instance solvers and oracles.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -292,38 +292,48 @@ def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:
     return (cand[mismatch_walk(idx, cand, step)] + 1).tolist()
 
 
-def maximal_solid_prefixes(x: WeightedSequence, z: ProbThreshold) -> list[str]:
-    """All maximal 1/z-solid prefixes, by depth-first enumeration.
+def solid_prefix_walk(x: WeightedSequence, z: ProbThreshold) -> Iterator[tuple[str, int]]:
+    """Yield each maximal 1/z-solid prefix of `x` with its units.
 
     A prefix is maximal when no single-letter extension keeps the
-    matching probability at or above 1/z.  There are at most z of them.
-    Letters go in `sorted_rows` order at each position; the stack holds
-    one letter iterator per position, so any length runs without
-    recursion.
+    matching probability at or above 1/z, so the full-length ones are
+    exactly the strings that match `x`.  Depth first, letters in
+    `sorted_rows` order at each position; the stack holds one letter
+    iterator per position, so any length runs without recursion.  The
+    caller bounds z by the enumeration guard.
     """
-    check_enumeration(z.display, "maximal_solid_prefixes")
-    rows = x.sorted_rows
-    results: list[str] = []
+    n, rows, limit = x.n, x.sorted_rows, z.units
     prefix: list[str] = []
     units = [0]  # units[i]: the units of prefix[:i]
     extended = [False]  # extended[i]: prefix[:i] has a solid extension
-    stack = [iter(rows[0] if x.n else ())]
+    stack = [iter(rows[0] if n else ())]
     while stack:
         i = len(stack) - 1
         for letter, u in stack[-1]:
-            if units[i] + u <= z.units:
+            if units[i] + u <= limit:
                 break
-        else:  # position i is exhausted: report a maximal prefix, step back
+        else:  # position i is exhausted: yield a maximal prefix, step back
             stack.pop()
             if not extended.pop():
-                results.append("".join(prefix))
+                yield "".join(prefix), units[i]
             if prefix:
                 prefix.pop()
                 units.pop()
             continue
         extended[i] = True
-        prefix.append(letter)
-        units.append(units[i] + u)
-        extended.append(False)
-        stack.append(iter(rows[i + 1] if i + 1 < x.n else ()))
-    return results
+        if i + 1 == n:
+            yield "".join(prefix) + letter, units[i] + u
+        else:
+            prefix.append(letter)
+            units.append(units[i] + u)
+            extended.append(False)
+            stack.append(iter(rows[i + 1]))
+
+
+def maximal_solid_prefixes(x: WeightedSequence, z: ProbThreshold) -> list[str]:
+    """All maximal 1/z-solid prefixes, in `solid_prefix_walk` order.
+
+    There are at most z of them; z past the enumeration guard is refused.
+    """
+    check_enumeration(z.display, "maximal_solid_prefixes")
+    return [s for s, _ in solid_prefix_walk(x, z)]

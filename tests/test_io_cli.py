@@ -469,6 +469,11 @@ def test_parse_z():
     for token in ("2^1024", "2^99999999999"):
         with pytest.raises(ParseError, match=r"largest power is 2\^1023"):
             cli.parse_z(token)
+    for token, shown in (("0.5", "0.5"), ("nan", "nan"), ("2^-1", "0.5")):
+        with pytest.raises(ParseError) as exc:
+            cli.parse_z(token)
+        assert str(exc.value) == \
+            f"invalid threshold {token!r}: threshold z must be >= 1, got {shown}"
 
 
 def test_parse_algo():
@@ -630,6 +635,38 @@ def test_cli_knapsack(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"feasible": False, "choice": None}
 
 
+def test_cli_knapsack_naive(tmp_path, capsys):
+    # two feasible choices, (1, 2) and (2, 2) 1-based: brute force prints
+    # the first in lexicographic pick order
+    yes = tmp_path / "yes.mck"
+    yes.write_text("MCK 2 1 1\n2\n1 1\n0 0\n2\n5 5\n0 0\n")
+    assert cli.main(["knapsack", "--instance", str(yes), "--algo", "naive"]) == 0
+    assert capsys.readouterr().out == "YES\n1 1\n2 2\n"
+    no = tmp_path / "no.mck"
+    no.write_text("MCK 2 -1 -1\n2\n1 1\n0 0\n2\n5 5\n0 0\n")
+    assert cli.main(["knapsack", "--instance", str(no), "--algo", "naive"]) == 1
+    assert capsys.readouterr().out == "NO\n"
+    # 2^21 choices: past the enumeration guard before any is tried
+    big = tmp_path / "big.mck"
+    big.write_text(io.serialize_mck(make_instance([[(0, 0), (1, 1)]] * 21, 0, 0)))
+    assert cli.main(["knapsack", "--instance", str(big), "--algo", "naive"]) == 2
+    assert capsys.readouterr() == ("", "error: knapsack brute force: search space of "
+                                   "2097152 exceeds the enumeration guard of 1048576\n")
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("MCK 0 5 5\n", 1, "class count 0 out of range [1, 1048576)"),
+    ("MCK 1 5 5\n0\n", 2, "class size must be positive, got 0"),
+    ("MCK 1 5 5\n1048576\n", 2, "total item count exceeds 1048576"),
+    ("MCK 1 5 5\n1\n1099511627776 0\n", 3, "item magnitude exceeds 2^40"),
+], ids=["class-count", "class-size", "item-total", "magnitude"])
+def test_cli_knapsack_parse_refusals(tmp_path, capsys, text, line, message):
+    inst = tmp_path / "i.mck"
+    inst.write_text(text)
+    assert cli.main(["knapsack", "--instance", str(inst)]) == 2
+    assert capsys.readouterr() == ("", f"error: {inst}: line {line}: {message}\n")
+
+
 def test_cli_knapsack_memory_guard(tmp_path):
     # 12 anti-correlated classes of 30 items, which the Lagrangian bounds
     # leave: the prefix lists would outgrow memory long before the search
@@ -675,6 +712,9 @@ def test_cli_bad_input(tmp_path, capsys):
     assert cli.main(["wpm", "--pattern", str(pat), "--text", str(broken),
                      "--z", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+    pwm = tmp_path / "t.pwm"
+    pwm.write_text(FIG_PWM)
+    assert_input_error(capsys, ["wpm", "--pattern", str(pat), "--text", str(pwm), "--z", "0.5"])
 
 
 def assert_input_error(capsys, argv):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -205,6 +206,7 @@ def test_wpm_fig_examples():
     assert wpm("aa", x, ProbThreshold.from_z(2)) == [1, 2]
     assert wpm("b", x, ProbThreshold.from_z(4)) == [1, 3, 4]
     assert wpm("c", from_probabilities("abc", [{"a": 1.0}]), ProbThreshold.from_z(4)) == []
+    assert wpm("aaaaa", x, ProbThreshold.from_z(4)) == []  # longer than the text
 
 
 def test_wpm_equals_naive(rng):
@@ -246,6 +248,7 @@ def test_maximal_solid_prefixes_deep():
     # one solid string of 3,000 letters: the enumeration must not recurse per position
     x = from_probabilities("a", [{"a": 1.0}] * 3000)
     assert maximal_solid_prefixes(x, ProbThreshold.from_z(1)) == ["a" * 3000]
+    assert enumerate_solid_strings(x, ProbThreshold.from_z(1)) == [("a" * 3000, 0)]
 
 
 def test_maximal_solid_prefix_count_bound(rng):
@@ -259,6 +262,42 @@ def test_solid_prefix_guard():
     x = fig_sequence()
     with pytest.raises(CapacityError):
         maximal_solid_prefixes(x, ProbThreshold.from_z(2.0 ** 40))
+
+
+def tied_weighted(rng, n, alphabet):
+    """A sequence whose rows often tie (small integer weights) and are sometimes empty."""
+    rows = []
+    for _ in range(n):
+        letters = rng.sample(alphabet, rng.randint(rng.random() >= 0.2, len(alphabet)))
+        weights = [rng.choice([1, 1, 2, 3]) for _ in letters]
+        total = sum(weights) * rng.choice([1, 1, 1.5])
+        rows.append({c: w / total for c, w in zip(letters, weights)})
+    return from_probabilities(alphabet, rows)
+
+
+def test_solid_enumerations_equal_their_definitions():
+    # strings in lexicographic order of each position's letters by
+    # `sorted_rows`, filtered by their matching units; maximal prefixes
+    # are the solid ones with no solid one-letter extension
+    rng = random.Random(20261020)
+    zs = [ProbThreshold.from_z(z) for z in (1, 2, 8, 64)]
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        x = tied_weighted(rng, n, rng.choice(["ab", "ba", "acgt", "gtac", "tcag"]))
+        ranked = [[c for c, _ in row] for row in x.sorted_rows]
+        strings = ["".join(s) for s in itertools.product(*ranked)]
+        units = {s: match_neglog(s, x) for s in strings}
+        prefixes = [p for k in range(n + 1) for p in itertools.product(*ranked[:k])]
+        prefix_units = {p: neglog.clamp(sum(x.rows[i][c] for i, c in enumerate(p)))
+                        for p in prefixes}
+        for z in zs:
+            assert enumerate_solid_strings(x, z) == \
+                [(s, units[s]) for s in strings if units[s] <= z.units]
+            solid = {p for p in prefixes if prefix_units[p] <= z.units}
+            maximal = [p for p in prefixes if p in solid and (
+                len(p) == n or not any(p + (c,) in solid for c in ranked[len(p)]))]
+            maximal.sort(key=lambda p: [ranked[i].index(c) for i, c in enumerate(p)])
+            assert maximal_solid_prefixes(x, z) == ["".join(p) for p in maximal]
 
 
 def test_enumerate_solid_strings_fig():
