@@ -128,8 +128,9 @@ def score(s: str, profile: ScoringMatrix) -> int:
 
 def heavy_string(profile: ScoringMatrix) -> str:
     """Per-position highest-scoring letter; ties go to the smallest alphabet index."""
-    letters = np.array(list(profile.alphabet))
-    return "".join(letters[profile.scores.argmax(axis=1)].tolist())
+    # one decode of the letters' UCS-4 bytes, a lone surrogate letter included
+    letters = np.array(list(profile.alphabet), dtype="<U1")
+    return letters[profile.scores.argmax(axis=1)].tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def profile_match(profile: ScoringMatrix, text: str, threshold: int) -> list[int]:

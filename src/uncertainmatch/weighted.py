@@ -243,8 +243,9 @@ def _heavy_with_filler(t: WeightedSequence) -> tuple[str, np.ndarray]:
     cols = t.units.argmin(axis=1)
     units = np.take_along_axis(t.units, cols[:, None], axis=1)[:, 0]
     cols[units >= neglog.INF] = len(t.alphabet)
-    letters = np.array(list(t.alphabet + EMPTY_ROW_FILLER))
-    return "".join(letters[cols].tolist()), units
+    # one decode of the letters' UCS-4 bytes, a lone surrogate letter included
+    letters = np.array(list(t.alphabet + EMPTY_ROW_FILLER), dtype="<U1")
+    return letters[cols].tobytes().decode("utf-32-le", "surrogatepass"), units
 
 
 def wpm(pattern: str, text: WeightedSequence, z: ProbThreshold) -> list[int]:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io as stdio
 import json
+import math
 import os
 import random
 import resource
@@ -192,6 +193,102 @@ def test_pwm_reader_matches_line_walk(name):
     assert (io._read_table(text, io._PWM) is not None) == (name in PWM_FAST_CASES)
 
 
+def fixed_layout_pwm(n, decimals=(6, 6, 6, 6), token="{:.{d}f}", sep=" ", eol="\n", seed=5):
+    """A PWM of n rows in one byte layout: column c printed with
+    `token` at decimals[c], entries floored to that grid (rows sum to
+    at most 1)."""
+    rows = np.random.default_rng(seed).dirichlet([1.0] * len(decimals), n)
+    alphabet = "acgtwxyz"[:len(decimals)]
+    lines = [f"PWM {n} {alphabet}"]
+    for row in rows:
+        lines.append(sep.join(token.format(math.floor(p * 10 ** d) / 10 ** d, d=d)
+                              for p, d in zip(row, decimals)))
+    return eol.join(lines) + eol
+
+
+def edit_line(text, k, edit):
+    """`text` with its line k (0-based) replaced by `edit(line)`."""
+    lines = text.split("\n")
+    lines[k] = edit(lines[k])
+    return "\n".join(lines)
+
+
+FLOOR = io.FIXED_ROW_FLOOR
+FIXED = fixed_layout_pwm(FLOOR)
+# name -> PWM text at or near the fixed-layout reader's row floor
+FIXED_LAYOUT_CASES = {
+    "plain": FIXED,
+    "above_floor": fixed_layout_pwm(3 * FLOOR + 1),
+    "below_floor": fixed_layout_pwm(FLOOR - 1),
+    "tabs": fixed_layout_pwm(FLOOR, sep="\t"),
+    "meme_leading_spaces": fixed_layout_pwm(FLOOR, token=" {:9.{d}f}"),
+    "mixed_decimals": fixed_layout_pwm(FLOOR, decimals=(3, 6, 1, 4)),
+    # `.5` and `5.`: one column of integers with a trailing dot, one of
+    # fractions with no leading digit
+    "dot_forms": "\n".join([f"PWM {FLOOR} ab"] + [
+        f"{k % 2}. .{0 if k % 2 else 7 * k % 1000:03d}" for k in range(FLOOR)]) + "\n",
+    "15_digits": fixed_layout_pwm(FLOOR, decimals=(14, 14, 14, 14)),
+    "16_digits": fixed_layout_pwm(FLOOR, decimals=(15, 15, 15, 15)),
+    "crlf": fixed_layout_pwm(FLOOR, eol="\r\n"),
+    "no_final_newline": FIXED[:-1],
+    "crlf_no_final_newline": fixed_layout_pwm(FLOOR, eol="\r\n")[:-2],
+    "digit_for_space": edit_line(FIXED, FLOOR // 2, lambda line: line.replace(" ", "1", 1)),
+    "blank_line": edit_line(FIXED, 4, lambda line: "\n" + line),
+    "comment_line": edit_line(FIXED, 2, lambda line: "# c\n" + line),
+    "count_one_more": FIXED.replace(f"PWM {FLOOR} ", f"PWM {FLOOR + 1} ", 1),
+    "count_one_less": fixed_layout_pwm(FLOOR + 1).replace(f"PWM {FLOOR + 1} ", f"PWM {FLOOR} ", 1),
+    "trailing_blank_lines": FIXED + "\n \n",
+    "trailing_comment": FIXED + "# c\n",
+    "entry_above_one": edit_line(FIXED, FLOOR - 3, lambda line: "1.000001" + line[8:]),
+    "row_sum_above_one": edit_line(FIXED, 7, lambda line: "0.999999 0.999999" + line[17:]),
+}
+# the cases the fixed-layout reader decides alone, without numpy's row reader
+FIXED_LAYOUT_READ = {"plain", "above_floor", "tabs", "meme_leading_spaces", "mixed_decimals",
+                     "dot_forms", "15_digits", "crlf", "no_final_newline",
+                     "crlf_no_final_newline", "entry_above_one", "row_sum_above_one"}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_LAYOUT_CASES))
+def test_fixed_layout_reader_matches_line_walk(name, monkeypatch):
+    text = FIXED_LAYOUT_CASES[name]
+    loadtxt, calls = np.loadtxt, []
+
+    def counted_loadtxt(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    fast, walk = read_both(text)
+    assert fast == walk
+    assert (not calls) == (name in FIXED_LAYOUT_READ)
+
+
+def test_fixed_layout_errors_name_their_lines():
+    for name, line, message in (
+            ("entry_above_one", FLOOR - 2, "probability 1.000001 outside [0, 1]"),
+            ("row_sum_above_one", 8, "probabilities sum to ")):
+        with pytest.raises(ParseError) as exc:
+            io.parse_pwm(FIXED_LAYOUT_CASES[name])
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: {message}")
+
+
+@given(digits=st.integers(1, 15), dot=st.integers(-1, 15),
+       first=st.text("0123456789", min_size=15, max_size=15), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_fixed_layout_tokens_read_as_float(digits, dot, first, seed):
+    # plain decimals of 1-15 digits, the dot anywhere or absent, read
+    # bit-identical to float(token); the rows are not probabilities, so
+    # the reader is called before the build
+    rng = random.Random(seed)
+    strings = [first[:digits], "9" * digits, "0" * digits] + [
+        "".join(rng.choice("0123456789") for _ in range(digits)) for _ in range(FLOOR - 3)]
+    tokens = [s if dot < 0 else s[:min(dot, digits)] + "." + s[min(dot, digits):]
+              for s in strings]
+    _, rows = io._read_fixed(f"PWM {FLOOR} a\n" + "\n".join(tokens) + "\n", io._PWM)
+    assert rows.tobytes() == np.array([[float(t)] for t in tokens]).tobytes()
+
+
 GOOD_PROFILE = "PROFILE 3 ab\n5 -3\n0 0\n-7 12\n"
 # name -> profile text; the C row reader and the line walk must agree on each
 PROFILE_EDGE_CASES = {
@@ -300,7 +397,8 @@ def pwm_bases(tmp_path_factory):
     for seed, alphabet in ((1, "ab"), (2, "acgt")):
         assert cli.main(["gen", "--kind", "pwm", "--seed", str(seed), "--length", "6",
                          "--alphabet", alphabet, "--out", str(root / alphabet)]) == 0
-    return [(root / a).read_text() for a in ("ab", "acgt")]
+    # and one that the fixed-layout reader takes until a mutation breaks its layout
+    return [(root / a).read_text() for a in ("ab", "acgt")] + [fixed_layout_pwm(FLOOR + 20)]
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +411,8 @@ def profile_bases(tmp_path_factory):
 
 
 LINE_MUTATIONS = ["comment", "blank", "spaces", "crlf", "tab", "formfeed", "drop", "add"]
-PWM_MUTATIONS = LINE_MUTATIONS + ["x", "1_0", "nan", "\u0661"]
+# the last two keep a `%.6f` layout
+PWM_MUTATIONS = LINE_MUTATIONS + ["x", "1_0", "nan", "\u0661", "0.000000", "1.000001"]
 PROFILE_MUTATIONS = LINE_MUTATIONS + ["x", "1_0", "\u0663", "+5", "5.0", str(2 ** 31),
                                       str(-2 ** 31), str(2 ** 63), str(-2 ** 63)]
 

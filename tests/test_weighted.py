@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from uncertainmatch import io, neglog
 from uncertainmatch.errors import CapacityError, DomainError
 from uncertainmatch.profile import ScoringMatrix
+from uncertainmatch.profile import heavy_string as profile_heavy_string
 from uncertainmatch.reference import enumerate_solid_strings, hamming, naive_wpm
 from uncertainmatch.weighted import (
     ProbThreshold,
@@ -189,6 +190,26 @@ def test_prune():
 
 def test_heavy_string_tie_break():
     assert heavy_string(fig_sequence()) == "aaab"
+
+
+@pytest.mark.parametrize("alphabet", ["acgt", "aé𝄞", "\U000dbfce一z", "a\ud800"])
+def test_heavy_strings_equal_the_joined_letters(alphabet):
+    # one decode of the UCS-4 letter array gives what joining one string
+    # per position gave: letters past the BMP, a lone surrogate, and the
+    # filler letter of an empty row
+    rng = np.random.default_rng(len(alphabet))
+    units = rng.integers(0, 40, (300, len(alphabet)))
+    units[rng.random(units.shape) < 0.3] = neglog.INF
+    units[::7] = neglog.INF  # every 7th row is empty
+    x = WeightedSequence.from_units(alphabet, units)
+    letters = np.array(list(alphabet + "\x01"))
+    cols = np.where(units.min(axis=1) >= neglog.INF, len(alphabet), units.argmin(axis=1))
+    heavy = _heavy_with_filler(x)[0]
+    assert heavy == "".join(letters[cols].tolist())
+    assert "\x01" in heavy and len(heavy) == 300
+    scores = rng.integers(-50, 50, (300, len(alphabet)))
+    assert profile_heavy_string(ScoringMatrix(alphabet, scores)) == \
+        "".join(letters[scores.argmax(axis=1)].tolist())
 
 
 def test_match_neglog_values():
