@@ -18,8 +18,10 @@ array from the same padded classes, those of `knapsack._item_arrays`.
 
 The general matcher (gwpm) slides a weighted pattern over a weighted
 text: each window walks over the positions where the heavy strings
-mismatch, dropped as soon as an exact min-sum bound passes z, and
-reduces to a consensus instance restricted to those positions.  The
+mismatch, dropped as soon as an exact min-sum bound passes z on either
+side, or 2z on both together (the (1, 1) Lagrangian NO test of
+`knapsack.decide`, taken one mismatch at a time), and reduces to a
+consensus instance restricted to those positions.  The
 windows with mismatches go to `_consensus` block by block;
 `weighted_consensus` is its one window over all positions.  This
 module imports no oracle: `reference.naive_consensus` and
@@ -244,11 +246,17 @@ def gwpm(
     The windows walk together over the heavy strings in batched
     kangaroo rounds (`mismatch_walk`), one lcp query per live window and
     round, collecting the few offsets where the heavy strings mismatch.
-    Each window carries two lower bounds on the units of any string
-    matching it, one in P and one in the window: they start at the
+    Each window carries three lower bounds on the units of any string
+    matching it: one in P and one in the window, which start at the
     heavy units and, at each mismatch, rise by the cheapest letter alive
-    in both rows.  A window is dropped once either bound passes z, or at
-    its (2 floor(log2 z) + 1)-th mismatch, since it cannot match.  A
+    in both rows; and one in P and the window together, which starts at
+    the sum of the two and, at each mismatch, rises by the cheapest sum
+    of a letter's units in the two rows, each capped at z + 1 (an
+    absent letter's INF too).  The third is the (1, 1) Lagrangian NO
+    test of `knapsack.decide` over the same classes, taken one mismatch
+    at a time.  A window is dropped once either of the first two passes
+    z, once the third passes 2z, or at its (2 floor(log2 z) + 1)-th
+    mismatch, since it cannot match; no bound implies another.  A
     window left with no mismatch occurs with the heavy letters; each of
     the others reduces to a consensus instance restricted to its
     mismatch set.  In blocks of `WALK_BLOCK` windows, `_window_classes`
@@ -288,7 +296,7 @@ def gwpm(
         return GwpmResult((), m, heavy_t, {})
     budget = m if unbounded else 2 * z.log2_floor
     z_units = z.units
-    inf, cap = neglog.INF, z_units + 1
+    cap = z_units + 1
     common = [c for c in P.alphabet if c in T.alphabet]
     # lower bounds on the units of any match in P and in each window,
     # saturated at cap as in `wpm`; they start at the heavy units
@@ -300,8 +308,13 @@ def gwpm(
         return GwpmResult((), m, heavy_t, {})
     lo_t = lo_t[starts]
     lo_p = np.full(len(starts), heavy_sum_p)
-    pu = P.units[:, [P.alphabet.index(c) for c in common]]
-    tu = T.units[:, [T.alphabet.index(c) for c in common]]
+    # a lower bound on the units in P plus those in the window, saturated
+    # at 2 cap: a match holds at most z on each side, so at most 2z in all
+    lo_s = heavy_sum_p + lo_t
+    # the rows of the common letters, INF (absent) capped at cap: every
+    # other entry is within z after `prune`, so no sum of two wraps
+    pu = np.minimum(P.units[:, [P.alphabet.index(c) for c in common]], cap)
+    tu = np.minimum(T.units[:, [T.alphabet.index(c) for c in common]], cap)
     # a window has at most m mismatches; the walk drops it at its
     # (budget + 1)-th
     d = np.zeros((len(starts), min(budget, m) + 1), dtype=np.int64)
@@ -309,15 +322,18 @@ def gwpm(
 
     def step(w, f):
         # where the heavy letters agree, the cheapest letter alive in both
-        # rows is the heavy one: a window that ends its walk holds the
-        # exact sums of its cheapest common letters, on each side
+        # rows is the heavy one, and it is the cheapest in the sum too: a
+        # window that ends its walk holds the exact sums of its cheapest
+        # common letters, on each side and over both
         j = starts[w] + f
         tp, tt = pu[f], tu[j]
-        lo_p[w] += np.minimum(np.where(tt < inf, tp, inf).min(axis=1) - units_p[f], cap - lo_p[w])
-        lo_t[w] += np.minimum(np.where(tp < inf, tt, inf).min(axis=1) - units_t[j], cap - lo_t[w])
+        lo_p[w] += np.minimum(np.where(tt < cap, tp, cap).min(axis=1) - units_p[f], cap - lo_p[w])
+        lo_t[w] += np.minimum(np.where(tp < cap, tt, cap).min(axis=1) - units_t[j], cap - lo_t[w])
+        lo_s[w] += np.minimum((tp + tt).min(axis=1) - units_p[f] - units_t[j], 2 * cap - lo_s[w])
         d[w, count[w]] = f
         count[w] += 1
-        return (count[w] <= budget) & (lo_p[w] <= z_units) & (lo_t[w] <= z_units)
+        return ((count[w] <= budget) & (lo_p[w] <= z_units) & (lo_t[w] <= z_units)
+                & (lo_s[w] <= 2 * z_units))
 
     idx = build_cross_index(heavy_p, heavy_t)
     ended = mismatch_walk(idx, starts, step)

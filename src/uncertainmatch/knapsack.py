@@ -469,35 +469,49 @@ def _lagrange(vw, alive, picks, nets, state) -> None:
     b) times the sum of the classes' largest item magnitudes is below
     2**62, so no product or sum wraps around.  Object (Python int)
     batches are left to the search.
+
+    A batch goes in chunks of instances whose arrays over all pairs
+    hold at most about 2**20 entries, and a chunk's arrays span only
+    the classes some instance of it left.  Where one instance's classes
+    left pass that, its pairs go in groups, in grid order, whose arrays
+    hold at most 2**20 entries (or one pair's), so a small batch makes
+    one pass over all pairs.
     """
     todo = np.flatnonzero(state < 0)
     if not len(todo) or vw.dtype == object:
         return
-    a, b = LAGRANGE_PAIRS.T[:, :, None]  # (pairs, 1)
-    ok_below = -(-_CLIP // (a + b))  # (a + b) * mag < 2**62
-    # large batches go in chunks of at most about 2**20 entries a pair array
     chunk = max(1, (1 << 20) // (len(LAGRANGE_PAIRS) * alive[0].size))
     for ids in np.array_split(todo, range(chunk, len(todo), chunk)):
         kept = picks[ids] < 0
-        live = alive[ids] & kept[:, :, None]
-        sub = vw[:, ids]
+        cols = np.flatnonzero(kept.any(axis=0))
+        kept = kept[:, cols]
+        sub = vw[:, ids[:, None], cols]
+        live = alive[ids[:, None], cols] & kept[:, :, None]
         items = np.where(live, sub, 0)
         lo = np.where(kept, np.where(live, sub, _CLIP).min(axis=3), 0).sum(axis=2)
         hi = np.where(kept, np.where(live, sub, -_CLIP).max(axis=3), 0).sum(axis=2)
         caps = np.clip(nets[:, ids], lo - 1, hi + 1)
-        ok = abs(items).max(axis=(0, 3)).sum(axis=1) < ok_below
+        mag = abs(items).max(axis=(0, 3)).sum(axis=1)
         # a committed class costs 0; a dead slot of a class left is never the minimum
-        cost = np.where(live, a[..., None, None] * items[0] + b[..., None, None] * items[1],
-                        np.where(kept, _CLIP, 0)[:, :, None])
-        at = cost.argmin(axis=3)
-        no = (ok & (cost.min(axis=3).sum(axis=2) > a * caps[0] + b * caps[1])).any(axis=0)
-        sums = np.take_along_axis(items[:, None], at[None, ..., None], axis=4)[..., 0].sum(axis=3)
-        fits = ok & (sums <= caps[:, None]).all(axis=0)
+        dead = np.where(kept, _CLIP, 0)[:, :, None]
+        at, no, fits = [], [], []
+        group = max(1, (1 << 20) // live.size)
+        for first in range(0, len(LAGRANGE_PAIRS), group):
+            a, b = LAGRANGE_PAIRS[first: first + group].T[:, :, None]  # (pairs, 1)
+            ok = mag < -(-_CLIP // (a + b))  # (a + b) * mag < 2**62
+            cost = np.where(live, a[..., None, None] * items[0] + b[..., None, None] * items[1],
+                            dead)
+            at.append(cost.argmin(axis=3))
+            no.append(ok & (cost.min(axis=3).sum(axis=2) > a * caps[0] + b * caps[1]))
+            sums = np.take_along_axis(items[:, None], at[-1][None, ..., None], axis=4)[..., 0]
+            fits.append(ok & (sums.sum(axis=3) <= caps[:, None]).all(axis=0))
+        at, fits = np.concatenate(at), np.concatenate(fits)
+        no = np.concatenate(no).any(axis=0)
         yes = fits.any(axis=0) & ~no
         state[ids] = np.where(no, 0, np.where(yes, 1, -1))
         rows = np.flatnonzero(yes)
-        picks[ids[rows]] = np.where(kept[rows], at[fits.argmax(axis=0)[rows], rows],
-                                    picks[ids[rows]])
+        at_rows = ids[rows][:, None], cols
+        picks[at_rows] = np.where(kept[rows], at[fits.argmax(axis=0)[rows], rows], picks[at_rows])
 
 
 def _commit(inst: KnapsackInstance, picks) -> tuple[KnapsackInstance, tuple[Item, ...]]:

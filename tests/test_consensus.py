@@ -17,7 +17,12 @@ from uncertainmatch.consensus import (
     weighted_consensus,
 )
 from uncertainmatch.errors import CapacityError, DomainError
-from uncertainmatch.reference import hamming, naive_consensus, naive_gwpm
+from uncertainmatch.reference import (
+    enumerate_solid_strings,
+    hamming,
+    naive_consensus,
+    naive_gwpm,
+)
 from uncertainmatch.weighted import (
     ProbThreshold,
     WeightedSequence,
@@ -914,3 +919,112 @@ def test_gwpm_at_infinite_z_long_windows():
     assert gwpm_witness(res, 1) == "b" * 40
     with pytest.raises(CapacityError):
         naive_gwpm(p_seq, from_probabilities("ab", rows), ProbThreshold.from_z(math.inf))
+
+
+def min_pair_sum(p_seq, t_seq, p, z):
+    """The bound on both sides together that `gwpm` runs in its walk.
+
+    Any string matching both pruned P and window p takes at each offset
+    a letter alive in both rows, so its units in P plus those in the
+    window are at least the sum over offsets of the cheapest such
+    letter's units on the two sides together (Python ints: no wrap).
+    """
+    P, T = prune(p_seq, z), prune(t_seq, z)
+    return sum(min(P.letter_units(i, c) + T.letter_units(p + i - 1, c) for c in P.alphabet)
+               for i in range(1, P.n + 1))
+
+
+def swapped_blocks(rng, m, blocks, sigma, q, weights=(9, 3, 4, 4)):
+    """A pattern of m rows, each {x: 1 - q, y: q}, {x: 1/2, y: 1/4,
+    w: 1/4}, one letter or random (by `weights`), and a text of `blocks`
+    blocks of m rows, each read against the pattern's row at its
+    offset.  A text row is the pattern's; the pattern's with its two
+    heaviest letters' probabilities swapped (free or nearly so on each
+    side, log2(1/q) or one bit more on both together, so sums land on
+    2z exactly too); one letter that is not the pattern's heavy one (so
+    the common letters there are absent on one side or on both); empty;
+    or random."""
+    pat = []
+    for _ in range(m):
+        kind = rng.choices(["pair", "dyadic", "one", "random"], weights)[0]
+        x, y, w = rng.sample(sigma, 3)
+        if kind == "pair":
+            pat.append({x: 1 - q, y: q})
+        elif kind == "dyadic":
+            pat.append({x: 0.5, y: 0.25, w: 0.25})
+        elif kind == "one":
+            pat.append({x: 1.0})
+        else:
+            pat.extend(random_rows(rng, 1, sigma))
+    text = []
+    for _ in range(blocks):
+        for row in pat:
+            kind = rng.choices(["same", "swap", "one", "empty", "random"], [10, 6, 1, 1, 2])[0]
+            if kind == "swap" and len(row) >= 2:
+                (x, px), (y, py) = sorted(row.items(), key=lambda kv: -kv[1])[:2]
+                text.append({**row, x: py, y: px})
+            elif kind == "one":
+                heavy = max(row, key=row.get)
+                text.append({rng.choice([s for s in sigma if s != heavy]): 1.0})
+            elif kind == "empty":
+                text.append({})
+            elif kind == "random":
+                text.extend(random_rows(rng, 1, sigma))
+            else:
+                text.append(dict(row))
+    return from_probabilities(sigma, pat), from_probabilities(sigma, text)
+
+
+def test_gwpm_sum_bound_is_exact():
+    # against the per-window oracle: windows whose swaps keep each
+    # side's bound within z but pass 2z together, common letters absent
+    # on one side or on both (whose INF units, summed uncapped, wrap
+    # around in int64), empty rows, z = 1 and 20 letters.  Every
+    # witness is a string the oracle finds solid in both P and the window
+    rng = random.Random(3636)
+    sum_only = occurring = at_2z = 0
+    for case in range(400):
+        sigma = "ACDEFGHIKLMNPQRSTVWY" if case % 4 == 3 else "acgt"
+        log2z = rng.choice([0, 2, 3, 4, 6, 8])
+        z = ProbThreshold.from_z(2 ** log2z)
+        q = 2.0 ** -rng.uniform(1, max(log2z, 1))
+        m = rng.randint(1, 6)
+        # a third of the patterns hold whole bits only, so sums land on 2z
+        weights = (0, 3, 1, 0) if case % 3 == 1 else (9, 3, 4, 4)
+        p_seq, t_seq = swapped_blocks(rng, m, rng.randint(1, 4), sigma, q, weights)
+        res = gwpm(p_seq, t_seq, z)
+        expect = naive_gwpm(p_seq, t_seq, z)
+        assert res.occurrences == tuple(expect)
+        in_p = {s for s, _ in enumerate_solid_strings(p_seq, z)}
+        for p in res.occurrences:
+            w = gwpm_witness(res, p)
+            window_t = window(t_seq, p, m)
+            assert w in in_p & {s for s, _ in enumerate_solid_strings(window_t, z)}
+            assert match_neglog(w, p_seq) <= z.units
+            assert match_neglog(w, window_t) <= z.units
+        occurring += len(expect)
+        at_2z += sum(min_pair_sum(p_seq, t_seq, p, z) == 2 * z.units for p in expect)
+        sum_only += sum(passes_min_sum(p_seq, t_seq, p, z)
+                        and min_pair_sum(p_seq, t_seq, p, z) > 2 * z.units
+                        for p in range(1, t_seq.n - m + 2))
+    assert sum_only > 20 and at_2z > 5 and occurring > 100
+
+
+def test_gwpm_sum_bound_is_exact_at_infinite_z():
+    # 1/z = 0: a window occurs exactly where P's row and the window's
+    # share a live letter at every offset
+    rng = random.Random(3637)
+    z = ProbThreshold.from_z(math.inf)
+    for case in range(120):
+        sigma = "ACDEFGHIKLMNPQRSTVWY" if case % 4 == 3 else "acgt"
+        m = rng.randint(1, 6)
+        p_seq, t_seq = swapped_blocks(rng, m, rng.randint(1, 4), sigma, rng.uniform(0.01, 0.5))
+        res = gwpm(p_seq, t_seq, z)
+        rows_p, rows_t = p_seq.rows, t_seq.rows
+        expect = [p for p in range(1, t_seq.n - m + 2)
+                  if all(rows_p[i].keys() & rows_t[p - 1 + i].keys() for i in range(m))]
+        assert list(res.occurrences) == expect
+        for p in res.occurrences:
+            w = gwpm_witness(res, p)
+            assert match_neglog(w, p_seq) < neglog.INF
+            assert match_neglog(w, window(t_seq, p, m)) < neglog.INF

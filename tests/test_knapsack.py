@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1050,3 +1051,37 @@ def test_cli_knapsack_rank_budget_past_float_range(tmp_path):
     assert rc == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_lagrange_memory_is_bounded_on_one_large_instance():
+    # one instance of 16 classes of 2**16 slots: greedy commits the 13
+    # with a (0, 0) item, so `_lagrange` builds its arrays over the 3
+    # classes left, and runs its 19 pairs in groups of at most 2**20
+    # entries (over every class and all pairs at once, its arrays
+    # peaked past 300 MiB).  The thresholds are the sums of the (1, 4)
+    # minimizers, so the answer is YES from a group after the first,
+    # with the slots of the first pair in grid order whose minimizers fit
+    rng = np.random.default_rng(36)
+    n, slots = 16, 1 << 16
+    vw = rng.integers(1, 1 << 20, size=(2, 1, n, slots))
+    vw[:, 0, np.arange(13), rng.integers(0, slots, size=13)] = 0
+    alive = np.ones((1, n, slots), dtype=bool)
+    left = vw[:, 0, 13:]
+    at = [(a * left[0] + b * left[1]).argmin(axis=1) for a, b in K.LAGRANGE_PAIRS.tolist()]
+
+    def sums(slots_left):
+        return np.take_along_axis(left, slots_left[None, :, None], axis=2)[..., 0].sum(axis=1)
+
+    caps = sums(at[12])[:, None]
+    first = next(p for p, slots_left in enumerate(at) if (sums(slots_left) <= caps[:, 0]).all())
+    assert 5 <= first <= 12
+    tracemalloc.start()
+    try:
+        state, picks = K.decide(vw, alive, caps, K._CLIP, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.tolist() == [1]
+    assert (picks[0, 13:] == at[first]).all()
+    assert (vw[:, 0, np.arange(13), picks[0, :13]] == 0).all()
+    assert peak < 64 * 2**20

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from uncertainmatch import knapsack
 from uncertainmatch.consensus import gwpm
 from uncertainmatch.lcp import CrossLcpIndex
 from uncertainmatch.profile import (
@@ -112,16 +113,44 @@ def test_gwpm_queries_per_window(per_window):
 
 
 def test_gwpm_query_bound_is_reached(per_window):
-    # heavy letters swapped at every offset, each swap nearly free for
-    # the min-sum test: the window walks until its (budget + 1)-th mismatch
+    # the walk's three lower bounds (in P, in the window, and on both
+    # together: the (1, 1) Lagrangian NO test of `knapsack.decide`, taken
+    # one mismatch at a time) sit at z, z and 2z from the start and never
+    # pass them: P's heavy letters cost log2 z bits at its tied rows, the
+    # text's log2 z bits at its own, and at each of these 2 log2 z
+    # mismatches the tied letter is free on the other side.  The
+    # (budget + 1)-th shares no letter, so the window walks until then
+    rows = {"p": ({"a": 0.5, "c": 0.5}, {"c": 1.0}),
+            "t": ({"g": 1.0}, {"c": 0.5, "g": 0.5}),
+            "x": ({"a": 1.0}, {"t": 1.0}),
+            "-": ({"a": 1.0}, {"a": 1.0})}
+    for log2z in (4, 8):
+        z = ProbThreshold.from_z(2 ** log2z)
+        budget = 2 * log2z
+        kinds = ["p"] * log2z + ["t"] * log2z + ["x"] + ["-"] * 3
+        pattern, text = (from_probabilities("acgt", [rows[k][side] for k in kinds])
+                         for side in (0, 1))
+        assert gwpm(pattern, text, z).occurrences == ()
+        assert per_window == {0: budget + 1}
+        per_window.clear()
+
+
+def test_gwpm_sum_bound_stops_swapped_heavy_letters(per_window, monkeypatch):
+    # heavy letters swapped at every offset: each swap costs each side's
+    # bound only -log2(1 - q) bits, but any letter there costs log2 z
+    # bits on one side, so the bound on both sides together passes 2z
+    # at the second mismatch, and no window reaches the knapsack layer
+    decided = []
+    decide = knapsack.decide
+    monkeypatch.setattr(knapsack, "decide", lambda vw, *a: decided.append(vw) or decide(vw, *a))
     rng = random.Random(2019)
     for log2z in (4, 8):
         z = ProbThreshold.from_z(2 ** log2z)
         q = 2.0 ** -log2z
-        budget = 2 * log2z
-        pairs = [rng.sample("acgt", 2) for _ in range(budget + 4)]
+        pairs = [rng.sample("acgt", 2) for _ in range(2 * log2z + 4)]
         pattern = from_probabilities("acgt", [{a: 1 - q, b: q} for a, b in pairs])
         text = from_probabilities("acgt", [{b: 1 - q, a: q} for a, b in pairs])
         assert gwpm(pattern, text, z).occurrences == ()
-        assert per_window == {0: budget + 1}
+        assert set(per_window) == {0} and per_window[0] <= 2
         per_window.clear()
+    assert decided == []
