@@ -31,11 +31,15 @@ EXIT_INPUT = 2
 
 
 def parse_z(token: str) -> ProbThreshold:
-    """Threshold given as a decimal or as `2^<int>`."""
+    """Threshold given as a decimal, as `2^<int>` or as `inf` (1/z = 0)."""
     try:
         if token.startswith("2^"):
             return ProbThreshold.from_z(2.0 ** int(token[2:]))
-        return ProbThreshold.from_z(float(token))
+        z = float(token)
+        # float() reads a finite decimal past the largest float as inf
+        if z == math.inf and token.strip().lower().removeprefix("+") not in ("inf", "infinity"):
+            raise ValueError("past the largest float, about 1.8e308; use inf for 1/z = 0")
+        return ProbThreshold.from_z(z)
     except OverflowError:
         raise ParseError(f"invalid threshold {token!r}: the largest power is 2^1023") from None
     except ValueError as exc:
@@ -69,7 +73,7 @@ def _algo(args) -> tuple[str, int | None]:
 
 def _read(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
@@ -244,10 +248,14 @@ def _run_gen(args) -> int:
     content = _gen(args)
     if args.out:
         try:
-            with open(args.out, "w") as fh:
-                fh.write(content)
+            data = content.encode("utf-8")
+            with open(args.out, "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
+        except UnicodeEncodeError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc.object[exc.start]!r} "
+                              f"has no UTF-8 encoding ({exc.reason})") from None
     else:
         sys.stdout.write(content)
     return EXIT_OK
@@ -271,7 +279,7 @@ def _pm_options(p):
 def _wpm_options(p):
     p.add_argument("--pattern", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--z", required=True, help="probability threshold (decimal or 2^<int>)")
+    p.add_argument("--z", required=True, help="probability threshold (decimal, 2^<int> or inf)")
 
 
 def _consensus_options(p):

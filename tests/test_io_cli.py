@@ -568,6 +568,14 @@ def test_parse_z():
     for token in ("2^1024", "2^99999999999"):
         with pytest.raises(ParseError, match=r"largest power is 2\^1023"):
             cli.parse_z(token)
+    for token in ("inf", "+Infinity", "INF"):
+        assert cli.parse_z(token).display == math.inf
+    # float() reads these as inf: refused, not taken for 1/z = 0
+    for token in ("1e400", "1e309", "+1e999"):
+        with pytest.raises(ParseError) as exc:
+            cli.parse_z(token)
+        assert str(exc.value) == (f"invalid threshold {token!r}: past the largest float, "
+                                  "about 1.8e308; use inf for 1/z = 0")
     for token, shown in (("0.5", "0.5"), ("nan", "nan"), ("2^-1", "0.5")):
         with pytest.raises(ParseError) as exc:
             cli.parse_z(token)
@@ -766,21 +774,27 @@ def test_cli_knapsack_parse_refusals(tmp_path, capsys, text, line, message):
     assert capsys.readouterr() == ("", f"error: {inst}: line {line}: {message}\n")
 
 
+def run_um_child(argv, cwd, env=None, **kw):
+    """`python -m uncertainmatch.cli` in a child process with `env` added to its environment."""
+    src = str(Path(uncertainmatch.__file__).parents[1])
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "uncertainmatch.cli", *argv], cwd=cwd,
+                          capture_output=True, env=env, timeout=60, **kw)
+
+
 def test_cli_knapsack_memory_guard(tmp_path):
     # 12 anti-correlated classes of 30 items, which the Lagrangian bounds
     # leave: the prefix lists would outgrow memory long before the search
     # stops, so `um knapsack` must refuse with status 2
     inst = tmp_path / "big.mck"
     inst.write_text(io.serialize_mck(anti_correlated(random.Random(3), 12, 30, 1 << 20)))
-    src = str(Path(uncertainmatch.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = subprocess.run([sys.executable, "-m", "uncertainmatch.cli", "knapsack",
-                           "--instance", str(inst)], capture_output=True, text=True,
-                          env=env, preexec_fn=cap_memory, timeout=60)
+    proc = run_um_child(["knapsack", "--instance", str(inst)], tmp_path, text=True,
+                        preexec_fn=cap_memory)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -847,6 +861,41 @@ def test_cli_profile_score_beyond_32_bits_names_its_line(tmp_path, capsys):
     assert_input_error(capsys, argv)
     assert cli.main(argv) == 2
     assert f"{prof}: line 3: " in capsys.readouterr().err
+
+
+def test_cli_z_past_the_float_range(tmp_path, capsys):
+    # position 1 has probability 0, so only z = inf (1/z = 0) finds it;
+    # 1e400 is a finite z that no float holds, and is refused
+    pwm = tmp_path / "t.pwm"
+    pwm.write_text("PWM 3 ac\n0.5 0.5\n1 0\n0 1\n")
+    pat = tmp_path / "p.txt"
+    pat.write_text("ac\n")
+    argv = ["wpm", "--pattern", str(pat), "--text", str(pwm), "--z"]
+    for z, out in (("inf", "1\n2\n"), ("1e308", "2\n")):
+        assert cli.main([*argv, z]) == 0
+        assert capsys.readouterr().out == out
+    assert_input_error(capsys, [*argv, "1e400"])
+    assert cli.main([*argv, "1e400"]) == 2
+    assert "use inf for 1/z = 0" in capsys.readouterr().err
+
+
+def test_cli_files_are_utf8_under_any_locale(tmp_path):
+    # under the C locale with no UTF-8 mode, open() defaults to ASCII: a
+    # UTF-8 PWM over "aé" must still be read, and `gen --out` must not
+    # end in a traceback when argv's "é" arrives as lone surrogates
+    (tmp_path / "t.pwm").write_text("PWM 3 aé\n0.5 0.5\n1 0\n0 1\n", encoding="utf-8")
+    (tmp_path / "p.txt").write_text("aé\n", encoding="utf-8")
+    c_locale = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    wpm = ["wpm", "--pattern", "p.txt", "--text", "t.pwm", "--z", "inf"]
+    runs = [run_um_child(wpm, tmp_path, env) for env in (None, c_locale)]
+    assert [(run.returncode, run.stdout) for run in runs] == [(0, b"1\n2\n")] * 2
+    gen = ["gen", "--kind", "text", "--seed", "1", "--alphabet", "aé", "--out"]
+    assert run_um_child([*gen, "g.txt"], tmp_path).returncode == 0
+    assert (tmp_path / "g.txt").read_text(encoding="utf-8").strip("aé\n") == ""
+    run = run_um_child([*gen, "c.txt"], tmp_path, c_locale)
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr.startswith(b"error: cannot write c.txt: ") and run.stderr.count(b"\n") == 1
+    assert not (tmp_path / "c.txt").exists()
 
 
 def test_cli_non_utf8_input(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io as stdio
 import itertools
@@ -711,6 +712,27 @@ def lagrange_corpus(rng, count):
         yield K.make_instance(classes, V, W)
 
 
+def lagrange_batches(insts):
+    """`decide`'s arguments but k for the instances: {key: (ids, args)}.
+
+    The int64 instances go in one batch per class count, keyed (n, -1),
+    each padded to the largest class; an object instance carries its
+    own top, so it goes alone, keyed (n, its index).
+    """
+    groups = {}
+    for i, inst in enumerate(insts):
+        wide = K._item_arrays(inst.classes, inst.V, inst.W)[0].dtype == object
+        groups.setdefault((inst.n, i if wide else -1), []).append(i)
+    batches = {}
+    for key, ids in groups.items():
+        if key[1] >= 0:
+            inst = insts[key[1]]
+            batches[key] = ids, K._item_arrays(inst.classes, inst.V, inst.W)
+        else:
+            batches[key] = ids, (*batch_arrays([insts[i] for i in ids]), K._CLIP)
+    return batches
+
+
 def test_lagrange_bound_is_exact(monkeypatch):
     # every NO of the filter is brute force's, every YES pick fits, and
     # `decide` agrees with brute force at k = 0, 1 and 2; the filter
@@ -727,20 +749,12 @@ def test_lagrange_bound_is_exact(monkeypatch):
     monkeypatch.setattr(K, "_lagrange", spy)
     insts = list(lagrange_corpus(random.Random(32), 2000))
     expect = [K.brute_force(inst) is not None for inst in insts]
-    groups = {}
-    for i, inst in enumerate(insts):
-        wide = K._item_arrays(inst.classes, inst.V, inst.W)[0].dtype == object
-        # object arrays carry their own top, so each is decided alone
-        groups.setdefault((inst.n, i if wide else -1), []).append(i)
+    groups = lagrange_batches(insts)
     decided = {"no": 0, "yes": 0, "object": 0}
     for k in range(3):
-        for (_, alone), ids in groups.items():
+        for ids, args in groups.values():
             spied.clear()
-            if alone >= 0:
-                inst = insts[alone]
-                state, picks = K.decide(*K._item_arrays(inst.classes, inst.V, inst.W), k)
-            else:
-                state, picks = decide_batch([insts[i] for i in ids], k)
+            state, picks = K.decide(*args, k)
             (dtype, before, after, chosen), = spied
             for i, was, now, mine, yes, slots in zip(ids, before.tolist(), after.tolist(),
                                                       chosen.tolist(), state.tolist(),
@@ -754,19 +768,19 @@ def test_lagrange_bound_is_exact(monkeypatch):
                     assert now == expect[i] and mine == slots
                     decided[("no", "yes")[now]] += 1
     assert min(decided.values()) > 20, decided
-    # 16 copies of the int64 batch of 5 classes take more than one chunk
+    # 32 copies of the int64 batch of 5 classes take more than one chunk
     # of 2**20 entries a pair array, and each copy is decided as the
     # batch alone
-    vw, alive, caps = batch_arrays([insts[i] for i in groups[5, -1]])
+    vw, alive, caps, _ = groups[5, -1][1]
     outs = []
-    for copies in (1, 16):
+    for copies in (1, 32):
         arrays = np.tile(vw, (1, copies, 1, 1)), np.tile(alive, (copies, 1, 1))
         state, picks, nets = K.reduce_batch(*arrays, np.tile(caps, (1, copies)), K._CLIP)
         lagrange(*arrays, picks, nets, state)
         outs.append((state, picks))
-    assert 16 * len(alive) * len(K.LAGRANGE_PAIRS) * alive[0].size > 1 << 20
-    assert (outs[1][0] == np.tile(outs[0][0], 16)).all()
-    assert (outs[1][1] == np.tile(outs[0][1], (16, 1))).all()
+    assert 32 * len(alive) * len(K.LAGRANGE_PAIRS) * alive[0].size > 1 << 20
+    assert (outs[1][0] == np.tile(outs[0][0], 32)).all()
+    assert (outs[1][1] == np.tile(outs[0][1], (32, 1))).all()
     # two int64 classes {(2**61, 0), (0, 1)}: (1, 0) picks a fitting
     # (0, 1) twice, but 2**61 + 2**61 reaches 2**62, so the instance is
     # left to the search, which refuses it
@@ -776,6 +790,42 @@ def test_lagrange_bound_is_exact(monkeypatch):
         K.decide(vw, np.ones((1, 2, 2), dtype=bool), np.array([[0], [2]]), K._CLIP, 0)
     (_, before, after, _), = spied
     assert before.tolist() == after.tolist() == [-1]
+
+
+# The grid the Lagrangian bounds were first written with: (1, 0), (0, 1),
+# (1, 1), then (2**e, 1) and (1, 2**e) for e = 1..8.
+WIDE_GRID = np.array([(1, 0), (0, 1), (1, 1)] + [(1 << e, 1) for e in range(1, 9)]
+                     + [(1, 1 << e) for e in range(1, 9)], dtype=np.int64)
+
+
+def test_lagrange_pairs_are_those_that_decide(monkeypatch):
+    # `decide` gives the same state and picks with `LAGRANGE_PAIRS` as
+    # with the wide grid it was cut from, at k = 0, 1 and 2; and, each
+    # instance credited to the first pair of the wide grid that decides
+    # it alone, the credited pairs are exactly `LAGRANGE_PAIRS`, so a
+    # pair that decides nothing here cannot join the grid unmeasured
+    pairs = [tuple(pair) for pair in K.LAGRANGE_PAIRS.tolist()]
+    insts = list(lagrange_corpus(random.Random(32), 2000))
+    batches = lagrange_batches(insts).values()
+    for k in range(3):
+        for _, args in batches:
+            answers = []
+            for grid in (K.LAGRANGE_PAIRS, WIDE_GRID):
+                monkeypatch.setattr(K, "LAGRANGE_PAIRS", grid)
+                answers.append([out.tolist() for out in K.decide(*args, k)])
+            assert answers[0] == answers[1]
+    credited = collections.Counter()
+    for _, (vw, alive, caps, top) in batches:
+        state, picks, nets = K.reduce_batch(vw, alive, caps, top)
+        first = np.full(len(state), -1)
+        for p in reversed(range(len(WIDE_GRID))):
+            monkeypatch.setattr(K, "LAGRANGE_PAIRS", WIDE_GRID[p: p + 1])
+            alone = state.copy()
+            K._lagrange(vw, alive, picks.copy(), nets, alone)
+            first[(state < 0) & (alone >= 0)] = p
+        credited.update(tuple(WIDE_GRID[p].tolist()) for p in first[first >= 0].tolist())
+    assert sorted(credited) == sorted(pairs), credited
+    assert credited[4, 1] == credited[1, 4] == 1
 
 
 def test_solve_k_rejects_bad_k():
@@ -1056,25 +1106,27 @@ def test_cli_knapsack_rank_budget_past_float_range(tmp_path):
 def test_lagrange_memory_is_bounded_on_one_large_instance():
     # one instance of 16 classes of 2**16 slots: greedy commits the 13
     # with a (0, 0) item, so `_lagrange` builds its arrays over the 3
-    # classes left, and runs its 19 pairs in groups of at most 2**20
-    # entries (over every class and all pairs at once, its arrays
-    # peaked past 300 MiB).  The thresholds are the sums of the (1, 4)
-    # minimizers, so the answer is YES from a group after the first,
-    # with the slots of the first pair in grid order whose minimizers fit
+    # classes left, and runs its pairs in groups of at most 2**20
+    # entries, 5 pairs a group (over every class and all pairs at once,
+    # its arrays peaked past 300 MiB).  The thresholds are the sums of
+    # the (1, 4) minimizers, so the answer is YES from a group after the
+    # first, with the slots of the first pair in grid order whose
+    # minimizers fit
     rng = np.random.default_rng(36)
     n, slots = 16, 1 << 16
     vw = rng.integers(1, 1 << 20, size=(2, 1, n, slots))
     vw[:, 0, np.arange(13), rng.integers(0, slots, size=13)] = 0
     alive = np.ones((1, n, slots), dtype=bool)
     left = vw[:, 0, 13:]
-    at = [(a * left[0] + b * left[1]).argmin(axis=1) for a, b in K.LAGRANGE_PAIRS.tolist()]
+    pairs = K.LAGRANGE_PAIRS.tolist()
+    at = [(a * left[0] + b * left[1]).argmin(axis=1) for a, b in pairs]
 
     def sums(slots_left):
         return np.take_along_axis(left, slots_left[None, :, None], axis=2)[..., 0].sum(axis=1)
 
-    caps = sums(at[12])[:, None]
+    caps = sums(at[pairs.index([1, 4])])[:, None]
     first = next(p for p, slots_left in enumerate(at) if (sums(slots_left) <= caps[:, 0]).all())
-    assert 5 <= first <= 12
+    assert (1 << 20) // left[0].size == 5 <= first <= pairs.index([1, 4])
     tracemalloc.start()
     try:
         state, picks = K.decide(vw, alive, caps, K._CLIP, 0)
